@@ -7,6 +7,7 @@ so finite-difference checks can be tight.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -94,10 +95,14 @@ def tensor(values) -> Tensor:
 
 
 def _accumulate(t: Tensor, grad: Array):
-    if t.grad is None:
-        t.grad = grad.copy() if grad.shape == t.values.shape else _unbroadcast(grad, t.values.shape)
-    else:
-        t.grad += grad if grad.shape == t.values.shape else _unbroadcast(grad, t.values.shape)
+    """Add ``grad`` into ``t.grad`` out of place.
+
+    Gradient arrays are shared freely between nodes (``add`` hands the
+    same array to both parents), so no gradient is ever changed in place.
+    """
+    if grad.shape != t.values.shape:
+        grad = _unbroadcast(grad, t.values.shape)
+    t.grad = grad if t.grad is None else t.grad + grad
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -294,14 +299,14 @@ def swap_last(x: Tensor) -> Tensor:
 
 def total(x: Tensor) -> Tensor:
     out = Tensor(x.values.sum(), (x,))
-    out._backward = lambda g: _accumulate(x, np.broadcast_to(g, x.values.shape).copy())
+    out._backward = lambda g: _accumulate(x, np.broadcast_to(g, x.values.shape))
     return out
 
 
 def mean(x: Tensor) -> Tensor:
     n = x.values.size
     out = Tensor(x.values.mean(), (x,))
-    out._backward = lambda g: _accumulate(x, np.broadcast_to(g / n, x.values.shape).copy())
+    out._backward = lambda g: _accumulate(x, np.broadcast_to(g / n, x.values.shape))
     return out
 
 
@@ -319,6 +324,102 @@ def maximum(a, b) -> Tensor:
 
     out._backward = backward
     return out
+
+
+def lstm_sequence(x: Tensor, segments: Sequence[tuple[Tensor, Tensor, Tensor, int]]) -> Tensor:
+    """Run an LSTM over ``x`` (B, T, n_in); return every hidden state (B, T, n).
+
+    ``segments`` lists (wx, wh, b, length) with lengths summing to T: each
+    segment runs its own weights over the next ``length`` steps, starting
+    from the (h, c) state the previous segment left, and zeros at t=0.
+    Gates follow ``LstmCell.step``: [input, forget, candidate, output].
+    The input projection of a segment is a single matmul, and the
+    recurrence and its backprop through time run over plain arrays, so the
+    whole sequence is one graph node.
+
+    Every sum and product is taken in the order a chain of
+    ``LstmCell.step`` nodes takes it, and weight gradients are summed from
+    the last step back, so the results match that chain to the last bit
+    (given that numpy's batched matmul matches its per-step matmul, as it
+    does with OpenBLAS) and training follows the same trajectory.
+    """
+    xv = x.values
+    batch, steps, _ = xv.shape
+    if sum(seg[3] for seg in segments) != steps:
+        raise ValueError(f"segment lengths {[seg[3] for seg in segments]} do not sum to {steps}")
+    n = segments[0][1].values.shape[0]
+    # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 is ad.sigmoid to the last bit
+    # (scaling by 0.5 is exact), so one tanh activates all four gates
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], n)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], n)
+    xt = xv.transpose(1, 0, 2)  # time-major, so each step's arrays are contiguous
+    gates = np.empty((steps, batch, 4 * n))  # activated
+    cs = np.zeros((steps + 1, batch, n))  # cs[t + 1] is c_t, cs[0] the zero state
+    hs = np.zeros((steps + 1, batch, n))
+    tanh_c = np.empty((steps, batch, n))
+    start = 0
+    for wx, wh, b, length in segments:
+        x_proj = xt[start : start + length] @ wx.values
+        for t in range(start, start + length):
+            act = gates[t]
+            np.multiply(np.tanh((x_proj[t - start] + hs[t] @ wh.values + b.values) * scale),
+                        scale, out=act)
+            act += shift
+            np.multiply(act[:, n : 2 * n], cs[t], out=cs[t + 1])
+            cs[t + 1] += act[:, :n] * act[:, 2 * n : 3 * n]
+            np.tanh(cs[t + 1], out=tanh_c[t])
+            np.multiply(act[:, 3 * n :], tanh_c[t], out=hs[t + 1])
+        start += length
+    parents = (x,) + tuple(p for seg in segments for p in seg[:3])
+    out = Tensor(hs[1:].transpose(1, 0, 2), parents)
+
+    def backward(g):
+        g = g.transpose(1, 0, 2)
+        act = gates.reshape(steps, batch, 4, n)
+        i, f, cand, o = (act[:, :, k] for k in range(4))
+        # d z = (([dc, dc, dc, dh] * factor) * gate) * slope per gate, where
+        # factor is what the gate multiplies and slope the activation's slope
+        factor = np.stack([cand, cs[:-1], i, tanh_c], axis=2)
+        gate = act.copy()
+        gate[:, :, 2] = 1.0
+        slope = 1.0 - act
+        slope[:, :, 2] = 1.0 - cand * cand
+        tanh_slope = 1.0 - tanh_c * tanh_c
+        dz = np.empty((steps, batch, 4, n))
+        dz_flat = dz.reshape(steps, batch, 4 * n)
+        dx = np.empty(xt.shape)
+        dh_next = np.zeros((batch, n))
+        dc = np.zeros((batch, n))
+        f_next = dc  # there is no step after the last, and dc is zero there
+        stop = steps
+        for wx, wh, b, length in reversed(segments):
+            start = stop - length
+            wh_t = wh.values.T
+            for t in range(stop - 1, start - 1, -1):
+                dh = g[t] + dh_next
+                dc = dc * f_next + dh * o[t] * tanh_slope[t]
+                np.multiply(dc[:, None], factor[t, :, :3], out=dz[t, :, :3])
+                np.multiply(dh, factor[t, :, 3], out=dz[t, :, 3])
+                dz[t] *= gate[t]
+                dz[t] *= slope[t]
+                dh_next = dz_flat[t] @ wh_t
+                f_next = f[t]
+            dz_seg = dz_flat[start:stop]
+            _accumulate(wx, _sum_backwards(np.matmul(xt[start:stop].transpose(0, 2, 1), dz_seg)))
+            _accumulate(wh, _sum_backwards(np.matmul(hs[start:stop].transpose(0, 2, 1), dz_seg)))
+            _accumulate(b, _sum_backwards(dz_seg.sum(axis=1)))
+            dx[start:stop] = dz_seg @ wx.values.T
+            stop = start
+        _accumulate(x, dx.transpose(1, 0, 2))
+
+    out._backward = backward
+    return out
+
+
+def _sum_backwards(per_step: Array) -> Array:
+    """Sum per-step gradients from the last step to the first, the order
+    in which a chain of per-step nodes accumulates them."""
+    return functools.reduce(np.add, per_step[::-1])
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:

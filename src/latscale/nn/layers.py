@@ -117,7 +117,7 @@ class Adam:
             scale = self.clip_norm / norm
             for p in self.store.tensors().values():
                 if p.grad is not None:
-                    p.grad *= scale
+                    p.grad = p.grad * scale  # out of place: grads may share arrays
 
     def step(self):
         if self.clip_norm is not None:

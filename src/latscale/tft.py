@@ -192,22 +192,15 @@ class TemporalFusionTransformer:
             Tensor(dec.reshape(b * tau, n_dec)), self.dec_embed, self.dec_select,
             self.dec_feature_grns, training, rng,
         )
-        enc_seq = ad.reshape(enc_vsn, (b, k, h))
-        dec_seq = ad.reshape(dec_vsn, (b, tau, h))
-
-        state_h = Tensor(np.zeros((b, h)))
-        state_c = Tensor(np.zeros((b, h)))
-        steps = []
-        for t in range(k):
-            x_t = ad.reshape(ad.narrow(enc_seq, 1, t, 1), (b, h))
-            state_h, state_c = self.lstm_encoder.step(x_t, state_h, state_c)
-            steps.append(ad.reshape(state_h, (b, 1, h)))
-        for t in range(tau):
-            x_t = ad.reshape(ad.narrow(dec_seq, 1, t, 1), (b, h))
-            state_h, state_c = self.lstm_decoder.step(x_t, state_h, state_c)
-            steps.append(ad.reshape(state_h, (b, 1, h)))
-        lstm_flat = ad.reshape(ad.concat(steps, axis=1), (b * (k + tau), h))
-        vsn_flat = ad.reshape(ad.concat([enc_seq, dec_seq], axis=1), (b * (k + tau), h))
+        vsn_seq = ad.concat(
+            [ad.reshape(enc_vsn, (b, k, h)), ad.reshape(dec_vsn, (b, tau, h))], axis=1
+        )
+        lstm_seq = ad.lstm_sequence(vsn_seq, [
+            (self.lstm_encoder.wx, self.lstm_encoder.wh, self.lstm_encoder.b, k),
+            (self.lstm_decoder.wx, self.lstm_decoder.wh, self.lstm_decoder.b, tau),
+        ])
+        lstm_flat = ad.reshape(lstm_seq, (b * (k + tau), h))
+        vsn_flat = ad.reshape(vsn_seq, (b * (k + tau), h))
 
         skip = self.post_lstm(lstm_flat, vsn_flat, training=training, rng=rng)
         enriched = self.enrichment(skip, training=training, rng=rng)

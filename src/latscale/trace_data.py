@@ -215,7 +215,14 @@ def load_dataset(path, schema: Mapping[str, tuple[SeriesKind, str | None]] | Non
 
     if not columns[0]:
         raise DataFormatError("no data rows")
-    t = np.asarray(columns[0])
+    data = np.array(columns)  # one row per CSV column
+    bad = np.argwhere(~np.isfinite(data.T))  # in file order
+    if len(bad):
+        row, col = bad[0]
+        raise DataFormatError(
+            f"non-finite cell {float(data[col, row])!r}", row=int(row) + 2, column=header[col]
+        )
+    t = data[0]
     if np.any(t != np.round(t)):
         raise DataFormatError("time index must be integer", column="t")
     t = t.astype(np.int64)
@@ -226,12 +233,12 @@ def load_dataset(path, schema: Mapping[str, tuple[SeriesKind, str | None]] | Non
             raise DataFormatError(f"time index out of order at {t[i]}", row=i + 2, column="t")
 
     series = []
-    for name, values in zip(header[1:], columns[1:]):
+    for name, values in zip(header[1:], data[1:]):
         if schema and name in schema:
             kind, service = schema[name]
         else:
             kind, service = _classify_column(name)
-        series.append(MetricSeries(name=name, kind=kind, values=np.asarray(values), microservice=service))
+        series.append(MetricSeries(name=name, kind=kind, values=values, microservice=service))
     return TraceDataset(time_index=t, series=tuple(series))
 
 

@@ -86,6 +86,47 @@ class TestAutodiffPrimitives:
         err = grad_check(lambda: ad.total(bad_square(x)), [x])
         assert err > 1e-2
 
+    def test_tensor_added_to_itself(self):
+        rng = np.random.default_rng(22)
+        p = rand_tensor(rng, 3, 2)
+        probe = rng.normal(0, 1, (3, 2))
+        assert grad_check(lambda: ad.total(ad.mul(ad.add(p, p), probe)), [p]) < 1e-8
+        np.testing.assert_array_equal(p.grad, 2.0 * probe)
+
+    def test_tensor_feeding_two_ops(self):
+        # x shares the add's upstream array with y, then gets a second
+        # gradient from the matmul, in either order
+        rng = np.random.default_rng(23)
+        x = rand_tensor(rng, 4, 3)
+        y = rand_tensor(rng, 4, 3)
+        w = rand_tensor(rng, 3, 3)
+        for loss in (lambda: ad.mean(ad.mul(ad.add(x, y), ad.matmul(x, w))),
+                     lambda: ad.mean(ad.mul(ad.matmul(x, w), ad.add(x, y)))):
+            assert grad_check(loss, [x, y, w]) < 1e-8
+
+    def test_clipping_scales_shared_gradients_once(self):
+        # add hands one upstream array to both parameters; clipping must
+        # scale each parameter's gradient once, not the shared array twice
+        rng = np.random.default_rng(24)
+        store = ParamStore(seed=24)
+        p1 = store.parameter("p1", (3, 2))
+        p2 = store.parameter("p2", (3, 2))
+        probe = rng.normal(0, 1, (3, 2))
+
+        def loss():
+            return ad.total(ad.mul(ad.add(p1, p2), probe))
+
+        assert grad_check(loss, [p1, p2]) < 1e-8
+        store.zero_grad()
+        loss().backward()
+        np.testing.assert_array_equal(p1.grad, probe)
+        np.testing.assert_array_equal(p2.grad, probe)
+        norm = np.sqrt(2.0 * np.sum(probe**2))
+        opt = Adam(store, clip_norm=0.5 * norm)
+        opt.step()
+        np.testing.assert_allclose(p1.grad, 0.5 * probe, rtol=1e-15)
+        np.testing.assert_allclose(p2.grad, 0.5 * probe, rtol=1e-15)
+
     def test_dropout_identity_at_inference(self):
         x = Tensor(np.ones((10, 10)))
         assert ad.dropout(x, 0.5, None, training=False) is x
@@ -198,6 +239,72 @@ class TestLstm:
 
         err = grad_check(loss, list(store.tensors().values()) + xs)
         assert err < 1e-4
+
+
+def unrolled_lstm(x, cells, lengths):
+    """The reference for ``ad.lstm_sequence``: ``LstmCell.step`` chained
+    step by step, handing the state from one cell to the next."""
+    batch, _, n_in = x.shape
+    n = cells[0].n_hidden
+    h, c = Tensor(np.zeros((batch, n))), Tensor(np.zeros((batch, n)))
+    outs = []
+    t = 0
+    for cell, length in zip(cells, lengths):
+        for _ in range(length):
+            x_t = ad.reshape(ad.narrow(x, 1, t, 1), (batch, n_in))
+            h, c = cell.step(x_t, h, c)
+            outs.append(ad.reshape(h, (batch, 1, n)))
+            t += 1
+    return ad.concat(outs, axis=1)
+
+
+class TestLstmSequence:
+    @staticmethod
+    def build(seed, batch, lengths, n_in=3, n=4):
+        rng = np.random.default_rng(seed)
+        store = ParamStore(seed=seed)
+        cells = [LstmCell(store, f"lstm{i}", n_in, n) for i in range(len(lengths))]
+        for t in store.tensors().values():  # nonzero biases exercise the bias gradient
+            t.values += rng.normal(0, 0.3, t.values.shape)
+        x = rand_tensor(rng, batch, sum(lengths), n_in)
+        probe = rng.normal(0, 1, (batch, sum(lengths), n))
+        segments = [(cell.wx, cell.wh, cell.b, length) for cell, length in zip(cells, lengths)]
+        return store, cells, x, probe, segments
+
+    @pytest.mark.parametrize("batch,lengths", [
+        (3, (5, 4)),  # encoder -> decoder handoff between two cells
+        (1, (6, 3)),
+        (2, (1, 1)),
+        (1, (1,)),
+    ])
+    def test_matches_unrolled_cells(self, batch, lengths):
+        store, cells, x, probe, segments = self.build(30, batch, lengths)
+        wrt = list(store.tensors().values()) + [x]
+        results = []
+        for run in (lambda: ad.lstm_sequence(x, segments),
+                    lambda: unrolled_lstm(x, cells, lengths)):
+            for t in wrt:
+                t.zero_grad()
+            out = run()
+            ad.total(ad.mul(out, probe)).backward()
+            results.append((out.values, [t.grad for t in wrt]))
+        (fused, fused_grads), (ref, ref_grads) = results
+        # equal to the last bit, not just close: the fused op keeps the
+        # chain's order of operations, so training follows the same path
+        np.testing.assert_array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient(self):
+        store, _, x, probe, segments = self.build(31, 2, (4, 3))
+        err = grad_check(lambda: ad.mean(ad.mul(ad.lstm_sequence(x, segments), probe)),
+                         list(store.tensors().values()) + [x])
+        assert err < 1e-4
+
+    def test_lengths_must_cover_the_sequence(self):
+        _, _, x, _, segments = self.build(32, 1, (2, 2))
+        with pytest.raises(ValueError, match="do not sum"):
+            ad.lstm_sequence(x, segments[:1])
 
 
 class TestAttention:

@@ -84,6 +84,23 @@ class TestLoadDataset:
         assert exc.value.row == 3
         assert exc.value.column == "latency_p95.green"
 
+    @pytest.mark.parametrize("column,cell,row", [
+        ("latency_p95.green", "nan", 3),
+        ("cps.green", "inf", 2),
+        ("cps.green", "-Infinity", 3),
+        ("t", "inf", 3),
+    ])
+    def test_non_finite_cell_location(self, tmp_path, column, cell, row):
+        rows = [["0", "5", "1"], ["1", "6", "2"]]
+        header = ["t", "cps.green", "latency_p95.green"]
+        rows[row - 2][header.index(column)] = cell
+        text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(DataFormatError, match="non-finite") as exc:
+            load_dataset(path)
+        assert exc.value.row == row
+        assert exc.value.column == column
+
     def test_unknown_column_name(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "t,wat.green\n0,1\n")
         with pytest.raises(DataFormatError, match="cannot classify"):
