@@ -245,6 +245,19 @@ def _load_dataset_or_fail(cfg: RunConfig, flag: str = "--dataset"):
     return load_dataset(cfg.dataset)
 
 
+def _checkpoint_inputs(cfg: RunConfig):
+    """Check the inputs of a command that reads a checkpoint; returns
+    the dataset and the created output directory."""
+    if not cfg.checkpoint:
+        raise UsageError("--checkpoint is required")
+    if not Path(cfg.checkpoint).exists():
+        raise UsageError(f"checkpoint not found: {cfg.checkpoint}")
+    dataset = _load_dataset_or_fail(cfg)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return dataset, out
+
+
 def _select_features(cfg: RunConfig, dataset) -> list[str]:
     if cfg.features:
         missing = [f for f in cfg.features if not _has_series(dataset, f)]
@@ -432,13 +445,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise UsageError("--checkpoint is required")
-    if not Path(cfg.checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {cfg.checkpoint}")
-    dataset = _load_dataset_or_fail(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    dataset, out = _checkpoint_inputs(cfg)
     with _stage("predict"):
         model = tft.load_checkpoint(cfg.checkpoint)
         windows = _model_windows(cfg, model, dataset)
@@ -449,13 +456,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_interpret(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise UsageError("--checkpoint is required")
-    if not Path(cfg.checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {cfg.checkpoint}")
-    dataset = _load_dataset_or_fail(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    dataset, out = _checkpoint_inputs(cfg)
     with _stage("interpret"):
         model = tft.load_checkpoint(cfg.checkpoint)
         windows = _model_windows(cfg, model, dataset)
@@ -472,13 +473,7 @@ def cmd_interpret(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise UsageError("--checkpoint is required")
-    if not Path(cfg.checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {cfg.checkpoint}")
-    dataset = _load_dataset_or_fail(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    dataset, out = _checkpoint_inputs(cfg)
     with _stage("evaluate"):
         model = tft.load_checkpoint(cfg.checkpoint)
         windows = _model_windows(cfg, model, dataset)

@@ -8,11 +8,11 @@ multiplicative scaling factors, bounded by the optimizer boxes.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, asdict
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .krr import KrrModel, predict as krr_predict
 
@@ -22,6 +22,8 @@ if TYPE_CHECKING:
 ACTIONABLE_RESOURCES = ("pods", "cpu", "mem")
 DEFAULT_FACTOR_BOX = (0.25, 4.0)
 DEFAULT_INTERCEPT_BOX = (-1e4, 1e4)
+MAX_ITER = 500  # L-BFGS-B iteration cap for the theta solve
+PG_TOL = 1e-8  # projected-gradient infinity norm that counts as converged
 
 
 @dataclass(frozen=True)
@@ -129,107 +131,33 @@ class LbfgsbResult:
     converged: bool
 
 
-def _two_loop_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    if pairs:
-        s, y, _ = pairs[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * (y @ q)
-        q += s * (a - b)
-    return q
-
-
-def _free_mask(x, g, lo, hi) -> np.ndarray:
-    """Variables not pinned at a bound the gradient pushes against."""
-    at_lo = (x <= lo + 1e-12 * np.maximum(1.0, np.abs(lo))) & (g > 0)
-    at_hi = (x >= hi - 1e-12 * np.maximum(1.0, np.abs(hi))) & (g < 0)
-    return ~(at_lo | at_hi)
-
-
 def lbfgsb_minimize(
     fun_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     theta_init: Sequence[float],
     bounds: Sequence[tuple[float, float]],
-    memory: int = 10,
-    max_iter: int = 500,
-    pg_tol: float = 1e-8,
-    armijo_c: float = 1e-4,
-    max_halvings: int = 60,
 ) -> LbfgsbResult:
-    """Projected-gradient L-BFGS for box-constrained minimization.
+    """Box-constrained minimization with scipy's L-BFGS-B.
 
-    Quasi-Newton directions come from the two-loop recursion over the
-    last ``memory`` curvature pairs (accepted only when s.y > 1e-10),
-    restricted to the variables not pinned at an active bound; the
-    memory is dropped whenever the active set changes so stale
-    curvature cannot drag iterates back into the box walls.  Trial
-    points are projected onto the box and accepted under an Armijo
-    backtracking test with halving steps.  Converges when the
-    projected-gradient infinity norm drops below ``pg_tol``.
+    ``fun_and_grad`` returns the objective and its gradient.  The start
+    is clipped into the box.  ``converged`` means the projected-gradient
+    infinity norm at the returned point is below ``PG_TOL``.
     """
     lo = np.asarray([b[0] for b in bounds], dtype=np.float64)
     hi = np.asarray([b[1] for b in bounds], dtype=np.float64)
     if np.any(lo > hi):
         raise ValueError("each bound must satisfy lo <= hi")
-    x = np.clip(np.asarray(theta_init, dtype=np.float64), lo, hi)
-    f, g = fun_and_grad(x)
+    x0 = np.clip(np.asarray(theta_init, dtype=np.float64), lo, hi)
+    f, g = fun_and_grad(x0)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("non-finite objective or gradient at the starting point")
 
-    pairs: deque = deque(maxlen=memory)
-    prev_free: np.ndarray | None = None
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        projected_grad = x - np.clip(x - g, lo, hi)
-        if np.max(np.abs(projected_grad)) < pg_tol:
-            converged = True
-            break
-        iterations += 1
-
-        free = _free_mask(x, g, lo, hi)
-        if prev_free is not None and not np.array_equal(free, prev_free):
-            pairs.clear()
-        prev_free = free
-        masked_grad = np.where(free, g, 0.0)
-
-        def try_direction(d: np.ndarray):
-            alpha = 1.0
-            for _ in range(max_halvings):
-                x_new = np.clip(x + alpha * d, lo, hi)
-                step = x_new - x
-                if not step.any():
-                    return None
-                f_new, g_new = fun_and_grad(x_new)
-                if np.isfinite(f_new) and f_new <= f + armijo_c * (g @ step):
-                    return x_new, f_new, g_new
-                alpha *= 0.5
-            return None
-
-        direction = -_two_loop_direction(masked_grad, pairs)
-        direction[~free] = 0.0
-        if direction @ masked_grad > -1e-14 * np.linalg.norm(direction) * np.linalg.norm(masked_grad):
-            direction = -masked_grad
-            pairs.clear()
-        result = try_direction(direction)
-        if result is None and pairs:
-            pairs.clear()
-            result = try_direction(-masked_grad)
-        if result is None:
-            break  # no admissible decrease left
-        x_new, f_new, g_new = result
-        s, y = x_new - x, g_new - g
-        if s @ y > 1e-10:
-            pairs.append((s, y, 1.0 / (s @ y)))
-        x, f, g = x_new, f_new, g_new
-
-    return LbfgsbResult(theta=x, objective_value=f, iterations=iterations, converged=converged)
+    found = minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                     options={"maxiter": MAX_ITER, "gtol": PG_TOL, "ftol": 0.0})
+    x = np.clip(found.x, lo, hi)
+    f, g = fun_and_grad(x)
+    projected_grad = x - np.clip(x - g, lo, hi)
+    return LbfgsbResult(theta=x, objective_value=float(f), iterations=int(found.nit),
+                        converged=bool(np.max(np.abs(projected_grad)) < PG_TOL))
 
 
 @dataclass

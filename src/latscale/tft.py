@@ -19,7 +19,12 @@ import numpy as np
 from . import nn
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .trace_data import EPSILON, RANGE_FLOOR, Window
+from .trace_data import Window
+
+# Normalization constants.  EPSILON shifts normalized values away from
+# zero; RANGE_FLOOR guards constant series against division by zero.
+EPSILON = 0.01
+RANGE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,7 @@ def train(
             loss.backward()
             optimizer.step()
             epoch_loss += float(loss.values) * len(idx)
+            del out, loss  # free this batch's graph before the next one is built
         epoch_loss /= n_train
 
         val_loss = evaluate_loss(model, val_batch)
@@ -511,6 +517,7 @@ def evaluate_loss(model: TemporalFusionTransformer, batch: PreparedBatch) -> flo
         out = model.forward(batch.enc[lo : lo + bs], batch.dec[lo : lo + bs], training=False)
         loss = _batch_loss(model, out["quantiles"], batch.labels[lo : lo + bs])
         total_loss += float(loss.values) * min(bs, n - lo)
+        del out, loss
     return total_loss / n
 
 
@@ -532,6 +539,7 @@ def predict_many(model: TemporalFusionTransformer, windows: Sequence[Window]) ->
     for lo in range(0, batch.enc.shape[0], bs):
         out = model.forward(batch.enc[lo : lo + bs], batch.dec[lo : lo + bs], training=False)
         raw = np.sort(out["quantiles"].values, axis=2)  # quantile non-crossing
+        del out
         for i in range(raw.shape[0]):
             ms = denormalize_target(raw[i], batch.target_lo[lo + i], batch.target_range[lo + i])
             forecasts.append(

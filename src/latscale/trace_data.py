@@ -1,25 +1,18 @@
 """Time-indexed metric series for microservice traces.
 
 Holds aligned series of front-end calls, per-service resources, and
-per-trace p95 latency; provides CSV ingestion, sliding encoder/decoder
-windows, and per-window min-max normalization that keeps every value
-strictly positive (so the model never sees zeros or negatives).
+per-trace p95 latency; provides CSV ingestion and sliding
+encoder/decoder windows.
 """
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
-
-# Normalization constants.  EPSILON shifts normalized values away from
-# zero; RANGE_FLOOR guards constant series against division by zero.
-EPSILON = 0.01
-RANGE_FLOOR = 1e-8
 
 
 class SeriesKind(str, Enum):
@@ -96,8 +89,8 @@ class MetricSeries:
 class TraceDataset:
     """Aligned collection of metric series over a shared time index.
 
-    Treated as immutable after construction; windowing and
-    normalization never mutate it.
+    Treated as immutable after construction; windowing never mutates
+    it.
     """
 
     time_index: np.ndarray
@@ -359,75 +352,3 @@ def make_windows(
             )
         )
     return windows
-
-
-@dataclass
-class NormalizationState:
-    """Per-series affine parameters recorded for exact inversion."""
-
-    window_start: int
-    params: dict[str, tuple[float, float, float]] = field(default_factory=dict)  # name -> (min, range, eps)
-
-    def normalize_values(self, name: str, values: np.ndarray) -> np.ndarray:
-        lo, rng, eps = self.params[name]
-        return (np.asarray(values, dtype=np.float64) - lo) / rng + eps
-
-    def invert(self, name: str, values: np.ndarray) -> np.ndarray:
-        lo, rng, eps = self.params[name]
-        return (np.asarray(values, dtype=np.float64) - eps) * rng + lo
-
-    def to_json(self) -> str:
-        doc = [
-            {"series": name, "window_start": self.window_start, "min": lo, "range": rng, "epsilon": eps}
-            for name, (lo, rng, eps) in self.params.items()
-        ]
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizationState":
-        doc = json.loads(text)
-        state = cls(window_start=doc[0]["window_start"] if doc else 0)
-        for entry in doc:
-            state.params[entry["series"]] = (entry["min"], entry["range"], entry["epsilon"])
-        return state
-
-
-def fit_normalization(block: Block, window_start: int = 0) -> NormalizationState:
-    """Fit per-series min-max parameters over one block."""
-    state = NormalizationState(window_start=window_start)
-    for j, name in enumerate(block.feature_names):
-        col = block.values[:, j]
-        lo = float(np.min(col))
-        rng = float(np.max(col) - lo) + RANGE_FLOOR
-        state.params[name] = (lo, rng, EPSILON)
-    return state
-
-
-def normalize_window(block: Block, state: NormalizationState | None = None) -> tuple[Block, NormalizationState]:
-    """Scale each series of the block into a strictly positive range.
-
-    x' = (x - min) / (max - min + floor) + eps, with parameters fitted
-    on this block unless ``state`` is given (e.g. applying encoder
-    statistics to a decoder block).  Returns the scaled block and the
-    state needed to invert predictions exactly.
-    """
-    if block.values.shape[0] == 0:
-        raise ValueError("cannot normalize an empty block")
-    if state is None:
-        state = fit_normalization(block)
-    out = np.empty_like(block.values)
-    for j, name in enumerate(block.feature_names):
-        out[:, j] = state.normalize_values(name, block.values[:, j])
-    return Block(block.feature_names, out), state
-
-
-def normalize_batch(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized window normalization for stacked arrays.
-
-    ``values`` is (windows, steps, features); returns the scaled array
-    plus per-window per-feature (min, range) arrays of shape
-    (windows, 1, features).  Same formula as normalize_window.
-    """
-    lo = values.min(axis=1, keepdims=True)
-    rng = values.max(axis=1, keepdims=True) - lo + RANGE_FLOOR
-    return (values - lo) / rng + EPSILON, lo, rng

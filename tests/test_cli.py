@@ -160,10 +160,15 @@ class TestPredictInterpret:
                    "--out", str(tmp_path), "--quiet"])
         assert rc == 2
 
-    def test_missing_checkpoint(self, workspace, tmp_path):
-        rc = main(["predict", "--dataset", str(workspace["out"] / "dataset.csv"),
-                   "--checkpoint", str(tmp_path / "none.json"), "--out", str(tmp_path), "--quiet"])
-        assert rc == 2
+    @pytest.mark.parametrize("command", ["predict", "interpret", "evaluate"])
+    @pytest.mark.parametrize("checkpoint", ["absent", "nonexistent"])
+    def test_missing_checkpoint(self, workspace, tmp_path, command, checkpoint):
+        args = [command, "--dataset", str(workspace["out"] / "dataset.csv"),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        if checkpoint == "nonexistent":
+            args += ["--checkpoint", str(tmp_path / "none.json")]
+        assert main(args) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:

@@ -3,8 +3,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
-from latscale.krr import fit as krr_fit
+from latscale.krr import fit as krr_fit, fit_per_feature
 from latscale.scaler import (
     Advisory,
     FeatureSpec,
@@ -235,6 +236,35 @@ class TestSolveTheta:
     def test_theta_vector_validates_box(self):
         with pytest.raises(ValueError, match="outside its box"):
             ThetaVector(np.array([5.0]), [(0.0, 1.0)])
+
+
+def bvls_optimum(design, target, lo, hi):
+    """Exact box-constrained least-squares objective, as the better of
+    BVLS on G and on G with unit-norm columns (G is close to singular)."""
+    def sse(theta):
+        return float(np.sum((design @ theta - target) ** 2))
+
+    raw = lsq_linear(design, target, bounds=(lo, hi), method="bvls").x
+    scale = 1.0 / np.linalg.norm(design, axis=0)
+    scaled = lsq_linear(design * scale, target, bounds=(lo / scale, hi / scale), method="bvls").x
+    return min(sse(raw), sse(np.clip(scaled * scale, lo, hi)))
+
+
+class TestBvlsOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_objective_matches_bvls(self, seed):
+        # the demo's shape: 16 horizon steps, 6 features, importance
+        # rows on the simplex, grid-searched KRR models, default boxes
+        rng = np.random.default_rng(seed)
+        imp = rng.dirichlet(np.ones(6), size=16)
+        target = rng.uniform(40, 120, 16)
+        models = fit_per_feature(imp, target).models
+        theta, result = solve_theta(models, imp, target)
+        _, design = least_squares_objective(models, imp, target)
+        lo, hi = np.array(theta.bounds).T
+        best = bvls_optimum(design, target, lo, hi)
+        gap = (result.objective_value - best) / best
+        assert gap <= (1e-4 if result.converged else 1e-2)
 
 
 class TestMakePlan:

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latscale.tft import EPSILON, RANGE_FLOOR, TftConfig, denormalize_target, prepare_batch
 from latscale.trace_data import (
     Block,
     DataFormatError,
     DatasetTooShortError,
-    EPSILON,
     MetricSeries,
-    NormalizationState,
-    RANGE_FLOOR,
     SeriesKind,
     TraceDataset,
+    Window,
     WindowSpec,
     load_dataset,
     make_windows,
-    normalize_window,
     p95,
     save_dataset,
 )
@@ -198,40 +196,40 @@ class TestWindows:
         assert len(windows) == n - k - tau + 1
 
 
+def prepare_target(values):
+    """Scale one encoder target history the way the forecaster does."""
+    values = np.asarray(values, dtype=np.float64)
+    window = Window(
+        start=0,
+        encoder=Block(("cps.green", "latency_p95.green"),
+                      np.column_stack([np.ones(values.size), values])),
+        decoder=Block(("cps.green",), np.ones((1, 1))),
+        future_target=np.zeros(1),
+        target_name="latency_p95.green",
+    )
+    batch = prepare_batch([window], TftConfig(encoder_length=values.size, decoder_length=1))
+    return batch.enc[0, :, -1], batch.target_lo[0], batch.target_range[0]
+
+
 class TestNormalization:
     def test_constant_series(self):
-        block = Block(("x",), np.array([[5.0], [5.0], [5.0]]))
-        scaled, state = normalize_window(block)
-        np.testing.assert_allclose(scaled.values[:, 0], [EPSILON] * 3)
-        lo, rng, eps = state.params["x"]
+        scaled, lo, rng = prepare_target([5.0, 5.0, 5.0])
+        np.testing.assert_allclose(scaled, [EPSILON] * 3)
         assert lo == 5.0
         assert rng == RANGE_FLOOR
-        assert eps == EPSILON
 
     def test_zero_to_ten(self):
-        block = Block(("x",), np.array([[0.0], [10.0]]))
-        scaled, _ = normalize_window(block)
-        np.testing.assert_allclose(scaled.values[:, 0], [0.01, 1.01], atol=1e-9)
-
-    def test_empty_block_raises(self):
-        with pytest.raises(ValueError):
-            normalize_window(Block(("x",), np.zeros((0, 1))))
-
-    def test_json_roundtrip(self):
-        block = Block(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        _, state = normalize_window(block)
-        back = NormalizationState.from_json(state.to_json())
-        assert back.params == state.params
+        scaled, _, _ = prepare_target([0.0, 10.0])
+        np.testing.assert_allclose(scaled, [0.01, 1.01], atol=1e-9)
 
     @given(
         st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=50),
     )
     @settings(max_examples=1000, deadline=None)
     def test_roundtrip_and_positivity(self, values):
-        block = Block(("x",), np.asarray(values).reshape(-1, 1))
-        scaled, state = normalize_window(block)
-        assert np.all(scaled.values > 0)
-        back = state.invert("x", scaled.values[:, 0])
+        scaled, lo, rng = prepare_target(values)
+        assert np.all(scaled > 0)
+        back = denormalize_target(scaled, lo, rng)
         scale = max(1.0, float(np.max(np.abs(values))))
         np.testing.assert_allclose(back, values, rtol=0, atol=1e-9 * scale)
 
