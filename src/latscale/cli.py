@@ -13,7 +13,8 @@ import csv
 import json
 import shutil
 import sys
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -54,8 +55,6 @@ class RunConfig:
     sla_ms: float | None = None
     sla_factor: float = 0.8
     steady_window: int = 400
-    objective_target: str = "desired"
-    pin_intercept: bool = False
     restarts: int = 1
     window_start: int | None = None
     out: str = "."
@@ -69,78 +68,98 @@ class RunConfig:
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = _parse_list(text)
     if len(parts) != 2:
-        raise UsageError(f"expected 'lo, hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"expected 'lo, hi', got {text!r}")
+    lo, hi = float(parts[0]), float(parts[1])
+    if lo > hi:
+        raise ValueError(f"expected lo <= hi, got {text!r}")
+    return lo, hi
 
 
 def _parse_list(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
+def _parse_bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[text.lower()]
+
+
+# How an INI value is parsed, by the type of the field it sets; a field
+# of any other type cannot be set from its section.
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    list[str]: _parse_list,
+    tuple[float, ...]: lambda text: tuple(float(v) for v in _parse_list(text)),
+}
+
+
+def _read_section(name: str, section, settings):
+    """``settings`` (a dataclass) with the section's values applied, one
+    field at a time so an error names its key.  An empty value leaves
+    the field's default."""
+    hints = typing.get_type_hints(type(settings))
+    for key, text in section.items():
+        hint = hints.get(key)
+        if type(None) in typing.get_args(hint):
+            (hint,) = [t for t in typing.get_args(hint) if t is not type(None)]
+        if hint not in _PARSERS:
+            raise UsageError(f"[{name}] {key}: unknown key")
+        if not text:
+            continue
+        try:
+            settings = replace(settings, **{key: _PARSERS[hint](text)})
+        except ValueError as exc:
+            raise UsageError(f"[{name}] {key}: {exc}") from exc
+    return settings
+
+
+def _read_boxes(section, cfg: RunConfig):
+    for key, text in section.items():
+        if key != "intercept" and key not in cfg.factor_boxes:
+            raise UsageError(f"[boxes] {key}: unknown key")
+        if not text:
+            continue
+        try:
+            box = _parse_pair(text)
+        except ValueError as exc:
+            raise UsageError(f"[boxes] {key}: {exc}") from exc
+        if key == "intercept":
+            cfg.intercept_box = box
+        else:
+            cfg.factor_boxes[key] = box
+
+
 def load_run_config(path: str | None) -> RunConfig:
+    """Read an INI config; an unknown section or key, or a value that
+    does not parse or that its settings reject, raises UsageError."""
     cfg = RunConfig()
     if path is None:
         return cfg
     if not Path(path).exists():
         raise UsageError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
-
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.scenario = run.get("scenario", cfg.scenario)
-        cfg.dataset = run.get("dataset", cfg.dataset)
-        cfg.checkpoint = run.get("checkpoint", cfg.checkpoint)
-        cfg.trace = run.get("trace", cfg.trace)
-        cfg.resources = run.get("resources", cfg.resources)
-        if run.get("features"):
-            cfg.features = _parse_list(run["features"])
-        if run.get("seed"):
-            cfg.seed = run.getint("seed")
-        if run.get("sla_ms"):
-            cfg.sla_ms = run.getfloat("sla_ms")
-        cfg.sla_factor = run.getfloat("sla_factor", cfg.sla_factor)
-        cfg.steady_window = run.getint("steady_window", cfg.steady_window)
-        cfg.objective_target = run.get("objective_target", cfg.objective_target)
-        cfg.pin_intercept = run.getboolean("pin_intercept", cfg.pin_intercept)
-        cfg.restarts = run.getint("restarts", cfg.restarts)
-
-    if parser.has_section("tft"):
-        section = parser["tft"]
-        overrides = {}
-        for f in fields(tft.TftConfig):
-            if f.name not in section:
-                continue
-            if f.name == "quantiles":
-                overrides[f.name] = tuple(float(q) for q in _parse_list(section[f.name]))
-            elif f.type in ("int", int):
-                overrides[f.name] = section.getint(f.name)
-            elif f.type in ("float", float):
-                overrides[f.name] = section.getfloat(f.name)
-            elif f.type in ("bool", bool):
-                overrides[f.name] = section.getboolean(f.name)
-        cfg.tft = replace(cfg.tft, **overrides)
-
-    if parser.has_section("grid"):
-        section = parser["grid"]
-        kwargs = {}
-        if section.get("alpha_grid"):
-            kwargs["alpha_grid"] = tuple(float(a) for a in _parse_list(section["alpha_grid"]))
-        if section.get("beta_grid"):
-            kwargs["beta_grid"] = tuple(float(b) for b in _parse_list(section["beta_grid"]))
-        if section.get("folds"):
-            kwargs["folds"] = section.getint("folds")
-        cfg.grid = krr.GridSearchSpec(**kwargs)
-
-    if parser.has_section("boxes"):
-        section = parser["boxes"]
-        if section.get("intercept"):
-            cfg.intercept_box = _parse_pair(section["intercept"])
-        for resource in ("pods", "cpu", "mem", "cps"):
-            if section.get(resource):
-                cfg.factor_boxes[resource] = _parse_pair(section[resource])
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
+    if parser.defaults():
+        raise UsageError("[DEFAULT]: unknown section")
+    for name in parser.sections():
+        if name == "run":
+            cfg = _read_section(name, parser[name], cfg)
+        elif name in ("tft", "grid"):
+            setattr(cfg, name, _read_section(name, parser[name], getattr(cfg, name)))
+        elif name == "boxes":
+            _read_boxes(parser[name], cfg)
+        else:
+            raise UsageError(f"[{name}]: unknown section")
     return cfg
 
 
@@ -150,17 +169,21 @@ def bundled_names(kind: str) -> list[str]:
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:
+    """Load a scenario file or a bundled scenario by name; a missing or
+    invalid scenario raises UsageError."""
     path = Path(name_or_path)
-    if path.exists():
-        return load_scenario(path)
-    bundled = importlib_resources.files("latscale") / "scenarios" / f"{name_or_path}.json"
-    if bundled.is_file():
-        with importlib_resources.as_file(bundled) as real:
+    if not path.exists():
+        path = importlib_resources.files("latscale") / "scenarios" / f"{name_or_path}.json"
+        if not path.is_file():
+            raise UsageError(
+                f"scenario {name_or_path!r} is neither a file nor a bundled name "
+                f"(bundled: {', '.join(bundled_names('scenarios'))})"
+            )
+    try:
+        with importlib_resources.as_file(path) as real:
             return load_scenario(real)
-    raise UsageError(
-        f"scenario {name_or_path!r} is neither a file nor a bundled name "
-        f"(bundled: {', '.join(bundled_names('scenarios'))})"
-    )
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"scenario {name_or_path}: {exc}") from exc
 
 
 def _say(cfg: RunConfig, message: str):
@@ -353,15 +376,13 @@ def _theta_boxes(cfg: RunConfig, features):
         prefix = name.partition(".")[0]
         kind = prefix if prefix in ("pods", "cpu", "mem", "cps") else "cps"
         boxes.append(tuple(cfg.factor_boxes[kind]))
-    intercept = (0.0, 0.0) if cfg.pin_intercept else tuple(cfg.intercept_box)
-    return intercept, boxes
+    return tuple(cfg.intercept_box), boxes
 
 
 def _solve_plan(cfg: RunConfig, forecast, report, features, importance, dataset,
                 scenario, out_dir: Path, sla_ms: float):
     """KRR fit, theta solve, and plan emission for a detected violation."""
     desired = scaler.desired_latency(forecast, report)
-    target = desired if cfg.objective_target == "desired" else forecast.median
     fit = krr.fit_per_feature(importance, desired, cfg.grid, feature_names=features)
     write_json(
         {
@@ -382,7 +403,7 @@ def _solve_plan(cfg: RunConfig, forecast, report, features, importance, dataset,
 
     intercept_box, factor_boxes = _theta_boxes(cfg, features)
     theta, result = scaler.solve_theta(
-        fit.models, importance, target,
+        fit.models, importance, desired,
         factor_bounds=factor_boxes, intercept_bounds=intercept_box,
     )
     catalog, resource_bounds = _build_catalog(features, dataset, scenario)
@@ -417,11 +438,12 @@ def _noop_plan(cfg: RunConfig, sla_ms: float) -> scaler.ScalingPlan:
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.scenario:
         raise UsageError("--scenario is required")
-    if cfg.duration is not None and cfg.duration < 1:
-        raise UsageError("--duration must be >= 1")
     scenario = resolve_scenario(cfg.scenario)
     if cfg.duration is not None:
-        scenario.duration_steps = cfg.duration
+        try:
+            scenario = replace(scenario, duration_steps=cfg.duration)
+        except ValueError as exc:
+            raise UsageError(f"--duration {cfg.duration}: {exc}") from exc
     if cfg.seed is not None:
         scenario.seed = cfg.seed
     out = Path(cfg.out)

@@ -8,7 +8,7 @@ multiplicative scaling factors, bounded by the optimizer boxes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
@@ -260,31 +260,19 @@ class ScalingPlan:
     advisories: list[Advisory]
 
     def to_json(self) -> str:
-        doc = {
-            "trace": self.trace,
-            "sla_ms": self.sla_ms,
-            "violation_fraction": self.violation_fraction,
-            "theta": list(self.theta),
-            "converged": self.converged,
-            "objective_value": self.objective_value,
-            "actions": [asdict(a) for a in self.actions],
-            "advisories": [asdict(a) for a in self.advisories],
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScalingPlan":
         doc = json.loads(text)
-        return cls(
-            trace=doc["trace"],
-            sla_ms=doc["sla_ms"],
-            violation_fraction=doc["violation_fraction"],
-            theta=list(doc["theta"]),
-            converged=doc["converged"],
-            objective_value=doc["objective_value"],
-            actions=[PlanAction(**a) for a in doc["actions"]],
-            advisories=[Advisory(**a) for a in doc["advisories"]],
-        )
+        unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise ValueError(f"plan has unknown key(s) {', '.join(map(repr, unknown))}")
+        return cls(**{
+            **doc,
+            "actions": [PlanAction(**a) for a in doc["actions"]],
+            "advisories": [Advisory(**a) for a in doc["advisories"]],
+        })
 
 
 def make_plan(

@@ -9,7 +9,8 @@ second) and records the p95 latency per trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -63,6 +64,14 @@ class CallGraph:
                     raise ValueError(f"path {path.color!r} uses missing edge {parent}->{child}")
         self._check_acyclic()
 
+    @classmethod
+    def from_paths(cls, paths) -> "CallGraph":
+        """The graph whose nodes and edges are exactly those the paths use."""
+        paths = tuple(paths)
+        nodes = {hop: None for p in paths for hop in p.hops}
+        edges = {pair: None for p in paths for pair in zip(p.hops, p.hops[1:])}
+        return cls(nodes=tuple(nodes), edges=tuple(edges), paths=paths)
+
     def _check_acyclic(self):
         indeg = {n: 0 for n in self.nodes}
         for _, child in self.edges:
@@ -105,22 +114,14 @@ class CallGraph:
 
 def build_robotshop_graph() -> CallGraph:
     """The Robot Shop topology with its five colored trace paths."""
-    paths = (
+    return CallGraph.from_paths((
         TracePath("purple", ("front-end", "shipping", "cart", "cart-db")),
         TracePath("green", ("front-end", "cart", "cart-db")),
         TracePath("green", ("cart", "catalogue", "catalogue-db")),
         TracePath("blue", ("front-end", "catalogue", "catalogue-db")),
         TracePath("red", ("front-end", "user", "user-db")),
         TracePath("black", ("front-end", "payment", "user", "user-db")),
-    )
-    edges: dict[tuple[str, str], None] = {}
-    nodes: dict[str, None] = {}
-    for p in paths:
-        for hop in p.hops:
-            nodes.setdefault(hop)
-        for pair in zip(p.hops, p.hops[1:]):
-            edges.setdefault(pair)
-    return CallGraph(nodes=tuple(nodes), edges=tuple(edges), paths=paths)
+    ))
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,15 @@ class WorkloadProfile:
     noise_sigma: float = 0.0
     bursts: tuple[tuple[int, int, float], ...] = ()  # (start, duration, magnitude)
     seed: int | None = None
+
+    def __post_init__(self):
+        self.bursts = tuple(tuple(b) for b in self.bursts)
+        for start, duration, _ in self.bursts:
+            if start != int(start) or duration != int(duration) or start < 0 or duration < 1:
+                raise ValueError(
+                    f"burst at step {start}: start must be an integer >= 0 "
+                    f"and duration an integer >= 1"
+                )
 
     def rates(self, steps: int, rng: np.random.Generator) -> np.ndarray:
         t = np.arange(steps)
@@ -352,10 +362,21 @@ class Scenario:
     configs: dict[str, ServiceConfig]
     workloads: dict[str, WorkloadProfile]
     duration_steps: int
-    seed: int
+    seed: int = 0
     noise_sigma: float = 0.1
     step_seconds: float = 1.0
     graph: CallGraph = field(default_factory=build_robotshop_graph)
+
+    def __post_init__(self):
+        if self.duration_steps < 1:
+            raise ValueError("duration_steps must be >= 1")
+        for color, profile in self.workloads.items():
+            for start, duration, _ in profile.bursts:
+                if start + duration > self.duration_steps:
+                    raise ValueError(
+                        f"workload {color!r}: burst at step {start} ends at step "
+                        f"{start + duration}, past duration_steps {self.duration_steps}"
+                    )
 
     def run(self, seed: int | None = None) -> TraceDataset:
         return simulate(
@@ -368,106 +389,76 @@ class Scenario:
         )
 
 
-def _walk_from_dict(doc) -> Walk | None:
-    if doc is None:
-        return None
-    return Walk(period=int(doc["period"]), low=float(doc["low"]), high=float(doc["high"]))
+def _from_doc(cls, doc, where: str, **given):
+    """Build the dataclass ``cls`` from the JSON object ``doc``.
+
+    Every key must name a field of ``cls`` that ``given`` does not
+    supply.  Values of int and float fields are coerced (a JSON 5 in a
+    float field reads as 5.0), and an object in a dataclass-typed field
+    is built the same way.  Errors name ``where``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = [key for key in doc if key not in hints or key in given]
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    kwargs = dict(given)
+    for key, value in doc.items():
+        hint = hints[key]
+        nested = [t for t in typing.get_args(hint) if is_dataclass(t)]
+        if nested and value is not None:
+            value = _from_doc(nested[0], value, f"{where} {key}")
+        elif hint in (int, float):
+            try:
+                value = hint(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where} {key}: {exc}") from exc
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        if str(exc).startswith(where):  # the class already named itself
+            raise
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """Read a scenario document; unknown keys and bad values raise ValueError."""
     try:
-        graph = build_robotshop_graph()
+        doc = dict(doc)
+        given = {
+            "configs": {
+                name: _from_doc(ServiceConfig, svc, f"service {name!r}", name=name)
+                for name, svc in doc.pop("services").items()
+            },
+            "workloads": {
+                color: _from_doc(WorkloadProfile, profile, f"workload {color!r}")
+                for color, profile in doc.pop("workloads").items()
+            },
+        }
         if "graph" in doc:
-            paths = tuple(TracePath(p["color"], tuple(p["hops"])) for p in doc["graph"]["paths"])
-            edges: dict[tuple[str, str], None] = {}
-            nodes: dict[str, None] = {}
-            for p in paths:
-                for hop in p.hops:
-                    nodes.setdefault(hop)
-                for pair in zip(p.hops, p.hops[1:]):
-                    edges.setdefault(pair)
-            graph = CallGraph(tuple(nodes), tuple(edges), paths)
-        configs = {}
-        for name, svc in doc["services"].items():
-            configs[name] = ServiceConfig(
-                name=name,
-                base_service_ms=float(svc["base_service_ms"]),
-                per_pod_rate=float(svc["per_pod_rate"]),
-                pods=int(svc.get("pods", 1)),
-                cpu_cores=float(svc.get("cpu_cores", 1.0)),
-                mem_bytes=float(svc.get("mem_bytes", 512e6)),
-                pods_max=int(svc.get("pods_max", 16)),
-                cpu_max_cores=float(svc.get("cpu_max_cores", 32.0)),
-                mem_max_bytes=float(svc.get("mem_max_bytes", 64e9)),
-                mem_floor_bytes=float(svc.get("mem_floor_bytes", 0.0)),
-                pods_walk=_walk_from_dict(svc.get("pods_walk")),
-                cpu_walk=_walk_from_dict(svc.get("cpu_walk")),
-                mem_walk=_walk_from_dict(svc.get("mem_walk")),
+            graph = dict(doc.pop("graph"))
+            paths = graph.pop("paths")
+            if graph:
+                raise ValueError(f"graph: unknown key(s) {', '.join(map(repr, graph))}")
+            given["graph"] = CallGraph.from_paths(
+                _from_doc(TracePath, p, f"graph path {i}") for i, p in enumerate(paths)
             )
-        workloads = {}
-        for color, wl in doc["workloads"].items():
-            workloads[color] = WorkloadProfile(
-                base=float(wl["base"]),
-                amplitude=float(wl.get("amplitude", 0.0)),
-                period=float(wl.get("period", 300.0)),
-                phase=float(wl.get("phase", 0.0)),
-                noise_sigma=float(wl.get("noise_sigma", 0.0)),
-                bursts=tuple(tuple(b) for b in wl.get("bursts", [])),
-                seed=wl.get("seed"),
-            )
-        return Scenario(
-            configs=configs,
-            workloads=workloads,
-            duration_steps=int(doc["duration_steps"]),
-            seed=int(doc.get("seed", 0)),
-            noise_sigma=float(doc.get("noise_sigma", 0.1)),
-            step_seconds=float(doc.get("step_seconds", 1.0)),
-            graph=graph,
-        )
-    except (KeyError, TypeError) as exc:
+        return _from_doc(Scenario, doc, "top level", **given)
+    except KeyError as exc:
+        raise ValueError(f"bad scenario document: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"bad scenario document: {exc}") from exc
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    def walk_doc(walk: Walk | None):
-        return None if walk is None else {"period": walk.period, "low": walk.low, "high": walk.high}
-
-    return {
-        "seed": scenario.seed,
-        "duration_steps": scenario.duration_steps,
-        "noise_sigma": scenario.noise_sigma,
-        "step_seconds": scenario.step_seconds,
-        "graph": {"paths": [{"color": p.color, "hops": list(p.hops)} for p in scenario.graph.paths]},
-        "services": {
-            name: {
-                "base_service_ms": cfg.base_service_ms,
-                "per_pod_rate": cfg.per_pod_rate,
-                "pods": cfg.pods,
-                "cpu_cores": cfg.cpu_cores,
-                "mem_bytes": cfg.mem_bytes,
-                "pods_max": cfg.pods_max,
-                "cpu_max_cores": cfg.cpu_max_cores,
-                "mem_max_bytes": cfg.mem_max_bytes,
-                "mem_floor_bytes": cfg.mem_floor_bytes,
-                "pods_walk": walk_doc(cfg.pods_walk),
-                "cpu_walk": walk_doc(cfg.cpu_walk),
-                "mem_walk": walk_doc(cfg.mem_walk),
-            }
-            for name, cfg in scenario.configs.items()
-        },
-        "workloads": {
-            color: {
-                "base": wl.base,
-                "amplitude": wl.amplitude,
-                "period": wl.period,
-                "phase": wl.phase,
-                "noise_sigma": wl.noise_sigma,
-                "bursts": [list(b) for b in wl.bursts],
-                "seed": wl.seed,
-            }
-            for color, wl in scenario.workloads.items()
-        },
-    }
+    doc = asdict(scenario)
+    doc["services"] = doc.pop("configs")
+    for service in doc["services"].values():
+        del service["name"]  # the service's key in the document
+    doc["graph"] = {"paths": doc["graph"]["paths"]}
+    return doc
 
 
 def load_scenario(path) -> Scenario:

@@ -41,7 +41,6 @@ class TftConfig:
     early_stopping_patience: int = 5
     validation_fraction: float = 0.2
     seed: int = 0
-    include_relative_time: bool = False
 
     def __post_init__(self):
         counts = (
@@ -321,14 +320,6 @@ def prepare_batch(windows: Sequence[Window], config: TftConfig,
 
     enc_features = scaling.transform(enc_raw[:, :, :-1], names)
     dec = scaling.transform(dec_raw, names)
-    if config.include_relative_time:
-        b = enc_raw.shape[0]
-        total = k + tau
-        rel = np.arange(total, dtype=np.float64) / max(1, total - 1)
-        enc_features = np.concatenate(
-            [enc_features, np.tile(rel[:k], (b, 1))[:, :, None]], axis=2
-        )
-        dec = np.concatenate([dec, np.tile(rel[k:], (b, 1))[:, :, None]], axis=2)
     enc = np.concatenate([enc_features, target[:, :, None]], axis=2)
     return PreparedBatch(
         enc=enc, dec=dec, labels=labels,
@@ -388,7 +379,6 @@ def split_windows(windows: Sequence[Window], validation_fraction: float) -> tupl
 def train(
     model: TemporalFusionTransformer,
     windows: Sequence[Window],
-    config: TftConfig | None = None,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> TrainingReport:
     """Minimize the summed pinball loss with Adam and early stopping.
@@ -397,7 +387,7 @@ def train(
     giving the best validation loss are restored at the end.  Fully
     deterministic for a fixed config seed.
     """
-    config = config or model.config
+    config = model.config
     if not windows:
         raise ValueError("empty window set")
     train_windows, val_windows = split_windows(windows, config.validation_fraction)
@@ -458,20 +448,7 @@ def train(
         best_epoch=best_epoch,
         n_train_windows=len(train_windows),
         n_val_windows=len(val_windows),
-        config={
-            "hidden_size": config.hidden_size,
-            "attention_heads": config.attention_heads,
-            "dropout": config.dropout,
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "max_epochs": config.max_epochs,
-            "encoder_length": config.encoder_length,
-            "decoder_length": config.decoder_length,
-            "quantiles": list(config.quantiles),
-            "early_stopping_patience": config.early_stopping_patience,
-            "validation_fraction": config.validation_fraction,
-            "seed": config.seed,
-        },
+        config=asdict(config),
     )
 
 
@@ -637,6 +614,9 @@ def load_checkpoint(path) -> TemporalFusionTransformer:
     with open(path) as fh:
         doc = json.load(fh)
     cfg_doc = dict(doc["config"])
+    # older checkpoints carry this removed setting; no model could be trained with it on
+    if cfg_doc.pop("include_relative_time", False):
+        raise ValueError("checkpoint uses include_relative_time, which is not supported")
     cfg_doc["quantiles"] = tuple(cfg_doc["quantiles"])
     config = TftConfig(**cfg_doc)
     model = TemporalFusionTransformer(config, doc["encoder_features"], doc["decoder_features"])

@@ -1,9 +1,12 @@
 import json
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from latscale.cli import main
+from latscale.cli import RunConfig, UsageError, load_run_config, main
+from latscale.simulator import load_scenario, scenario_from_dict, scenario_to_dict
 
 TINY_SCENARIO = {
     "seed": 5,
@@ -237,6 +240,82 @@ class TestE2e:
         assert summary["after_p95_ms"] < summary["before_p95_ms"]
         assert (tmp_path / "plan.json").exists()
         assert (tmp_path / "krr_models.json").exists()
+
+
+def bundled(kind, name):
+    return resources.files("latscale") / kind / name
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text, named", [
+        ("[run]\nsla_facter = 0.5\n", "[run] sla_facter"),
+        ("[tft]\nmax_epoch = 5\n", "[tft] max_epoch"),
+        ("[grid]\nalphas = 1, 10\n", "[grid] alphas"),
+        ("[boxes]\npod = 2, 4\n", "[boxes] pod"),
+        ("[model]\nhidden_size = 8\n", "[model]"),
+        ("[tft]\nmax_epochs = five\n", "[tft] max_epochs"),
+        ("[tft]\nquantiles = 0.9, 0.1\n", "[tft] quantiles"),
+        ("[boxes]\npods = 2\n", "[boxes] pods"),
+        ("[boxes]\ncps = 0.25, 0.5, 1\n", "[boxes] cps"),
+        ("[boxes]\npods = 4, 2\n", "[boxes] pods"),
+        ("[DEFAULT]\nseed = 3\n[run]\n", "[DEFAULT]"),
+    ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
+            "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section"])
+    def test_rejects_with_section_and_key(self, tmp_path, text, named):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(UsageError, match=re.escape(named)):
+            load_run_config(str(path))
+
+    def test_cli_exits_2_on_unknown_key(self, workspace, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_INI.replace("[tft]", "[tft]\nmax_epoch = 5"))
+        rc = main(["train", "--config", str(path), "--dataset", str(workspace["out"] / "dataset.csv"),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert "error: [tft] max_epoch: unknown key" in capsys.readouterr().err
+
+    def test_run_section_sets_every_scalar_field(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nscenario = sla_demo\nfeatures = cps.green, pods.cart\n"
+                        "seed = 4\nduration = 30\nsla_ms = 12.5\nwindow_start = 7\n"
+                        "out = runs/a\nquiet = yes\nrestarts =\n")
+        cfg = load_run_config(str(path))
+        assert (cfg.scenario, cfg.features, cfg.seed, cfg.duration, cfg.sla_ms) == (
+            "sla_demo", ["cps.green", "pods.cart"], 4, 30, 12.5)
+        assert (cfg.window_start, cfg.out, cfg.quiet) == (7, "runs/a", True)
+        assert cfg.restarts == RunConfig().restarts  # an empty value keeps the default
+
+    def test_shipped_config_loads(self):
+        with resources.as_file(bundled("configs", "demo.ini")) as path:
+            cfg = load_run_config(str(path))
+        assert cfg.restarts == 3 and cfg.tft.encoder_length == 64 and cfg.grid.folds == 3
+        assert cfg.factor_boxes["pods"] == (2.0, 4.0) and cfg.intercept_box == (-10000.0, 10000.0)
+
+    @pytest.mark.parametrize("name", ["cart_importance", "robotshop_green", "sla_demo"])
+    def test_bundled_scenario_is_a_fixed_point(self, name):
+        with resources.as_file(bundled("scenarios", f"{name}.json")) as path:
+            doc = scenario_to_dict(load_scenario(path))
+        assert scenario_to_dict(scenario_from_dict(doc)) == doc
+
+
+class TestInvalidScenario:
+    @pytest.mark.parametrize("command", ["simulate", "e2e"])
+    @pytest.mark.parametrize("edit", ["bad-json", "unknown-key", "missing-field", "zero-pods"])
+    def test_usage_error(self, tmp_path, capsys, command, edit):
+        doc = json.loads(json.dumps(TINY_SCENARIO))
+        if edit == "unknown-key":
+            doc["services"]["cart"]["pod"] = 4
+        elif edit == "missing-field":
+            del doc["workloads"]["green"]["base"]
+        elif edit == "zero-pods":
+            doc["services"]["cart"]["pods"] = 0
+        text = json.dumps(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(text[:-1] if edit == "bad-json" else text)
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: scenario {path}: ")
 
 
 class TestArgparse:

@@ -321,3 +321,5 @@ class TestMakePlan:
         }
         back = ScalingPlan.from_json(plan.to_json())
         assert back == plan
+        with pytest.raises(ValueError, match="unknown key.*'notes'"):
+            ScalingPlan.from_json(json.dumps({**doc, "notes": "x"}))

@@ -261,6 +261,32 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="bad scenario"):
             scenario_from_dict({"workloads": {}})
 
+    def test_json_int_in_float_field_reads_as_float(self):
+        doc = scenario_to_dict(demo_scenario())
+        doc["services"]["cart"]["cpu_cores"] = 2
+        back = scenario_to_dict(scenario_from_dict(doc))["services"]["cart"]["cpu_cores"]
+        assert back == 2.0 and isinstance(back, float)
+
+    @pytest.mark.parametrize("level", ["top", "service", "walk", "workload", "graph", "graph-path"])
+    def test_unknown_key_raises(self, level):
+        doc = scenario_to_dict(demo_scenario())
+        target = {
+            "top": doc,
+            "service": doc["services"]["cart"],
+            "walk": doc["services"]["cart"]["pods_walk"],
+            "workload": doc["workloads"]["green"],
+            "graph": doc["graph"],
+            "graph-path": doc["graph"]["paths"][0],
+        }[level]
+        target["surplus"] = 1
+        with pytest.raises(ValueError, match="unknown key.*'surplus'"):
+            scenario_from_dict(doc)
+
+    def test_missing_seed_reads_as_zero(self):
+        doc = scenario_to_dict(demo_scenario())
+        del doc["seed"]
+        assert scenario_from_dict(doc).seed == 0
+
     def test_output_is_loadable_dataset(self, tmp_path):
         ds = demo_scenario(duration=30).run()
         save_dataset(ds, tmp_path / "d.csv")
@@ -268,6 +294,37 @@ class TestScenarioFiles:
 
         back = load_dataset(tmp_path / "d.csv")
         np.testing.assert_array_equal(back.target("green").values, ds.target("green").values)
+
+
+class TestScenarioChecks:
+    """Scenario values the simulator cannot honour are rejected when the
+    scenario is built, which is when a scenario file is loaded."""
+
+    def load(self, duration_steps=120, bursts=()):
+        doc = scenario_to_dict(demo_scenario())
+        doc["duration_steps"] = duration_steps
+        doc["workloads"]["green"]["bursts"] = [list(b) for b in bursts]
+        return scenario_from_dict(doc)
+
+    def test_zero_duration(self):
+        with pytest.raises(ValueError, match="duration_steps must be >= 1"):
+            self.load(duration_steps=0)
+
+    def test_negative_burst_start(self):
+        with pytest.raises(ValueError, match="workload 'green': burst at step -1"):
+            self.load(bursts=[(-1, 3, 5.0)])
+
+    def test_empty_burst(self):
+        with pytest.raises(ValueError, match="duration an integer >= 1"):
+            self.load(bursts=[(10, 0, 5.0)])
+
+    def test_burst_past_horizon(self):
+        with pytest.raises(ValueError, match="ends at step 125, past duration_steps 120"):
+            self.load(bursts=[(115, 10, 5.0)])
+
+    def test_burst_ending_at_horizon_is_kept(self):
+        bursts = self.load(bursts=[(110, 10, 5.0)]).workloads["green"].bursts
+        assert bursts == ((110, 10, 5.0),)
 
 
 class TestWorkloadShapes:

@@ -295,6 +295,21 @@ class TestCheckpoint:
         assert doc["format_version"] == 1
 
 
+    def test_older_checkpoint_relative_time_key(self, trained_sine, tmp_path):
+        model, _, windows = trained_sine
+        save_checkpoint(model, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["config"]["include_relative_time"] = False
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        restored = load_checkpoint(tmp_path / "old.json")
+        np.testing.assert_array_equal(predict(restored, windows[-1]).values,
+                                      predict(model, windows[-1]).values)
+        doc["config"]["include_relative_time"] = True
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="include_relative_time"):
+            load_checkpoint(tmp_path / "old.json")
+
+
 class TestDecoderUsage:
     def test_zeroing_decoder_inputs_changes_predictions(self, trained_sine):
         model, _, windows = trained_sine
