@@ -13,6 +13,7 @@ from latscale.tft import (
     persistence_metrics,
     pooled_forecast_metrics,
     predict,
+    predict_many,
     train_with_restarts,
 )
 
@@ -32,12 +33,13 @@ model, report = train_with_restarts(
 print(f"stopped at epoch {report.stopped_epoch}, best epoch {report.best_epoch}")
 
 held_out = windows[report.n_train_windows:]
-model_metrics = pooled_forecast_metrics(model, held_out)
+forecasts = predict_many(model, held_out)
+model_metrics = pooled_forecast_metrics(forecasts, held_out)
 baseline = persistence_metrics(held_out)
 print(f"\nheld-out windows: {len(held_out)}")
 print(f"model        R2 {model_metrics['r2']:.3f}   RMSE {model_metrics['rmse']:.1f} ms")
 print(f"persistence  R2 {baseline['r2']:.3f}   RMSE {baseline['rmse']:.1f} ms")
-print(f"[0.1, 0.9] band coverage: {band_coverage(model, held_out):.2f}")
+print(f"[0.1, 0.9] band coverage: {band_coverage(forecasts, held_out):.2f}")
 
 forecast = predict(model, windows[-1])
 actual = windows[-1].future_target

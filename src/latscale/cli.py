@@ -269,16 +269,19 @@ def _load_dataset_or_fail(cfg: RunConfig, flag: str = "--dataset"):
 
 
 def _checkpoint_inputs(cfg: RunConfig):
-    """Check the inputs of a command that reads a checkpoint; returns
-    the dataset and the created output directory."""
+    """Load the inputs of a command that reads a checkpoint; returns the
+    model, the dataset and the created output directory.  A missing or
+    invalid checkpoint raises UsageError."""
     if not cfg.checkpoint:
         raise UsageError("--checkpoint is required")
-    if not Path(cfg.checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {cfg.checkpoint}")
+    try:
+        model = tft.load_checkpoint(cfg.checkpoint)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"checkpoint {cfg.checkpoint}: {exc}") from exc
     dataset = _load_dataset_or_fail(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return dataset, out
+    return model, dataset, out
 
 
 def _select_features(cfg: RunConfig, dataset) -> list[str]:
@@ -335,12 +338,22 @@ def _model_windows(cfg: RunConfig, model, dataset):
 
 
 def _pick_window(cfg: RunConfig, windows):
+    """The window at ``cfg.window_start`` (window i starts at step i), or the last one."""
     if cfg.window_start is None:
         return windows[-1]
-    for w in windows:
-        if w.start == cfg.window_start:
-            return w
-    raise UsageError(f"no window starts at step {cfg.window_start}")
+    if not 0 <= cfg.window_start < len(windows):
+        raise UsageError(f"no window starts at step {cfg.window_start}")
+    return windows[cfg.window_start]
+
+
+def _held_out_metrics(model, held_out) -> dict:
+    """Forecast the held-out windows once; score that forecast and persistence."""
+    forecasts = tft.predict_many(model, held_out)
+    return {
+        "model": tft.pooled_forecast_metrics(forecasts, held_out),
+        "persistence": tft.persistence_metrics(held_out),
+        "band_coverage": tft.band_coverage(forecasts, held_out),
+    }
 
 
 def _build_catalog(features, dataset, scenario: Scenario | None):
@@ -467,9 +480,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    dataset, out = _checkpoint_inputs(cfg)
+    model, dataset, out = _checkpoint_inputs(cfg)
     with _stage("predict"):
-        model = tft.load_checkpoint(cfg.checkpoint)
         windows = _model_windows(cfg, model, dataset)
         forecast = tft.predict(model, _pick_window(cfg, windows))
         write_forecast_csv(forecast, out / "forecast.csv")
@@ -478,9 +490,8 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_interpret(cfg: RunConfig) -> int:
-    dataset, out = _checkpoint_inputs(cfg)
+    model, dataset, out = _checkpoint_inputs(cfg)
     with _stage("interpret"):
-        model = tft.load_checkpoint(cfg.checkpoint)
         windows = _model_windows(cfg, model, dataset)
         imp = tft.interpret(model, _pick_window(cfg, windows))
         write_importance_csv(imp.decoder_features, imp.decoder_variable_importance,
@@ -495,17 +506,11 @@ def cmd_interpret(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    dataset, out = _checkpoint_inputs(cfg)
+    model, dataset, out = _checkpoint_inputs(cfg)
     with _stage("evaluate"):
-        model = tft.load_checkpoint(cfg.checkpoint)
         windows = _model_windows(cfg, model, dataset)
         _, held_out = tft.split_windows(windows, model.config.validation_fraction)
-        metrics = {
-            "model": tft.pooled_forecast_metrics(model, held_out),
-            "persistence": tft.persistence_metrics(held_out),
-            "band_coverage": tft.band_coverage(model, held_out),
-            "n_windows": len(held_out),
-        }
+        metrics = {**_held_out_metrics(model, held_out), "n_windows": len(held_out)}
         write_json(metrics, out / "metrics.json")
     _say(cfg, f"wrote {out / 'metrics.json'}")
     return 0
@@ -564,11 +569,7 @@ def cmd_e2e(cfg: RunConfig) -> int:
         forecast = tft.predict(model, window)
         write_forecast_csv(forecast, out / "forecast.csv")
         _, held_out = tft.split_windows(windows, model.config.validation_fraction)
-        tft_metrics = {
-            "model": tft.pooled_forecast_metrics(model, held_out),
-            "persistence": tft.persistence_metrics(held_out),
-            "band_coverage": tft.band_coverage(model, held_out),
-        }
+        tft_metrics = _held_out_metrics(model, held_out)
     with _stage("violation"):
         violation = scaler.detect_violation(forecast, scaler.SlaSpec(sla_ms))
     _say(cfg, f"violation fraction {violation.violation_fraction:.3f}")

@@ -61,6 +61,9 @@ class ParamStore:
         missing = set(self._params) - set(state)
         if missing:
             raise ValueError(f"missing parameters in state dict: {sorted(missing)[:3]}...")
+        unknown = set(state) - set(self._params)
+        if unknown:
+            raise ValueError(f"parameters the model does not have: {sorted(unknown)[:3]}...")
         for name, t in self._params.items():
             values = np.asarray(state[name], dtype=np.float64)
             if values.shape != t.values.shape:

@@ -195,6 +195,10 @@ class WorkloadProfile:
     seed: int | None = None
 
     def __post_init__(self):
+        if not self.period > 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         self.bursts = tuple(tuple(b) for b in self.bursts)
         for start, duration, _ in self.bursts:
             if start != int(start) or duration != int(duration) or start < 0 or duration < 1:
@@ -213,21 +217,36 @@ class WorkloadProfile:
         return np.maximum(rate, 0.0)
 
 
-def utilization(arrival_rate: float, pods: float, per_pod_rate: float, cpu_cores: float) -> float:
-    """Offered load over capacity; capacity scales with pods and cores."""
+def utilization(arrival_rate, pods, per_pod_rate, cpu_cores):
+    """Offered load over capacity, elementwise; capacity scales with pods and cores."""
     return arrival_rate / (pods * per_pod_rate * cpu_cores)
 
 
-def service_latency_ms(base_ms: float, rho: float, mem_low: bool = False) -> float:
-    """Per-request latency at utilization rho, before noise."""
-    latency = base_ms / max(UTIL_FLOOR, 1.0 - min(rho, RHO_CAP))
-    return latency * MEM_PENALTY if mem_low else latency
+def service_latency_ms(base_ms, rho, mem_low=False):
+    """Per-request latency at utilization rho, before noise, elementwise."""
+    latency = base_ms / np.maximum(UTIL_FLOOR, 1.0 - np.minimum(rho, RHO_CAP))
+    return np.where(mem_low, latency * MEM_PENALTY, latency)
 
 
 def _resource_timeline(base: float, walk: Walk | None, steps: int, rng: np.random.Generator) -> np.ndarray:
     if walk is None:
         return np.full(steps, float(base))
     return base * walk.factors(steps, rng)
+
+
+def check_references(graph: CallGraph, workload: Mapping[str, WorkloadProfile],
+                     configs: Mapping[str, ServiceConfig]) -> None:
+    """Every trace in the graph needs a workload profile (else ValueError)
+    and every service on its paths a configuration (else
+    UnconfiguredServiceError)."""
+    for color in graph.colors:
+        if color not in workload:
+            raise ValueError(f"no workload profile for trace {color!r}")
+        for svc in graph.services_for(color):
+            if svc not in configs:
+                raise UnconfiguredServiceError(
+                    f"service {svc!r} on trace {color!r} has no configuration"
+                )
 
 
 def simulate(
@@ -249,17 +268,9 @@ def simulate(
     """
     if duration_steps < 1:
         raise ValueError("duration_steps must be >= 1")
+    check_references(graph, workload, configs)
     colors = graph.colors
-    for color in colors:
-        if color not in workload:
-            raise ValueError(f"no workload profile for trace {color!r}")
     trace_services = {color: graph.services_for(color) for color in colors}
-    for color, services in trace_services.items():
-        for svc in services:
-            if svc not in configs:
-                raise UnconfiguredServiceError(
-                    f"service {svc!r} on trace {color!r} has no configuration"
-                )
     services = sorted({svc for svcs in trace_services.values() for svc in svcs})
 
     # Independent, deterministically derived random streams.
@@ -272,7 +283,7 @@ def simulate(
             else np.random.default_rng([seed, 1, idx])
         )
         cps[color] = profile.rates(duration_steps, stream)
-    pods_t, cpu_t, mem_t = {}, {}, {}
+    pods_t, cpu_t, mem_t, det = {}, {}, {}, {}
     for idx, svc in enumerate(services):
         cfg = configs[svc]
         walk_rng = np.random.default_rng([seed, 2, idx])
@@ -288,29 +299,27 @@ def simulate(
             MEM_MIN_BYTES,
             cfg.mem_max_bytes,
         )
-    noise_rng = np.random.default_rng([seed, 3])
-
-    latency = {color: np.zeros(duration_steps) for color in colors}
-    for t in range(duration_steps):
-        rate_at = {svc: 0.0 for svc in services}
+        rate = np.zeros(duration_steps)
         for color in colors:
-            for svc in trace_services[color]:
-                rate_at[svc] += cps[color][t]
-        det = {}
-        for svc in services:
-            cfg = configs[svc]
-            rho = utilization(rate_at[svc], pods_t[svc][t], cfg.per_pod_rate, cpu_t[svc][t])
-            mem_low = mem_t[svc][t] < cfg.mem_floor_bytes
-            det[svc] = service_latency_ms(cfg.base_service_ms, rho, mem_low)
-        for color in sorted(colors):
-            hops = np.array([det[svc] for svc in trace_services[color]])
-            n_req = max(1, int(round(cps[color][t])))
-            if noise_sigma > 0:
-                noise = noise_rng.lognormal(0.0, noise_sigma, size=(n_req, len(hops)))
-                requests = (hops[None, :] * noise).sum(axis=1)
-            else:
-                requests = np.full(n_req, hops.sum())
-            latency[color][t] = p95(requests)
+            if svc in trace_services[color]:
+                rate = rate + cps[color]
+        rho = utilization(rate, pods_t[svc], cfg.per_pod_rate, cpu_t[svc])
+        det[svc] = service_latency_ms(cfg.base_service_ms, rho, mem_t[svc] < cfg.mem_floor_bytes)
+
+    # noise-free per-hop latency, (steps, hops) per trace
+    hops = {color: np.column_stack([det[svc] for svc in trace_services[color]]) for color in colors}
+    if noise_sigma > 0:
+        n_req = {color: np.maximum(1, np.round(cps[color])).astype(np.int64) for color in colors}
+        noise_rng = np.random.default_rng([seed, 3])
+        latency = {color: np.zeros(duration_steps) for color in colors}
+        # one draw per (step, trace) in this order: it fixes the random stream
+        for t in range(duration_steps):
+            for color in sorted(colors):
+                shape = (n_req[color][t], hops[color].shape[1])
+                noise = noise_rng.lognormal(0.0, noise_sigma, size=shape)
+                latency[color][t] = p95((hops[color][t] * noise).sum(axis=1))
+    else:
+        latency = {color: hops[color].sum(axis=1) for color in colors}
 
     series: list[MetricSeries] = []
     for color in colors:
@@ -370,6 +379,12 @@ class Scenario:
     def __post_init__(self):
         if self.duration_steps < 1:
             raise ValueError("duration_steps must be >= 1")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        try:
+            check_references(self.graph, self.workloads, self.configs)
+        except UnconfiguredServiceError as exc:  # a KeyError, which readers take for a missing key
+            raise ValueError(*exc.args) from None
         for color, profile in self.workloads.items():
             for start, duration, _ in profile.bursts:
                 if start + duration > self.duration_steps:

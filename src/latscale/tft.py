@@ -61,10 +61,6 @@ class TftConfig:
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation fraction must be in (0, 1)")
 
-    @property
-    def median_index(self) -> int:
-        return int(np.argmin(np.abs(np.asarray(self.quantiles) - 0.5)))
-
 
 @dataclass
 class QuantileForecast:
@@ -265,8 +261,18 @@ class FeatureScaling:
         return {name: [lo, rng] for name, (lo, rng) in self.params.items()}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FeatureScaling":
-        return cls(params={name: (float(lo), float(rng)) for name, (lo, rng) in doc.items()})
+    def from_dict(cls, doc: dict, names: Sequence[str]) -> "FeatureScaling":
+        """Read ``to_dict`` output, which must cover exactly ``names``
+        with finite lo and finite range > 0."""
+        if set(doc) != set(names):
+            raise ValueError(
+                f"feature scaling covers {sorted(doc)}, expected the features {sorted(names)}"
+            )
+        params = {name: (float(lo), float(rng)) for name, (lo, rng) in doc.items()}
+        for name, (lo, rng) in params.items():
+            if not (np.isfinite(lo) and np.isfinite(rng) and rng > 0):
+                raise ValueError(f"feature scaling of {name!r}: need finite lo and range > 0")
+        return cls(params=params)
 
 
 def fit_feature_scaling(windows: Sequence[Window]) -> FeatureScaling:
@@ -566,9 +572,9 @@ def evaluate(forecast_median: Sequence[float], actual: Sequence[float]) -> dict[
     return {"rmse": float(np.sqrt(sse / act.size)), "r2": 1.0 - sse / sst}
 
 
-def pooled_forecast_metrics(model: TemporalFusionTransformer, windows: Sequence[Window]) -> dict[str, float]:
-    """Median forecasts for many windows pooled into one RMSE/R^2."""
-    forecasts = predict_many(model, windows)
+def pooled_forecast_metrics(forecasts: Sequence[QuantileForecast],
+                            windows: Sequence[Window]) -> dict[str, float]:
+    """Median forecasts (``predict_many`` output) pooled into one RMSE/R^2."""
     pred = np.concatenate([f.median for f in forecasts])
     actual = np.concatenate([w.future_target for w in windows])
     return evaluate(pred, actual)
@@ -581,12 +587,12 @@ def persistence_metrics(windows: Sequence[Window]) -> dict[str, float]:
     return evaluate(pred, actual)
 
 
-def band_coverage(model: TemporalFusionTransformer, windows: Sequence[Window],
+def band_coverage(forecasts: Sequence[QuantileForecast], windows: Sequence[Window],
                   low: float = 0.1, high: float = 0.9) -> float:
-    """Fraction of realized values inside the [low, high] forecast band."""
+    """Fraction of realized values inside the [low, high] band of ``forecasts``."""
     inside = 0
     count = 0
-    for w, f in zip(windows, predict_many(model, windows)):
+    for w, f in zip(windows, forecasts):
         lo_band, hi_band = f.band(low, high)
         inside += int(np.sum((w.future_target >= lo_band) & (w.future_target <= hi_band)))
         count += w.future_target.size
@@ -611,8 +617,13 @@ def save_checkpoint(model: TemporalFusionTransformer, path) -> None:
 
 
 def load_checkpoint(path) -> TemporalFusionTransformer:
+    """Rebuild a saved model.  A checkpoint of another format version,
+    with parameters the model does not have, or with a feature scaling
+    that does not fit its decoder features raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if doc.get("format_version") != nn.layers.CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format {doc.get('format_version')!r}")
     cfg_doc = dict(doc["config"])
     # older checkpoints carry this removed setting; no model could be trained with it on
     if cfg_doc.pop("include_relative_time", False):
@@ -621,6 +632,7 @@ def load_checkpoint(path) -> TemporalFusionTransformer:
     config = TftConfig(**cfg_doc)
     model = TemporalFusionTransformer(config, doc["encoder_features"], doc["decoder_features"])
     model.store.load_json(json.dumps(doc["params"]))
-    if doc.get("feature_scaling"):
-        model.feature_scaling = FeatureScaling.from_dict(doc["feature_scaling"])
+    if doc["feature_scaling"] is not None:
+        model.feature_scaling = FeatureScaling.from_dict(doc["feature_scaling"],
+                                                         model.decoder_features)
     return model

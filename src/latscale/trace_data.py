@@ -317,9 +317,11 @@ def make_windows(
 ) -> list[Window]:
     """Slide (encoder, decoder) windows over the dataset with stride 1.
 
-    Yields ``n_steps - encoder_length - decoder_length + 1`` windows.
-    The target series appears only in the encoder block and in the
-    label array, never in the decoder block.
+    Yields ``n_steps - encoder_length - decoder_length + 1`` windows;
+    window i starts at step i.  The target series appears only in the
+    encoder block and in the label array, never in the decoder block.
+    Every window's arrays are read-only views into one (steps x
+    (features + 1)) matrix, so no window data is copied.
     """
     if feature_names is None:
         feature_names = dataset.feature_names()
@@ -333,22 +335,18 @@ def make_windows(
         raise DatasetTooShortError(
             f"need at least {k + tau} steps for encoder {k} + decoder {tau}, have {n}"
         )
-    features = np.column_stack([dataset.get(name).values for name in feature_names])
-    y = target.values
+    matrix = np.column_stack([dataset.get(name).values for name in feature_names] + [target.values])
+    # (windows, k + tau, features + 1), read-only
+    views = np.lib.stride_tricks.sliding_window_view(matrix, (k + tau, matrix.shape[1]))[:, 0]
     enc_names = tuple(feature_names) + (target.name,)
     dec_names = tuple(feature_names)
-
-    windows = []
-    for start in range(n - k - tau + 1):
-        enc = np.column_stack([features[start : start + k], y[start : start + k]])
-        dec = features[start + k : start + k + tau]
-        windows.append(
-            Window(
-                start=start,
-                encoder=Block(enc_names, enc),
-                decoder=Block(dec_names, dec),
-                future_target=y[start + k : start + k + tau].copy(),
-                target_name=target.name,
-            )
+    return [
+        Window(
+            start=start,
+            encoder=Block(enc_names, view[:k]),
+            decoder=Block(dec_names, view[k:, :-1]),
+            future_target=view[k:, -1],
+            target_name=target.name,
         )
-    return windows
+        for start, view in enumerate(views)
+    ]

@@ -123,12 +123,13 @@ def analog_run():
         config, GREEN_FEATURES + ["latency_p95.green"], GREEN_FEATURES, windows, restarts=3,
     )
     held_out = windows[report.n_train_windows:]
+    forecasts = tft.predict_many(model, held_out)
     return {
         "model": model,
         "held_out": held_out,
-        "metrics": tft.pooled_forecast_metrics(model, held_out),
+        "metrics": tft.pooled_forecast_metrics(forecasts, held_out),
         "persistence": tft.persistence_metrics(held_out),
-        "coverage": tft.band_coverage(model, held_out),
+        "coverage": tft.band_coverage(forecasts, held_out),
         "elapsed": time.time() - start,
     }
 

@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from latscale import tft
 from latscale.cli import RunConfig, UsageError, load_run_config, main
 from latscale.simulator import load_scenario, scenario_from_dict, scenario_to_dict
 
@@ -164,12 +165,27 @@ class TestPredictInterpret:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["predict", "interpret", "evaluate"])
-    @pytest.mark.parametrize("checkpoint", ["absent", "nonexistent"])
+    @pytest.mark.parametrize("checkpoint", ["absent", "nonexistent", "truncated", "format-99",
+                                            "extra-param", "scaling-gap"])
     def test_missing_checkpoint(self, workspace, tmp_path, command, checkpoint):
         args = [command, "--dataset", str(workspace["out"] / "dataset.csv"),
                 "--out", str(tmp_path / "out"), "--quiet"]
+        text = (workspace["out"] / "checkpoint.json").read_text()
+        doc = json.loads(text)
+        if checkpoint == "truncated":
+            text = text[:-1]
+        elif checkpoint == "format-99":
+            doc["format_version"] = 99
+        elif checkpoint == "extra-param":
+            doc["params"]["params"]["surplus.w"] = {"shape": [1], "values": [0.0]}
+        elif checkpoint == "scaling-gap":
+            del doc["feature_scaling"]["pods.cart"]
+        path = tmp_path / "ckpt.json"
+        path.write_text(text if checkpoint == "truncated" else json.dumps(doc))
         if checkpoint == "nonexistent":
             args += ["--checkpoint", str(tmp_path / "none.json")]
+        elif checkpoint != "absent":
+            args += ["--checkpoint", str(path)]
         assert main(args) == 2
         assert not (tmp_path / "out").exists()
 
@@ -183,6 +199,39 @@ class TestEvaluate:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert {"model", "persistence", "band_coverage", "n_windows"} <= set(metrics)
         assert "rmse" in metrics["model"] and "r2" in metrics["model"]
+
+
+class TestHeldOutForecast:
+    """A command forecasts the held-out windows once and scores that
+    forecast for every metric."""
+
+    @staticmethod
+    def count_windows(monkeypatch):
+        sizes = []
+        original = tft.predict_many
+
+        def counted(model, windows):
+            sizes.append(len(windows))
+            return original(model, windows)
+
+        monkeypatch.setattr(tft, "predict_many", counted)
+        return sizes
+
+    def test_evaluate(self, workspace, tmp_path, monkeypatch):
+        sizes = self.count_windows(monkeypatch)
+        assert main(["evaluate", "--config", str(workspace["ini"]),
+                     "--dataset", str(workspace["out"] / "dataset.csv"),
+                     "--checkpoint", str(workspace["out"] / "checkpoint.json"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert sizes == [json.loads((tmp_path / "metrics.json").read_text())["n_windows"]]
+
+    def test_e2e(self, workspace, tmp_path, monkeypatch):
+        sizes = self.count_windows(monkeypatch)
+        assert main(["e2e", "--config", str(workspace["ini"]),
+                     "--scenario", str(workspace["scenario"]),
+                     "--sla-ms", "1000000", "--out", str(tmp_path), "--quiet"]) == 0
+        held_out = json.loads((tmp_path / "training_report.json").read_text())["n_val_windows"]
+        assert sorted(sizes) == [1, held_out]  # the forecast window, then the held-out ones
 
 
 class TestPlan:
@@ -301,21 +350,43 @@ class TestConfigFile:
 
 class TestInvalidScenario:
     @pytest.mark.parametrize("command", ["simulate", "e2e"])
-    @pytest.mark.parametrize("edit", ["bad-json", "unknown-key", "missing-field", "zero-pods"])
+    @pytest.mark.parametrize("edit", ["bad-json", "unknown-key", "missing-field", "zero-pods",
+                                      "no-workload", "no-service", "zero-period",
+                                      "negative-noise", "negative-workload-noise"])
     def test_usage_error(self, tmp_path, capsys, command, edit):
         doc = json.loads(json.dumps(TINY_SCENARIO))
+        says = ""
         if edit == "unknown-key":
             doc["services"]["cart"]["pod"] = 4
         elif edit == "missing-field":
             del doc["workloads"]["green"]["base"]
         elif edit == "zero-pods":
             doc["services"]["cart"]["pods"] = 0
+        elif edit == "no-workload":
+            del doc["workloads"]["green"]
+            says = "no workload profile for trace 'green'"
+        elif edit == "no-service":
+            del doc["services"]["cart"]
+            says = "service 'cart' on trace 'purple' has no configuration"
+        elif edit == "zero-period":
+            doc["workloads"]["green"]["period"] = 0
+            says = "workload 'green': period must be > 0"
+        elif edit == "negative-noise":
+            doc["noise_sigma"] = -0.1
+            says = "top level: noise_sigma must be >= 0"
+        elif edit == "negative-workload-noise":
+            doc["workloads"]["green"]["noise_sigma"] = -0.1
+            says = "workload 'green': noise_sigma must be >= 0"
         text = json.dumps(doc)
         path = tmp_path / "scenario.json"
         path.write_text(text[:-1] if edit == "bad-json" else text)
         rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: scenario {path}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario {path}: ")
+        assert says in err
+        if says:
+            assert "missing key" not in err
 
 
 class TestArgparse:

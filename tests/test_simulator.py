@@ -1,10 +1,15 @@
 import hashlib
 import io
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from latscale.simulator import (
+    MEM_PENALTY,
+    RHO_CAP,
+    UTIL_FLOOR,
     CallGraph,
     Scenario,
     ServiceConfig,
@@ -23,7 +28,7 @@ from latscale.simulator import (
     utilization,
 )
 from latscale.scaler import PlanAction, ScalingPlan
-from latscale.trace_data import save_dataset
+from latscale.trace_data import p95, save_dataset
 
 
 def tiny_graph():
@@ -190,6 +195,71 @@ class TestSimulate:
         assert len(ds.microservices) == 9
 
 
+def reference_latency(graph, workload, configs, duration_steps, seed, noise_sigma):
+    """``simulate``'s dataset plus its per-trace p95 series recomputed one
+    step at a time with scalar queueing formulas, the reference that
+    ``simulate`` must match bit for bit."""
+    ds = simulate(graph, workload, configs, duration_steps, seed, noise_sigma)
+    colors = graph.colors
+    trace_services = {color: graph.services_for(color) for color in colors}
+    services = sorted({svc for svcs in trace_services.values() for svc in svcs})
+    noise_rng = np.random.default_rng([seed, 3])
+    latency = {color: np.zeros(duration_steps) for color in colors}
+    for t in range(duration_steps):
+        rate_at = {svc: 0.0 for svc in services}
+        for color in colors:
+            for svc in trace_services[color]:
+                rate_at[svc] += ds.get(f"cps.{color}").values[t]
+        det = {}
+        for svc in services:
+            cfg = configs[svc]
+            pods = ds.get(f"pods.{svc}").values[t]
+            cpu = ds.get(f"cpu.{svc}").values[t]
+            rho = rate_at[svc] / (pods * cfg.per_pod_rate * cpu)
+            det[svc] = cfg.base_service_ms / max(UTIL_FLOOR, 1.0 - min(rho, RHO_CAP))
+            if ds.get(f"mem.{svc}").values[t] < cfg.mem_floor_bytes:
+                det[svc] *= MEM_PENALTY
+        for color in sorted(colors):
+            hops = np.array([det[svc] for svc in trace_services[color]])
+            n_req = max(1, int(round(ds.get(f"cps.{color}").values[t])))
+            if noise_sigma > 0:
+                noise = noise_rng.lognormal(0.0, noise_sigma, size=(n_req, len(hops)))
+                requests = (hops[None, :] * noise).sum(axis=1)
+            else:
+                requests = np.full(n_req, hops.sum())
+            latency[color][t] = p95(requests)
+    return ds, latency
+
+
+class TestReferenceLoop:
+    """``simulate`` computes whole arrays at once; the per-step loop
+    above is the reference it must reproduce exactly."""
+
+    @staticmethod
+    def sla_demo():
+        with resources.as_file(resources.files("latscale") / "scenarios" / "sla_demo.json") as p:
+            return load_scenario(p)
+
+    @pytest.mark.parametrize("noise_sigma", [0.05, 0.0])
+    def test_sla_demo(self, noise_sigma):
+        s = self.sla_demo()
+        ds, latency = reference_latency(s.graph, s.workloads, s.configs, 80, 3, noise_sigma)
+        for color, values in latency.items():
+            np.testing.assert_array_equal(ds.target(color).values, values)
+
+    def test_memory_floor_penalty(self):
+        s = self.sla_demo()
+        configs = dict(s.configs)
+        cart = configs["cart"]
+        configs["cart"] = replace(cart, mem_floor_bytes=cart.mem_bytes,
+                                  mem_walk=Walk(period=10, low=0.5, high=1.5))
+        ds, latency = reference_latency(s.graph, s.workloads, configs, 80, 3, 0.05)
+        mem = ds.get("mem.cart").values
+        assert np.any(mem < cart.mem_bytes) and np.any(mem >= cart.mem_bytes)
+        for color, values in latency.items():
+            np.testing.assert_array_equal(ds.target(color).values, values)
+
+
 class TestApplyPlan:
     def make_plan(self, actions):
         return ScalingPlan(
@@ -300,10 +370,12 @@ class TestScenarioChecks:
     """Scenario values the simulator cannot honour are rejected when the
     scenario is built, which is when a scenario file is loaded."""
 
-    def load(self, duration_steps=120, bursts=()):
+    def load(self, duration_steps=120, bursts=(), edit=None):
         doc = scenario_to_dict(demo_scenario())
         doc["duration_steps"] = duration_steps
         doc["workloads"]["green"]["bursts"] = [list(b) for b in bursts]
+        if edit is not None:
+            edit(doc)
         return scenario_from_dict(doc)
 
     def test_zero_duration(self):
@@ -325,6 +397,27 @@ class TestScenarioChecks:
     def test_burst_ending_at_horizon_is_kept(self):
         bursts = self.load(bursts=[(110, 10, 5.0)]).workloads["green"].bursts
         assert bursts == ((110, 10, 5.0),)
+
+    @pytest.mark.parametrize("period", [0.0, -60.0])
+    def test_non_positive_period(self, period):
+        with pytest.raises(ValueError, match="workload 'green': period must be > 0"):
+            self.load(edit=lambda doc: doc["workloads"]["green"].update(period=period))
+
+    def test_negative_noise(self):
+        with pytest.raises(ValueError, match="top level: noise_sigma must be >= 0"):
+            self.load(edit=lambda doc: doc.update(noise_sigma=-0.1))
+        with pytest.raises(ValueError, match="workload 'green': noise_sigma must be >= 0"):
+            self.load(edit=lambda doc: doc["workloads"]["green"].update(noise_sigma=-0.1))
+
+    def test_trace_without_workload(self):
+        with pytest.raises(ValueError, match="no workload profile for trace 'green'"):
+            self.load(edit=lambda doc: doc["workloads"].pop("green"))
+
+    def test_service_without_configuration(self):
+        with pytest.raises(ValueError) as exc:
+            self.load(edit=lambda doc: doc["services"].pop("cart"))
+        assert "service 'cart' on trace 'purple' has no configuration" in str(exc.value)
+        assert "missing key" not in str(exc.value)
 
 
 class TestWorkloadShapes:

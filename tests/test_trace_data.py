@@ -183,6 +183,15 @@ class TestWindows:
         np.testing.assert_array_equal(w.encoder.values[:, 0], ds.get("cps.green").values[5:69])
         np.testing.assert_array_equal(w.future_target, ds.target("green").values[69:85])
 
+    def test_windows_are_read_only_views_of_one_matrix(self):
+        ds = small_dataset(200)
+        a, b = make_windows(ds, WindowSpec(64, 16), "green")[:2]
+        pairs = [(a.encoder.values, b.encoder.values), (a.decoder.values, b.decoder.values),
+                 (a.future_target, b.future_target)]
+        for x, y in pairs:
+            assert np.shares_memory(x, y)
+            assert not x.flags.writeable and not y.flags.writeable
+
     @given(
         st.integers(1, 40),
         st.integers(1, 40),
