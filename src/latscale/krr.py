@@ -27,18 +27,26 @@ class RbfKernel:
             raise ValueError("kernel parameter beta must be positive")
 
 
-def rbf(x, x_other, beta: float) -> float:
-    """Evaluate the RBF kernel between two points (scalars or vectors)."""
-    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(x_other, dtype=np.float64))
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.exp(-beta * np.sum((a - b) ** 2)))
-
-
-def _kernel_matrix(x: np.ndarray, y: np.ndarray, beta: float) -> np.ndarray:
+def _kernel_matrix(x: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
+    """exp(-beta * (x_i - y_j)^2); an array ``beta`` of shape (B, 1, 1)
+    gives B stacked matrices."""
     d2 = (x[:, None] - y[None, :]) ** 2
     return np.exp(-beta * d2)
+
+
+def _training_arrays(feature_values, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(feature_values, dtype=np.float64)
+    t = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or t.shape != x.shape:
+        raise ValueError("feature_values and y must be 1-D sequences of equal length")
+    if x.size < 1:
+        raise ValueError("need at least one training point")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+        raise ValueError("non-finite training inputs")
+    return x, t
+
+
+_NOT_POSITIVE_DEFINITE = "kernel system not positive definite (alpha={} too small for conditioning)"
 
 
 @dataclass
@@ -81,14 +89,7 @@ class KrrModel:
 def fit(feature_values: Sequence[float], y: Sequence[float], alpha: float, beta: float,
         feature: str | None = None) -> KrrModel:
     """Solve (K + alpha*I) a = y - mean(y) and keep the dual coefficients."""
-    x = np.asarray(feature_values, dtype=np.float64)
-    t = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or t.shape != x.shape:
-        raise ValueError("feature_values and y must be 1-D sequences of equal length")
-    if x.size < 1:
-        raise ValueError("need at least one training point")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-        raise ValueError("non-finite training inputs")
+    x, t = _training_arrays(feature_values, y)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     center = float(t.mean())
@@ -97,9 +98,7 @@ def fit(feature_values: Sequence[float], y: Sequence[float], alpha: float, beta:
     try:
         coefs = cho_solve(cho_factor(gram, lower=True), t - center)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"kernel system not positive definite (alpha={alpha} too small for conditioning)"
-        ) from exc
+        raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(alpha)) from exc
     return KrrModel(
         alpha=float(alpha),
         kernel=RbfKernel(float(beta)),
@@ -149,26 +148,34 @@ def grid_search(feature_values: Sequence[float], y: Sequence[float],
                 spec: GridSearchSpec = GridSearchSpec()) -> GridSearchResult:
     """Exhaustive (alpha, beta) search with contiguous chronological folds.
 
-    Ties are broken toward the larger alpha, then the smaller beta, so
-    the smoother model wins.
+    Each fold takes one batched eigendecomposition K = V diag(lam) V^T
+    per beta and solves every alpha from it, since
+    (K + alpha*I)^-1 = V diag(1 / (lam + alpha)) V^T (Rifkin & Lippert,
+    2007).  Ties are broken toward the larger alpha, then the smaller
+    beta, so the smoother model wins.
     """
-    x = np.asarray(feature_values, dtype=np.float64)
-    t = np.asarray(y, dtype=np.float64)
+    x, t = _training_arrays(feature_values, y)
     if x.size < spec.folds:
         raise ValueError(f"need at least {spec.folds} points for {spec.folds}-fold CV, have {x.size}")
-    fold_indices = np.array_split(np.arange(x.size), spec.folds)
+    alphas = np.asarray(spec.alpha_grid, dtype=np.float64)[:, None, None]
+    betas = np.asarray(spec.beta_grid, dtype=np.float64)[:, None, None]
 
-    table = np.empty((len(spec.alpha_grid), len(spec.beta_grid)))
-    for i, alpha in enumerate(spec.alpha_grid):
-        for j, beta in enumerate(spec.beta_grid):
-            errs = []
-            for val_idx in fold_indices:
-                train_mask = np.ones(x.size, dtype=bool)
-                train_mask[val_idx] = False
-                model = fit(x[train_mask], t[train_mask], alpha, beta)
-                pred = predict(model, x[val_idx])
-                errs.append(float(np.mean((pred - t[val_idx]) ** 2)))
-            table[i, j] = np.mean(errs)
+    table = np.zeros((alphas.size, betas.size))
+    for val_idx in np.array_split(np.arange(x.size), spec.folds):
+        train_mask = np.ones(x.size, dtype=bool)
+        train_mask[val_idx] = False
+        x_tr, t_tr = x[train_mask], t[train_mask]
+        center = t_tr.mean()
+        lam, vecs = np.linalg.eigh(_kernel_matrix(x_tr, x_tr, betas))  # (B, m), (B, m, m)
+        shifted = lam + alphas  # (A, B, m)
+        bad = np.flatnonzero(np.any(shifted <= 0, axis=(1, 2)))
+        if bad.size:
+            raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(spec.alpha_grid[bad[0]]))
+        projected = np.einsum("bji,j->bi", vecs, t_tr - center)
+        coefs = np.einsum("bij,abj->abi", vecs, projected / shifted)
+        pred = center + np.einsum("bvj,abj->abv", _kernel_matrix(x[val_idx], x_tr, betas), coefs)
+        table += np.mean((pred - t[val_idx]) ** 2, axis=2)
+    table /= spec.folds
 
     best = min(
         ((i, j) for i in range(len(spec.alpha_grid)) for j in range(len(spec.beta_grid))),

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .trace_data import MetricSeries, SeriesKind, TraceDataset, p95
+from .trace_data import MetricSeries, SeriesKind, TraceDataset, nearest_rank
 
 if TYPE_CHECKING:  # avoid a runtime cycle; apply_plan duck-types the plan
     from .scaler import ScalingPlan
@@ -249,6 +249,35 @@ def check_references(graph: CallGraph, workload: Mapping[str, WorkloadProfile],
                 )
 
 
+def _noisy_p95(hops: Mapping[str, np.ndarray], cps: Mapping[str, np.ndarray],
+               rng: np.random.Generator, noise_sigma: float) -> dict[str, np.ndarray]:
+    """Per-trace p95 over each step's max(1, round(rate)) requests, every
+    hop latency of every request scaled by its own lognormal noise.
+
+    The noise is drawn step by step, traces in sorted order within a
+    step, one (requests x hops) block each; one draw of the total size
+    gives the same stream as a draw per block.  Steps of a trace with
+    the same request count are then gathered as one matrix, so memory
+    stays that of the draws even when a burst makes one step large.
+    """
+    order = sorted(hops)
+    n_req = np.stack([np.maximum(1, np.round(cps[c])).astype(np.int64) for c in order], axis=1)
+    widths = np.array([hops[c].shape[1] for c in order])
+    sizes = n_req * widths  # (steps, traces), in draw order
+    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    noise = rng.lognormal(0.0, noise_sigma, size=int(sizes.sum()))
+    latency = {}
+    for k, color in enumerate(order):
+        latency[color] = np.empty(len(sizes))
+        for n in np.unique(n_req[:, k]):
+            steps = np.flatnonzero(n_req[:, k] == n)
+            block = noise[starts[steps, k, None] + np.arange(n * widths[k])]
+            requests = (hops[color][steps, None] * block.reshape(steps.size, n, widths[k])).sum(axis=2)
+            rank = nearest_rank(95.0, int(n))
+            latency[color][steps] = np.partition(requests, rank - 1, axis=1)[:, rank - 1]
+    return latency
+
+
 def simulate(
     graph: CallGraph,
     workload: Mapping[str, WorkloadProfile],
@@ -309,15 +338,7 @@ def simulate(
     # noise-free per-hop latency, (steps, hops) per trace
     hops = {color: np.column_stack([det[svc] for svc in trace_services[color]]) for color in colors}
     if noise_sigma > 0:
-        n_req = {color: np.maximum(1, np.round(cps[color])).astype(np.int64) for color in colors}
-        noise_rng = np.random.default_rng([seed, 3])
-        latency = {color: np.zeros(duration_steps) for color in colors}
-        # one draw per (step, trace) in this order: it fixes the random stream
-        for t in range(duration_steps):
-            for color in sorted(colors):
-                shape = (n_req[color][t], hops[color].shape[1])
-                noise = noise_rng.lognormal(0.0, noise_sigma, size=shape)
-                latency[color][t] = p95((hops[color][t] * noise).sum(axis=1))
+        latency = _noisy_p95(hops, cps, np.random.default_rng([seed, 3]), noise_sigma)
     else:
         latency = {color: hops[color].sum(axis=1) for color in colors}
 

@@ -253,13 +253,19 @@ def p95(samples: Sequence[float] | np.ndarray) -> float:
     return percentile_nearest_rank(samples, 95.0)
 
 
-def percentile_nearest_rank(samples: Sequence[float] | np.ndarray, pct: float) -> float:
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
+def nearest_rank(pct: float, n: int) -> int:
+    """The 1-based order statistic, ceil(pct/100 * n), that the
+    nearest-rank ``pct``-th percentile of ``n`` samples picks."""
+    if n < 1:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 < pct <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {pct}")
-    rank = math.ceil(pct / 100.0 * arr.size)  # 1-based order statistic
+    return math.ceil(pct / 100.0 * n)
+
+
+def percentile_nearest_rank(samples: Sequence[float] | np.ndarray, pct: float) -> float:
+    arr = np.asarray(samples, dtype=np.float64)
+    rank = nearest_rank(pct, arr.size)
     return float(np.partition(arr, rank - 1)[rank - 1])
 
 

@@ -11,8 +11,16 @@ from latscale.krr import (
     fit_per_feature,
     grid_search,
     predict,
-    rbf,
 )
+
+
+def rbf(x, x_other, beta: float) -> float:
+    """Scalar RBF kernel between two points (scalars or vectors)."""
+    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(x_other, dtype=np.float64))
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(np.exp(-beta * np.sum((a - b) ** 2)))
 
 
 def oracle_fit(x, y, alpha, beta):
@@ -26,9 +34,30 @@ def oracle_fit(x, y, alpha, beta):
 
 
 def oracle_predict(x_train, coefs, center, beta, query):
-    return center + sum(
-        a * np.exp(-beta * (xi - query) ** 2) for a, xi in zip(coefs, x_train)
+    return center + sum(a * rbf(xi, query, beta) for a, xi in zip(coefs, x_train))
+
+
+def oracle_grid_search(x, y, spec=GridSearchSpec()):
+    """The per-cell search: one Cholesky ``fit`` per (alpha, beta, fold).
+    Returns the table and the chosen (alpha, beta)."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    folds = np.array_split(np.arange(x.size), spec.folds)
+    table = np.empty((len(spec.alpha_grid), len(spec.beta_grid)))
+    for i, alpha in enumerate(spec.alpha_grid):
+        for j, beta in enumerate(spec.beta_grid):
+            errs = []
+            for val_idx in folds:
+                train_mask = np.ones(x.size, dtype=bool)
+                train_mask[val_idx] = False
+                model = fit(x[train_mask], y[train_mask], alpha, beta)
+                errs.append(float(np.mean((predict(model, x[val_idx]) - y[val_idx]) ** 2)))
+            table[i, j] = np.mean(errs)
+    i, j = min(
+        np.ndindex(table.shape),
+        key=lambda ij: (table[ij], -spec.alpha_grid[ij[0]], spec.beta_grid[ij[1]]),
     )
+    return table, (spec.alpha_grid[i], spec.beta_grid[j])
 
 
 class TestRbf:
@@ -153,6 +182,54 @@ class TestGridSearch:
         base = grid_search(x, y, spec)
         scaled = grid_search(x * scale, y, scaled_spec)
         np.testing.assert_allclose(scaled.table, base.table, rtol=0, atol=1e-9)
+
+
+class TestGridSearchOracle:
+    """``grid_search`` solves every alpha from one eigendecomposition per
+    fold; the per-cell Cholesky search is the reference."""
+
+    def test_dirichlet_searches_match(self):
+        searches = 0
+        for seed in range(171):
+            rng = np.random.default_rng(seed)
+            imp = rng.dirichlet(np.full(6, rng.uniform(0.3, 3.0)), size=16)
+            y = rng.uniform(40, 120) + rng.normal(0, rng.uniform(0.1, 20), 16)
+            for column in imp.T:
+                table, choice = oracle_grid_search(column, y)
+                result = grid_search(column, y)
+                assert (result.best_alpha, result.best_beta) == choice
+                np.testing.assert_allclose(result.table, table, rtol=1e-12, atol=0)
+                searches += 1
+        assert searches >= 1000
+
+    def test_constant_feature_ties_every_beta(self):
+        rng = np.random.default_rng(5)
+        x = np.full(16, 0.25)
+        y = rng.normal(80, 5, 16)
+        result = grid_search(x, y)
+        for j in range(1, result.table.shape[1]):
+            np.testing.assert_array_equal(result.table[:, j], result.table[:, 0])
+        assert result.best_beta == min(result.beta_grid)
+        table, choice = oracle_grid_search(x, y)
+        assert (result.best_alpha, result.best_beta) == choice
+        np.testing.assert_allclose(result.table, table, rtol=1e-12, atol=0)
+
+    def test_indefinite_system_reports_alpha(self):
+        # nine duplicate inputs leave K singular, with rounding-level
+        # negative eigenvalues that a vanishing ridge cannot lift
+        x = np.array([1.0] * 9 + [2.0] * 3)
+        y = np.arange(12.0)
+        spec = GridSearchSpec(alpha_grid=(1.0, 1e-300))
+        with pytest.raises(np.linalg.LinAlgError, match="alpha=1e-300"):
+            grid_search(x, y, spec)
+
+    @pytest.mark.parametrize("x4, y4", [(np.inf, 2.5), (0.5, np.nan)])
+    def test_rejects_non_finite(self, x4, y4):
+        x = np.linspace(0, 1, 9)
+        y = np.linspace(2, 3, 9)
+        x[4], y[4] = x4, y4
+        with pytest.raises(ValueError, match="non-finite"):
+            grid_search(x, y)
 
 
 class TestKernelMatrixProperties:

@@ -236,19 +236,43 @@ class TestReferenceLoop:
     above is the reference it must reproduce exactly."""
 
     @staticmethod
-    def sla_demo():
-        with resources.as_file(resources.files("latscale") / "scenarios" / "sla_demo.json") as p:
+    def bundled(name="sla_demo"):
+        with resources.as_file(resources.files("latscale") / "scenarios" / f"{name}.json") as p:
             return load_scenario(p)
 
-    @pytest.mark.parametrize("noise_sigma", [0.05, 0.0])
-    def test_sla_demo(self, noise_sigma):
-        s = self.sla_demo()
-        ds, latency = reference_latency(s.graph, s.workloads, s.configs, 80, 3, noise_sigma)
+    @staticmethod
+    def assert_matches(ds, latency):
         for color, values in latency.items():
             np.testing.assert_array_equal(ds.target(color).values, values)
 
+    @pytest.mark.parametrize("noise_sigma", [0.05, 0.0])
+    def test_sla_demo(self, noise_sigma):
+        s = self.bundled()
+        self.assert_matches(*reference_latency(s.graph, s.workloads, s.configs, 80, 3, noise_sigma))
+
+    @pytest.mark.parametrize("noise_sigma", [0.05, 0.3])
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["sla_demo", "robotshop_green", "cart_importance"])
+    def test_bundled_scenario(self, name, seed, noise_sigma):
+        s = self.bundled(name)
+        self.assert_matches(*reference_latency(s.graph, s.workloads, s.configs, 80, seed, noise_sigma))
+
+    def test_rate_rounding_to_zero_sends_one_request(self):
+        workload = {"green": WorkloadProfile(base=0.2, amplitude=0.3, period=7.0)}
+        ds, latency = reference_latency(tiny_graph(), workload, tiny_configs(), 40, 1, 0.3)
+        assert np.all(np.round(ds.get("cps.green").values) == 0)
+        self.assert_matches(ds, latency)
+
+    def test_burst(self):
+        s = self.bundled()
+        workloads = dict(s.workloads)
+        workloads["green"] = replace(workloads["green"], bursts=((30, 10, 400.0),))
+        ds, latency = reference_latency(s.graph, workloads, s.configs, 80, 3, 0.05)
+        assert ds.get("cps.green").values[30:40].min() > 400.0
+        self.assert_matches(ds, latency)
+
     def test_memory_floor_penalty(self):
-        s = self.sla_demo()
+        s = self.bundled()
         configs = dict(s.configs)
         cart = configs["cart"]
         configs["cart"] = replace(cart, mem_floor_bytes=cart.mem_bytes,
@@ -256,8 +280,7 @@ class TestReferenceLoop:
         ds, latency = reference_latency(s.graph, s.workloads, configs, 80, 3, 0.05)
         mem = ds.get("mem.cart").values
         assert np.any(mem < cart.mem_bytes) and np.any(mem >= cart.mem_bytes)
-        for color, values in latency.items():
-            np.testing.assert_array_equal(ds.target(color).values, values)
+        self.assert_matches(ds, latency)
 
 
 class TestApplyPlan:
