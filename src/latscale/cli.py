@@ -11,10 +11,11 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import shutil
 import sys
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -22,7 +23,9 @@ import numpy as np
 
 from . import krr, scaler, tft
 from .simulator import Scenario, apply_plan, load_scenario, scenario_to_dict
-from .trace_data import WindowSpec, load_dataset, make_windows, p95, save_dataset
+from .trace_data import (
+    DataFormatError, WindowSpec, load_dataset, make_windows, p95, save_dataset,
+)
 
 DEFAULT_FACTOR_BOXES = {
     "pods": scaler.DEFAULT_FACTOR_BOX,
@@ -65,6 +68,14 @@ class RunConfig:
     factor_boxes: dict[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_FACTOR_BOXES)
     )
+
+    def __post_init__(self):
+        if self.resources not in ("horizontal", "vertical", "both"):
+            raise ValueError(f"unknown resource mode {self.resources!r}")
+        for name in ("steady_window", "restarts", "sla_factor", "sla_ms"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -218,14 +229,11 @@ def write_forecast_csv(forecast: tft.QuantileForecast, path):
 
 
 def read_forecast_csv(path) -> tft.QuantileForecast:
-    rows: dict[int, dict[float, float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.setdefault(int(row["step"]), {})[float(row["quantile"])] = float(row["value_ms"])
-    steps = sorted(rows)
-    quantiles = tuple(sorted(rows[steps[0]]))
-    values = np.array([[rows[s][q] for q in quantiles] for s in steps])
-    return tft.QuantileForecast(quantiles=quantiles, values=values)
+    quantiles, values = _read_steps(path, "quantile", "value_ms", float)
+    if 0.5 not in quantiles:
+        raise DataFormatError("no 0.5 quantile, the median a plan reads", column="quantile")
+    order = np.argsort(quantiles)
+    return tft.QuantileForecast(quantiles=tuple(quantiles[i] for i in order), values=values[:, order])
 
 
 def write_importance_csv(features, matrix, path, column: str = "feature"):
@@ -238,22 +246,81 @@ def write_importance_csv(features, matrix, path, column: str = "feature"):
 
 
 def read_importance_csv(path) -> tuple[list[str], np.ndarray]:
-    per_step: dict[int, dict[str, float]] = {}
-    order: list[str] = []
+    return _read_steps(path, "feature", "weight", str)
+
+
+def _csv_rows(path, columns):
+    """(line number, row) for each data row of a CSV file whose header
+    has ``columns``; a missing column or a ragged row raises
+    DataFormatError."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            step = int(row["step"])
-            if row["feature"] not in order:
-                order.append(row["feature"])
-            per_step.setdefault(step, {})[row["feature"]] = float(row["weight"])
-    matrix = np.array([[per_step[s][f] for f in order] for s in sorted(per_step)])
-    return order, matrix
+        reader = csv.DictReader(fh)
+        for name in columns:
+            if name not in (reader.fieldnames or ()):
+                raise DataFormatError("missing column", row=1, column=name)
+        for row in reader:
+            if None in row or None in row.values():
+                raise DataFormatError(f"ragged row: expected {len(reader.fieldnames)} cells",
+                                      row=reader.line_num)
+            yield reader.line_num, row
+
+
+def _cell(row_no: int, row, column: str, parse):
+    try:
+        value = parse(row[column])
+    except ValueError:
+        raise DataFormatError(f"cannot read {row[column]!r} as {parse.__name__}",
+                              row=row_no, column=column) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataFormatError(f"non-finite cell {row[column]!r}", row=row_no, column=column)
+    return value
+
+
+def _read_steps(path, key_column: str, value_column: str, key_type):
+    """A ``step,<key>,<value>`` CSV as its keys in first-seen order and a
+    (steps, keys) matrix.  A non-numeric or non-finite number, a repeated
+    (step, key) pair or a step without every key raises DataFormatError."""
+    per_step: dict[int, dict] = {}
+    keys: dict = {}  # insertion-ordered set
+    for row_no, row in _csv_rows(path, ("step", key_column, value_column)):
+        step_values = per_step.setdefault(_cell(row_no, row, "step", int), {})
+        key = _cell(row_no, row, key_column, key_type)
+        keys.setdefault(key)
+        if key in step_values:
+            raise DataFormatError(f"repeated {key_column} {key!r} in one step",
+                                  row=row_no, column=key_column)
+        step_values[key] = _cell(row_no, row, value_column, float)
+    if not per_step:
+        raise DataFormatError("no data rows")
+    for step, step_values in per_step.items():
+        if len(step_values) != len(keys):
+            lacking = [k for k in keys if k not in step_values]
+            raise DataFormatError(f"step {step} lacks {key_column} {lacking[0]!r}", column="step")
+    return list(keys), np.array([[per_step[s][k] for k in keys] for s in sorted(per_step)])
 
 
 def write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _fit_scores(fit: krr.PerFeatureFit) -> dict:
+    return {"cv_mse": fit.cv_mse, "pooled_rmse": fit.pooled_rmse, "pooled_r2": fit.pooled_r2}
+
+
+def write_krr_fit(fit: krr.PerFeatureFit, features, out: Path):
+    """The fitted models with their scores (krr_models.json) and every
+    feature's grid-search table (krr_cv.csv)."""
+    models = [json.loads(m.to_json()) for m in fit.models]
+    write_json({"models": models, **_fit_scores(fit)}, out / "krr_models.json")
+    with open(out / "krr_cv.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["feature", "alpha", "beta", "cv_mse"])
+        for name, search in zip(features, fit.searches):
+            for i, alpha in enumerate(search.alpha_grid):
+                for j, beta in enumerate(search.beta_grid):
+                    writer.writerow([name, repr(alpha), repr(beta), repr(float(search.table[i, j]))])
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +332,17 @@ def _load_dataset_or_fail(cfg: RunConfig, flag: str = "--dataset"):
         raise UsageError(f"{flag} (or the config's dataset entry) is required")
     if not Path(cfg.dataset).exists():
         raise UsageError(f"dataset file not found: {cfg.dataset}")
-    return load_dataset(cfg.dataset)
+    try:
+        return load_dataset(cfg.dataset)
+    except ValueError as exc:
+        raise UsageError(f"dataset {cfg.dataset}: {exc}") from exc
 
 
 def _checkpoint_inputs(cfg: RunConfig):
     """Load the inputs of a command that reads a checkpoint; returns the
-    model, the dataset and the created output directory.  A missing or
-    invalid checkpoint raises UsageError."""
+    model, its windows of the dataset and the created output directory.
+    A missing or invalid checkpoint, or a dataset without the model's
+    features, raises UsageError."""
     if not cfg.checkpoint:
         raise UsageError("--checkpoint is required")
     try:
@@ -279,9 +350,14 @@ def _checkpoint_inputs(cfg: RunConfig):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"checkpoint {cfg.checkpoint}: {exc}") from exc
     dataset = _load_dataset_or_fail(cfg)
+    features = list(model.decoder_features)
+    missing = [f for f in features if not _has_series(dataset, f)]
+    if missing:
+        raise UsageError(f"checkpoint/feature mismatch: dataset lacks {', '.join(missing)}")
+    windows = _dataset_windows(cfg, dataset, features, model.config)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return model, dataset, out
+    return model, windows, out
 
 
 def _select_features(cfg: RunConfig, dataset) -> list[str]:
@@ -309,34 +385,6 @@ def _dataset_windows(cfg: RunConfig, dataset, features, tft_config):
         raise UsageError(str(exc)) from exc
 
 
-def _train_model(cfg: RunConfig, dataset, out_dir: Path):
-    features = _select_features(cfg, dataset)
-    tft_config = cfg.tft if cfg.seed is None else replace(cfg.tft, seed=cfg.seed)
-    windows = _dataset_windows(cfg, dataset, features, tft_config)
-    target_name = dataset.target(cfg.trace).name
-    enc_features = list(features) + [target_name]
-    epoch_log = None if cfg.quiet else (
-        lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}", file=sys.stderr)
-    )
-    model, report = tft.train_with_restarts(
-        tft_config, enc_features, features, windows,
-        restarts=cfg.restarts, on_epoch=epoch_log,
-    )
-    tft.save_checkpoint(model, out_dir / "checkpoint.json")
-    (out_dir / "training_report.json").write_text(report.to_json() + "\n")
-    return model, report, windows
-
-
-def _model_windows(cfg: RunConfig, model, dataset):
-    features = list(model.decoder_features)
-    missing = [f for f in features if not _has_series(dataset, f)]
-    if missing:
-        raise UsageError(
-            f"checkpoint/feature mismatch: dataset lacks {', '.join(missing)}"
-        )
-    return _dataset_windows(cfg, dataset, features, model.config)
-
-
 def _pick_window(cfg: RunConfig, windows):
     """The window at ``cfg.window_start`` (window i starts at step i), or the last one."""
     if cfg.window_start is None:
@@ -346,23 +394,13 @@ def _pick_window(cfg: RunConfig, windows):
     return windows[cfg.window_start]
 
 
-def _held_out_metrics(model, held_out) -> dict:
-    """Forecast the held-out windows once; score that forecast and persistence."""
-    forecasts = tft.predict_many(model, held_out)
-    return {
-        "model": tft.pooled_forecast_metrics(forecasts, held_out),
-        "persistence": tft.persistence_metrics(held_out),
-        "band_coverage": tft.band_coverage(forecasts, held_out),
-    }
-
-
 def _build_catalog(features, dataset, scenario: Scenario | None):
     catalog = []
     bounds = {}
     for name in features:
         prefix, _, owner = name.partition(".")
         actionable = prefix in ("pods", "cpu", "mem")
-        current = float(dataset.get(name).values[-1]) if _has_series(dataset, name) else 0.0
+        current = float(dataset.get(name).values[-1])
         catalog.append(
             scaler.FeatureSpec(
                 name=name,
@@ -392,63 +430,14 @@ def _theta_boxes(cfg: RunConfig, features):
     return tuple(cfg.intercept_box), boxes
 
 
-def _solve_plan(cfg: RunConfig, forecast, report, features, importance, dataset,
-                scenario, out_dir: Path, sla_ms: float):
-    """KRR fit, theta solve, and plan emission for a detected violation."""
-    desired = scaler.desired_latency(forecast, report)
-    fit = krr.fit_per_feature(importance, desired, cfg.grid, feature_names=features)
-    write_json(
-        {
-            "models": [json.loads(m.to_json()) for m in fit.models],
-            "cv_mse": fit.cv_mse,
-            "pooled_rmse": fit.pooled_rmse,
-            "pooled_r2": fit.pooled_r2,
-        },
-        out_dir / "krr_models.json",
-    )
-    with open(out_dir / "krr_cv.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "alpha", "beta", "cv_mse"])
-        for name, search in zip(features, fit.searches):
-            for i, alpha in enumerate(search.alpha_grid):
-                for j, beta in enumerate(search.beta_grid):
-                    writer.writerow([name, repr(alpha), repr(beta), repr(float(search.table[i, j]))])
-
-    intercept_box, factor_boxes = _theta_boxes(cfg, features)
-    theta, result = scaler.solve_theta(
-        fit.models, importance, desired,
-        factor_bounds=factor_boxes, intercept_bounds=intercept_box,
-    )
-    catalog, resource_bounds = _build_catalog(features, dataset, scenario)
-    plan = scaler.make_plan(
-        theta, catalog, resource_bounds,
-        trace=cfg.trace,
-        sla_ms=sla_ms,
-        violation_fraction=report.violation_fraction,
-        converged=result.converged,
-        objective_value=result.objective_value,
-    )
-    return plan, fit, result
-
-
-def _noop_plan(cfg: RunConfig, sla_ms: float) -> scaler.ScalingPlan:
-    return scaler.ScalingPlan(
-        trace=cfg.trace,
-        sla_ms=sla_ms,
-        violation_fraction=0.0,
-        theta=[],
-        converged=True,
-        objective_value=0.0,
-        actions=[],
-        advisories=[],
-    )
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Stages of the loop.  Each runs under its own stage label and writes its
+# own artifacts; its command and e2e both call it.
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _simulate(cfg: RunConfig, out: Path):
+    """Run the configured scenario with the run's duration and seed;
+    writes dataset.csv and scenario_echo.json."""
     if not cfg.scenario:
         raise UsageError("--scenario is required")
     scenario = resolve_scenario(cfg.scenario)
@@ -459,41 +448,49 @@ def cmd_simulate(cfg: RunConfig) -> int:
             raise UsageError(f"--duration {cfg.duration}: {exc}") from exc
     if cfg.seed is not None:
         scenario.seed = cfg.seed
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("simulate"):
         dataset = scenario.run()
         save_dataset(dataset, out / "dataset.csv")
         write_json(scenario_to_dict(scenario), out / "scenario_echo.json")
-    _say(cfg, f"wrote {out / 'dataset.csv'} ({dataset.n_steps} steps)")
-    return 0
+    return scenario, dataset
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    dataset = _load_dataset_or_fail(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _train_model(cfg: RunConfig, dataset, out_dir: Path):
+    """Train with restarts; writes checkpoint.json and training_report.json."""
+    features = _select_features(cfg, dataset)
+    tft_config = cfg.tft if cfg.seed is None else replace(cfg.tft, seed=cfg.seed)
+    windows = _dataset_windows(cfg, dataset, features, tft_config)
+    epoch_log = None if cfg.quiet else (
+        lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}", file=sys.stderr)
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
     with _stage("train"):
-        _, report, _ = _train_model(cfg, dataset, out)
-    _say(cfg, f"stopped at epoch {report.stopped_epoch}, best {report.best_epoch}")
-    return 0
+        enc_features = list(features) + [dataset.target(cfg.trace).name]
+        model, report = tft.train_with_restarts(
+            tft_config, enc_features, features, windows,
+            restarts=cfg.restarts, on_epoch=epoch_log,
+        )
+        tft.save_checkpoint(model, out_dir / "checkpoint.json")
+        (out_dir / "training_report.json").write_text(report.to_json() + "\n")
+    return model, report, windows
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    model, dataset, out = _checkpoint_inputs(cfg)
+def _forecast(cfg: RunConfig, model, windows, out: Path) -> tft.QuantileForecast:
+    """Forecast the picked window; writes forecast.csv."""
+    window = _pick_window(cfg, windows)
     with _stage("predict"):
-        windows = _model_windows(cfg, model, dataset)
-        forecast = tft.predict(model, _pick_window(cfg, windows))
+        forecast = tft.predict(model, window)
         write_forecast_csv(forecast, out / "forecast.csv")
-    _say(cfg, f"wrote {out / 'forecast.csv'}")
-    return 0
+    return forecast
 
 
-def cmd_interpret(cfg: RunConfig) -> int:
-    model, dataset, out = _checkpoint_inputs(cfg)
+def _interpret(cfg: RunConfig, model, windows, out: Path) -> tft.ImportanceSeries:
+    """Importances of the picked window; writes importance.csv,
+    importance_encoder.csv and attention.csv."""
+    window = _pick_window(cfg, windows)
     with _stage("interpret"):
-        windows = _model_windows(cfg, model, dataset)
-        imp = tft.interpret(model, _pick_window(cfg, windows))
+        imp = tft.interpret(model, window)
         write_importance_csv(imp.decoder_features, imp.decoder_variable_importance,
                              out / "importance.csv")
         write_importance_csv(imp.encoder_features, imp.encoder_variable_importance,
@@ -501,17 +498,94 @@ def cmd_interpret(cfg: RunConfig) -> int:
         positions = [str(i + 1) for i in range(imp.attention_profile.shape[1])]
         write_importance_csv(positions, imp.attention_profile,
                              out / "attention.csv", column="position")
+    return imp
+
+
+def _held_out_metrics(model, windows) -> tuple[dict, int]:
+    """Forecast the held-out windows once; score that forecast and
+    persistence.  Returns the scores and the number of held-out windows."""
+    with _stage("evaluate"):
+        _, held_out = tft.split_windows(windows, model.config.validation_fraction)
+        forecasts = tft.predict_many(model, held_out)
+        return {
+            "model": tft.pooled_forecast_metrics(forecasts, held_out),
+            "persistence": tft.persistence_metrics(held_out),
+            "band_coverage": tft.band_coverage(forecasts, held_out),
+        }, len(held_out)
+
+
+def _plan(cfg: RunConfig, forecast, features, importance, dataset, scenario,
+          sla_ms: float, out: Path):
+    """Check ``forecast`` against ``sla_ms``; on a violation fit the KRR
+    models (krr_models.json, krr_cv.csv) and solve theta.  Writes
+    plan.json, a no-op plan when there is no violation.  Returns the
+    violation report, the plan and the KRR fit (None without a violation)."""
+    with _stage("plan"):
+        report = scaler.detect_violation(forecast, scaler.SlaSpec(sla_ms))
+        fit = None
+        if not report.violated:
+            plan = scaler.ScalingPlan(
+                trace=cfg.trace, sla_ms=sla_ms, violation_fraction=0.0, theta=[],
+                converged=True, objective_value=0.0, actions=[], advisories=[],
+            )
+        else:
+            desired = scaler.desired_latency(forecast, report)
+            fit = krr.fit_per_feature(importance, desired, cfg.grid, feature_names=features)
+            write_krr_fit(fit, features, out)
+            intercept_box, factor_boxes = _theta_boxes(cfg, features)
+            theta, result = scaler.solve_theta(
+                fit.models, importance, desired,
+                factor_bounds=factor_boxes, intercept_bounds=intercept_box,
+            )
+            catalog, resource_bounds = _build_catalog(features, dataset, scenario)
+            plan = scaler.make_plan(
+                theta, catalog, resource_bounds,
+                trace=cfg.trace,
+                sla_ms=sla_ms,
+                violation_fraction=report.violation_fraction,
+                converged=result.converged,
+                objective_value=result.objective_value,
+            )
+        (out / "plan.json").write_text(plan.to_json() + "\n")
+    return report, plan, fit
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    out = Path(cfg.out)
+    _, dataset = _simulate(cfg, out)
+    _say(cfg, f"wrote {out / 'dataset.csv'} ({dataset.n_steps} steps)")
+    return 0
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    _, report, _ = _train_model(cfg, _load_dataset_or_fail(cfg), Path(cfg.out))
+    _say(cfg, f"stopped at epoch {report.stopped_epoch}, best {report.best_epoch}")
+    return 0
+
+
+def cmd_predict(cfg: RunConfig) -> int:
+    model, windows, out = _checkpoint_inputs(cfg)
+    _forecast(cfg, model, windows, out)
+    _say(cfg, f"wrote {out / 'forecast.csv'}")
+    return 0
+
+
+def cmd_interpret(cfg: RunConfig) -> int:
+    model, windows, out = _checkpoint_inputs(cfg)
+    _interpret(cfg, model, windows, out)
     _say(cfg, f"wrote {out / 'importance.csv'}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    model, dataset, out = _checkpoint_inputs(cfg)
+    model, windows, out = _checkpoint_inputs(cfg)
+    metrics, n_windows = _held_out_metrics(model, windows)
     with _stage("evaluate"):
-        windows = _model_windows(cfg, model, dataset)
-        _, held_out = tft.split_windows(windows, model.config.validation_fraction)
-        metrics = {**_held_out_metrics(model, held_out), "n_windows": len(held_out)}
-        write_json(metrics, out / "metrics.json")
+        write_json({**metrics, "n_windows": n_windows}, out / "metrics.json")
     _say(cfg, f"wrote {out / 'metrics.json'}")
     return 0
 
@@ -527,77 +601,46 @@ def cmd_plan(cfg: RunConfig) -> int:
         raise UsageError("--sla-ms is required")
     dataset = _load_dataset_or_fail(cfg)
     scenario = resolve_scenario(cfg.scenario) if cfg.scenario else None
-    with _stage("plan"):
+    try:
         forecast = read_forecast_csv(forecast_path)
+    except ValueError as exc:
+        raise UsageError(f"{forecast_path}: {exc}") from exc
+    try:
         features, importance = read_importance_csv(importance_path)
-        report = scaler.detect_violation(forecast, scaler.SlaSpec(cfg.sla_ms))
-        if not report.violated:
-            plan = _noop_plan(cfg, cfg.sla_ms)
-        else:
-            plan, _, _ = _solve_plan(cfg, forecast, report, features, importance,
-                                     dataset, scenario, out, cfg.sla_ms)
-        (out / "plan.json").write_text(plan.to_json() + "\n")
+    except ValueError as exc:
+        raise UsageError(f"{importance_path}: {exc}") from exc
+    for row_no, row in _csv_rows(importance_path, ()):
+        if not _has_series(dataset, row["feature"]):
+            raise UsageError(f"{importance_path}: feature {row['feature']!r} is not in "
+                             f"{cfg.dataset} (row {row_no}, column 'feature')")
+    if len(importance) != forecast.horizon:
+        raise UsageError(f"{importance_path} has {len(importance)} steps but "
+                         f"{forecast_path} has {forecast.horizon}")
+    report, _, _ = _plan(cfg, forecast, features, importance, dataset, scenario, cfg.sla_ms, out)
     _say(cfg, f"wrote {out / 'plan.json'} (violated={report.violated})")
     return 0
 
 
 def cmd_e2e(cfg: RunConfig) -> int:
-    if not cfg.scenario:
-        raise UsageError("--scenario is required")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    with _stage("scenario"):
-        scenario = resolve_scenario(cfg.scenario)
-        if cfg.seed is not None:
-            scenario.seed = cfg.seed
-    with _stage("simulate"):
-        dataset = scenario.run()
-        save_dataset(dataset, out / "dataset.csv")
-        write_json(scenario_to_dict(scenario), out / "scenario_echo.json")
-        cfg.dataset = str(out / "dataset.csv")
+    scenario, dataset = _simulate(cfg, out)
     with _stage("sla"):
-        steady = dataset.target(cfg.trace).values[-cfg.steady_window :]
-        before_p95 = p95(steady)
+        before_p95 = p95(dataset.target(cfg.trace).values[-cfg.steady_window :])
         sla_ms = cfg.sla_ms if cfg.sla_ms is not None else cfg.sla_factor * before_p95
     _say(cfg, f"steady-state p95 {before_p95:.1f} ms, SLA {sla_ms:.1f} ms")
 
-    with _stage("train"):
-        model, train_report, windows = _train_model(cfg, dataset, out)
-    with _stage("predict"):
-        window = windows[-1]
-        forecast = tft.predict(model, window)
-        write_forecast_csv(forecast, out / "forecast.csv")
-        _, held_out = tft.split_windows(windows, model.config.validation_fraction)
-        tft_metrics = _held_out_metrics(model, held_out)
-    with _stage("violation"):
-        violation = scaler.detect_violation(forecast, scaler.SlaSpec(sla_ms))
+    model, train_report, windows = _train_model(cfg, dataset, out)
+    forecast = _forecast(cfg, model, windows, out)
+    tft_metrics, _ = _held_out_metrics(model, windows)
+    imp = _interpret(cfg, model, windows, out)
+    violation, plan, fit = _plan(cfg, forecast, list(imp.decoder_features),
+                                 imp.decoder_variable_importance, dataset, scenario, sla_ms, out)
     _say(cfg, f"violation fraction {violation.violation_fraction:.3f}")
 
-    krr_metrics = None
     if not violation.violated:
-        plan = _noop_plan(cfg, sla_ms)
-        (out / "plan.json").write_text(plan.to_json() + "\n")
         shutil.copyfile(out / "dataset.csv", out / "dataset_after.csv")
         after_p95 = before_p95
     else:
-        with _stage("interpret"):
-            imp = tft.interpret(model, window)
-            features = list(imp.decoder_features)
-            write_importance_csv(features, imp.decoder_variable_importance,
-                                 out / "importance.csv")
-        with _stage("krr"):
-            plan, fit, result = _solve_plan(
-                cfg, forecast, violation, features,
-                imp.decoder_variable_importance, dataset, scenario, out, sla_ms,
-            )
-            krr_metrics = {
-                "cv_mse": fit.cv_mse,
-                "pooled_rmse": fit.pooled_rmse,
-                "pooled_r2": fit.pooled_r2,
-            }
-        with _stage("plan"):
-            (out / "plan.json").write_text(plan.to_json() + "\n")
         with _stage("resimulate"):
             rescaled = apply_plan(scenario.configs, plan)
             after = replace(scenario, configs=rescaled).run()
@@ -615,13 +658,9 @@ def cmd_e2e(cfg: RunConfig) -> int:
             "sla_met_within_5pct": bool(after_p95 <= 1.05 * sla_ms),
             "plan_converged": plan.converged,
             "theta": plan.theta,
-            "actions": [
-                {"service": a.service, "resource": a.resource, "current": a.current,
-                 "factor": a.factor, "recommended": a.recommended}
-                for a in plan.actions
-            ],
+            "actions": [asdict(a) for a in plan.actions],
             "tft": tft_metrics,
-            "krr": krr_metrics,
+            "krr": None if fit is None else _fit_scores(fit),
             "train": {"stopped_epoch": train_report.stopped_epoch,
                       "best_epoch": train_report.best_epoch},
         }
@@ -686,20 +725,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    simple = ("scenario", "dataset", "checkpoint", "trace", "resources", "seed",
-              "duration", "sla_ms", "sla_factor", "window_start", "restarts")
-    for name in simple:
+    """``cfg`` with each flag given applied, one at a time so an error
+    names its flag; a value the settings reject raises UsageError."""
+    names = ("scenario", "dataset", "checkpoint", "trace", "resources", "seed", "duration",
+             "sla_ms", "sla_factor", "window_start", "restarts", "out", "epochs")
+    for name in names:
         value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
+        if value is None:
+            continue
+        try:
+            if name == "epochs":
+                cfg = replace(cfg, tft=replace(cfg.tft, max_epochs=value))
+            else:
+                cfg = replace(cfg, **{name: value})
+        except ValueError as exc:
+            raise UsageError(f"--{name.replace('_', '-')} {value}: {exc}") from exc
     if getattr(args, "quiet", False):
-        cfg.quiet = True
-    if getattr(args, "epochs", None) is not None:
-        cfg.tft = replace(cfg.tft, max_epochs=args.epochs)
-    if cfg.resources not in ("horizontal", "vertical", "both"):
-        raise UsageError(f"unknown resource mode {cfg.resources!r}")
+        cfg = replace(cfg, quiet=True)
     return cfg
 
 

@@ -56,6 +56,8 @@ class TftConfig:
         qs = tuple(self.quantiles)
         if not qs or any(not 0 < q < 1 for q in qs) or any(b <= a for a, b in zip(qs, qs[1:])):
             raise ValueError("quantiles must be strictly increasing within (0, 1)")
+        if 0.5 not in qs:
+            raise ValueError("quantiles must include the median 0.5, which violation checks read")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
         if not 0 < self.validation_fraction < 1:
@@ -587,13 +589,13 @@ def persistence_metrics(windows: Sequence[Window]) -> dict[str, float]:
     return evaluate(pred, actual)
 
 
-def band_coverage(forecasts: Sequence[QuantileForecast], windows: Sequence[Window],
-                  low: float = 0.1, high: float = 0.9) -> float:
-    """Fraction of realized values inside the [low, high] band of ``forecasts``."""
+def band_coverage(forecasts: Sequence[QuantileForecast], windows: Sequence[Window]) -> float:
+    """Fraction of realized values inside the band between the lowest and
+    highest quantile of ``forecasts``."""
     inside = 0
     count = 0
     for w, f in zip(windows, forecasts):
-        lo_band, hi_band = f.band(low, high)
+        lo_band, hi_band = f.values[:, 0], f.values[:, -1]
         inside += int(np.sum((w.future_target >= lo_band) & (w.future_target <= hi_band)))
         count += w.future_target.size
     return inside / count

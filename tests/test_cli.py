@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from importlib import resources
@@ -5,9 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from latscale import tft
+from latscale import cli, krr, tft
 from latscale.cli import RunConfig, UsageError, load_run_config, main
-from latscale.simulator import load_scenario, scenario_from_dict, scenario_to_dict
+from latscale.simulator import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 
 TINY_SCENARIO = {
     "seed": 5,
@@ -150,13 +151,11 @@ class TestPredictInterpret:
     def test_checkpoint_feature_mismatch(self, workspace, tmp_path):
         assert main(["simulate", "--scenario", "sla_demo", "--duration", "40",
                      "--out", str(tmp_path), "--quiet"]) == 0
-        import csv as csv_mod
-
         with open(tmp_path / "dataset.csv") as fh:
-            rows = list(csv_mod.reader(fh))
+            rows = list(csv.reader(fh))
         keep = [i for i, name in enumerate(rows[0]) if name != "pods.cart"]
         with open(tmp_path / "trimmed.csv", "w", newline="") as fh:
-            writer = csv_mod.writer(fh)
+            writer = csv.writer(fh)
             for row in rows:
                 writer.writerow([row[i] for i in keep])
         rc = main(["predict", "--dataset", str(tmp_path / "trimmed.csv"),
@@ -234,6 +233,27 @@ class TestHeldOutForecast:
         assert sorted(sizes) == [1, held_out]  # the forecast window, then the held-out ones
 
 
+def fail(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+# (edit, file it edits, what the error says)
+PLAN_INPUT_EDITS = [
+    ("unknown-feature", "importance.csv",
+     "feature 'pods.carts' is not in {dataset} (row 3, column 'feature')"),
+    ("no-weight-column", "importance.csv", "missing column (row 1, column 'weight')"),
+    ("no-value-column", "forecast.csv", "missing column (row 1, column 'value_ms')"),
+    ("nan-weight", "importance.csv", "non-finite cell 'nan' (row 4, column 'weight')"),
+    ("inf-value", "forecast.csv", "non-finite cell 'inf' (row 3, column 'value_ms')"),
+    ("word-step", "importance.csv", "cannot read 'one' as int (row 2, column 'step')"),
+    ("ragged-row", "importance.csv", "ragged row: expected 3 cells (row 5)"),
+    ("repeated-row", "importance.csv", "repeated feature 'cps.green' in one step (row 3"),
+    ("lacking-row", "importance.csv", "step 1 lacks feature 'cps.green'"),
+    ("no-median", "forecast.csv", "no 0.5 quantile"),
+    ("step-mismatch", "importance.csv", "has 3 steps but"),
+]
+
+
 class TestPlan:
     def prime(self, workspace, out):
         for cmd in ("predict", "interpret"):
@@ -267,6 +287,82 @@ class TestPlan:
                    "--sla-ms", "10", "--out", str(tmp_path), "--quiet"])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit, name, says", PLAN_INPUT_EDITS,
+                             ids=[edit for edit, _, _ in PLAN_INPUT_EDITS])
+    def test_rejects_malformed_input_before_any_work(self, workspace, tmp_path, capsys,
+                                                     edit, name, says):
+        self.prime(workspace, tmp_path)
+        path = tmp_path / name
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if edit == "unknown-feature":
+            rows = [[c.replace("pods.cart", "pods.carts") for c in row] for row in rows]
+        elif edit.startswith("no-") and edit.endswith("-column"):
+            rows = [row[:2] for row in rows]
+        elif edit == "nan-weight":
+            rows[3][2] = "nan"
+        elif edit == "inf-value":
+            rows[2][2] = "inf"
+        elif edit == "word-step":
+            rows[1][0] = "one"
+        elif edit == "ragged-row":
+            rows[4].append("0.5")
+        elif edit == "repeated-row":
+            rows.insert(2, rows[1])
+        elif edit == "lacking-row":
+            del rows[1]
+        elif edit == "no-median":
+            rows = [row for row in rows if row[1] != "0.5"]
+        elif edit == "step-mismatch":
+            rows = [row for row in rows if row[0] != "4"]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        dataset = workspace["out"] / "dataset.csv"
+        rc = main(["plan", "--config", str(workspace["ini"]), "--dataset", str(dataset),
+                   "--sla-ms", "10", "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert says.format(dataset=dataset) in err
+        assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "plan"])
+    def test_malformed_dataset_is_usage_error(self, workspace, tmp_path, capsys, command):
+        self.prime(workspace, tmp_path)
+        with open(workspace["out"] / "dataset.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][1] = "abc"
+        path = tmp_path / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rc = main([command, "--config", str(workspace["ini"]), "--dataset", str(path),
+                   "--sla-ms", "10", "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: dataset {path}: non-numeric cell")
+
+    def test_failing_fit_is_stage_error(self, workspace, tmp_path, capsys, monkeypatch):
+        self.prime(workspace, tmp_path)
+        monkeypatch.setattr(krr, "fit_per_feature", fail)
+        rc = main(["plan", "--config", str(workspace["ini"]),
+                   "--dataset", str(workspace["out"] / "dataset.csv"),
+                   "--sla-ms", "10", "--out", str(tmp_path), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: stage plan: injected")
+
+
+# (stage, owner of a call the stage makes, name of that call)
+STAGE_FAULTS = [
+    ("simulate", Scenario, "run"),
+    ("sla", cli, "p95"),
+    ("train", tft, "train_with_restarts"),
+    ("predict", tft, "predict"),
+    ("evaluate", tft, "persistence_metrics"),
+    ("interpret", tft, "interpret"),
+    ("plan", krr, "fit_per_feature"),
+    ("resimulate", cli, "apply_plan"),
+    ("summarize", cli, "asdict"),
+]
+
 
 class TestE2e:
     def test_no_violation_leaves_everything_unchanged(self, workspace, tmp_path):
@@ -290,6 +386,63 @@ class TestE2e:
         assert (tmp_path / "plan.json").exists()
         assert (tmp_path / "krr_models.json").exists()
 
+    def test_quantile_set_without_outer_deciles(self, workspace, tmp_path):
+        ini = tmp_path / "config.ini"
+        ini.write_text(TINY_INI.replace("[tft]\n", "[tft]\nquantiles = 0.2, 0.5, 0.8\n"))
+        rc = main(["e2e", "--config", str(ini), "--scenario", str(workspace["scenario"]),
+                   "--sla-ms", "30", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        with open(tmp_path / "forecast.csv", newline="") as fh:
+            assert {row["quantile"] for row in csv.DictReader(fh)} == {"0.2", "0.5", "0.8"}
+        assert 0 <= json.loads((tmp_path / "summary.json").read_text())["tft"]["band_coverage"] <= 1
+
+    @pytest.mark.parametrize("stage, owner, name", STAGE_FAULTS,
+                             ids=[stage for stage, _, _ in STAGE_FAULTS])
+    def test_failure_names_its_stage(self, workspace, tmp_path, capsys, monkeypatch,
+                                     stage, owner, name):
+        monkeypatch.setattr(owner, name, fail)
+        rc = main(["e2e", "--config", str(workspace["ini"]),
+                   "--scenario", str(workspace["scenario"]),
+                   "--sla-ms", "30", "--out", str(tmp_path), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: stage {stage}: injected")
+
+
+# Every file both e2e and the separate commands write.
+CHAIN_FILES = ("dataset.csv", "scenario_echo.json", "checkpoint.json", "training_report.json",
+               "forecast.csv", "importance.csv", "importance_encoder.csv", "attention.csv",
+               "plan.json", "krr_models.json", "krr_cv.csv")
+
+
+class TestChain:
+    """e2e is simulate, train, predict, interpret and plan run in sequence."""
+
+    @pytest.mark.parametrize("run_settings", ["", "duration = 120\nwindow_start = 30\n"],
+                             ids=["defaults", "duration-and-window"])
+    def test_commands_reproduce_e2e(self, workspace, tmp_path, run_settings):
+        ini = tmp_path / "config.ini"
+        # an SLA low enough that the loop plans
+        ini.write_text(TINY_INI.replace("[run]\n", "[run]\nsla_factor = 0.05\n" + run_settings))
+        scenario = ["--scenario", str(workspace["scenario"])]
+        loop, chain = tmp_path / "e2e", tmp_path / "chain"
+        common = ["--config", str(ini), "--quiet"]
+        assert main(["e2e", *scenario, "--out", str(loop), *common]) == 0
+        summary = json.loads((loop / "summary.json").read_text())
+        assert summary["violated"]
+
+        dataset = ["--dataset", str(chain / "dataset.csv")]
+        checkpoint = ["--checkpoint", str(chain / "checkpoint.json")]
+        for args in (["simulate", *scenario],
+                     ["train", *dataset],
+                     ["predict", *dataset, *checkpoint],
+                     ["interpret", *dataset, *checkpoint],
+                     ["plan", *scenario, *dataset, "--sla-ms", repr(summary["sla_ms"])]):
+            assert main([*args, "--out", str(chain), *common]) == 0
+        for name in CHAIN_FILES:
+            assert (chain / name).read_bytes() == (loop / name).read_bytes(), name
+        steps = len((loop / "dataset.csv").read_text().splitlines()) - 1
+        assert steps == (120 if run_settings else TINY_SCENARIO["duration_steps"])
+
 
 def bundled(kind, name):
     return resources.files("latscale") / kind / name
@@ -308,8 +461,15 @@ class TestConfigFile:
         ("[boxes]\ncps = 0.25, 0.5, 1\n", "[boxes] cps"),
         ("[boxes]\npods = 4, 2\n", "[boxes] pods"),
         ("[DEFAULT]\nseed = 3\n[run]\n", "[DEFAULT]"),
+        ("[tft]\nquantiles = 0.2, 0.8\n", "[tft] quantiles: quantiles must include the median"),
+        ("[run]\nsteady_window = 0\n", "[run] steady_window: steady_window must be positive"),
+        ("[run]\nrestarts = 0\n", "[run] restarts: restarts must be positive"),
+        ("[run]\nsla_factor = 0\n", "[run] sla_factor: sla_factor must be positive"),
+        ("[run]\nsla_ms = -5\n", "[run] sla_ms: sla_ms must be positive"),
+        ("[run]\nresources = diagonal\n", "[run] resources: unknown resource mode"),
     ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
-            "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section"])
+            "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section",
+            "no-median", "steady-window", "restarts", "sla-factor", "sla-ms", "resources"])
     def test_rejects_with_section_and_key(self, tmp_path, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -323,6 +483,17 @@ class TestConfigFile:
                    "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
         assert "error: [tft] max_epoch: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (["e2e", "--restarts", "0"], "--restarts 0: restarts must be positive"),
+        (["e2e", "--sla-factor", "-1"], "--sla-factor -1.0: sla_factor must be positive"),
+        (["e2e", "--sla-ms", "0"], "--sla-ms 0.0: sla_ms must be positive"),
+        (["train", "--epochs", "0"], "--epochs 0: all size and count settings must be positive"),
+    ], ids=["restarts", "sla-factor", "sla-ms", "epochs"])
+    def test_flags_get_the_same_checks(self, tmp_path, capsys, args, named):
+        assert main([*args, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_section_sets_every_scalar_field(self, tmp_path):
         path = tmp_path / "run.ini"

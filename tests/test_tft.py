@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from latscale.tft import (
     QuantileForecast,
     TemporalFusionTransformer,
     TftConfig,
+    band_coverage,
     build_model,
     evaluate,
     interpret,
@@ -68,6 +70,10 @@ class TestConfig:
             TftConfig(quantiles=(0.5, 0.5, 0.9))
         with pytest.raises(ValueError, match="strictly increasing"):
             TftConfig(quantiles=(0.1, 1.0))
+
+    def test_quantiles_must_include_median(self):
+        with pytest.raises(ValueError, match="median 0.5"):
+            TftConfig(quantiles=(0.2, 0.8))
 
     def test_counts_positive(self):
         with pytest.raises(ValueError):
@@ -276,6 +282,14 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             evaluate([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("quantiles", [(0.1, 0.5, 0.9), (0.2, 0.5, 0.8), (0.25, 0.5)])
+    def test_band_coverage_spans_outer_quantiles(self, quantiles):
+        inner = [15.0] * (len(quantiles) - 2)
+        values = np.array([[10.0, *inner, 20.0]] * 3)  # the band is [10, 20] at every step
+        window = SimpleNamespace(future_target=np.array([9.0, 15.0, 20.0]))
+        forecast = QuantileForecast(quantiles, values)
+        assert band_coverage([forecast, forecast], [window, window]) == pytest.approx(2 / 3)
 
 
 class TestCheckpoint:
