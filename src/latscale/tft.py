@@ -160,6 +160,7 @@ class TemporalFusionTransformer:
             nn.Linear(store, f"head.q{i}", h, 1) for i in range(len(config.quantiles))
         ]
         self.feature_scaling: "FeatureScaling | None" = None  # set by train()
+        self._run: "_Run | None" = None  # the last training run's end state, set by train()
 
     def parameter_count(self) -> int:
         return self.store.parameter_count()
@@ -384,6 +385,24 @@ def split_windows(windows: Sequence[Window], validation_fraction: float) -> tupl
     return list(windows[:n_train]), list(windows[n_train:])
 
 
+@dataclass
+class _Run:
+    """A training run between epochs: everything its next epoch reads,
+    so the run can go on exactly where it stopped.  It holds no batches
+    and no reference to the model."""
+
+    optimizer: nn.Adam  # moments, step count and learning rate
+    rng: np.random.Generator  # batch order and dropout
+    best_state: dict[str, np.ndarray]
+    best_val: float = np.inf
+    best_epoch: int = 0
+    last_reduction: int = 0
+    stopped_early: bool = False
+    last_state: dict[str, np.ndarray] | None = None  # weights after the last epoch run
+    train_losses: list[float] = field(default_factory=list)
+    val_losses: list[float] = field(default_factory=list)
+
+
 def train(
     model: TemporalFusionTransformer,
     windows: Sequence[Window],
@@ -393,67 +412,83 @@ def train(
 
     Windows are split chronologically (validation last); the weights
     giving the best validation loss are restored at the end.  Fully
-    deterministic for a fixed config seed.
+    deterministic for a fixed config seed.  Every call starts a fresh
+    run; its end state stays on the model so that
+    ``train_with_restarts`` can continue it.
     """
     config = model.config
     if not windows:
         raise ValueError("empty window set")
     train_windows, val_windows = split_windows(windows, config.validation_fraction)
     model.feature_scaling = fit_feature_scaling(train_windows)
-    train_batch = prepare_batch(train_windows, config, model.feature_scaling)
-    val_batch = prepare_batch(val_windows, config, model.feature_scaling)
+    model._run = _Run(
+        optimizer=nn.Adam(model.store, lr=config.learning_rate, clip_norm=1.0),
+        rng=np.random.default_rng(config.seed),
+        best_state=model.store.state_dict(),
+    )
+    return _run_epochs(model, train_windows, val_windows, on_epoch)
 
-    rng = np.random.default_rng(config.seed)
-    optimizer = nn.Adam(model.store, lr=config.learning_rate, clip_norm=1.0)
-    # halve the learning rate when validation stalls; cheap insurance
-    # against the configured rate being too hot for a small model
-    lr_patience = max(1, config.early_stopping_patience // 2)
-    best_state = model.store.state_dict()
-    best_val = np.inf
-    best_epoch = 0
-    last_reduction = 0
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    stopped = 0
 
-    n_train = len(train_windows)
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n_train)
-        epoch_loss = 0.0
-        for lo_idx in range(0, n_train, config.batch_size):
-            idx = order[lo_idx : lo_idx + config.batch_size]
-            model.store.zero_grad()
-            out = model.forward(train_batch.enc[idx], train_batch.dec[idx],
-                                training=True, rng=rng)
-            loss = _batch_loss(model, out["quantiles"], train_batch.labels[idx])
-            loss.backward()
-            optimizer.step()
-            epoch_loss += float(loss.values) * len(idx)
-            del out, loss  # free this batch's graph before the next one is built
-        epoch_loss /= n_train
+def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window],
+                val_windows: Sequence[Window], on_epoch) -> TrainingReport:
+    """Take ``model._run`` on to ``max_epochs`` or an early stop, then
+    load its best weights.
 
-        val_loss = evaluate_loss(model, val_batch)
-        train_losses.append(epoch_loss)
-        val_losses.append(val_loss)
-        stopped = epoch
-        if on_epoch is not None:
-            on_epoch(epoch, epoch_loss, val_loss)
-        if val_loss < best_val - 1e-12:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = model.store.state_dict()
-        elif epoch - best_epoch >= max(config.early_stopping_patience, 0):
-            break
-        elif epoch - max(best_epoch, last_reduction) >= lr_patience and optimizer.lr > 1e-4:
-            optimizer.lr = max(optimizer.lr * 0.5, 1e-4)
-            last_reduction = epoch
+    The epochs the run already has are replayed to ``on_epoch`` first,
+    so a continued run makes the same calls as one run in one go.
+    """
+    config = model.config
+    run = model._run
+    if on_epoch is not None:
+        for epoch, (train_loss, val_loss) in enumerate(zip(run.train_losses, run.val_losses), 1):
+            on_epoch(epoch, train_loss, val_loss)
+    if not run.stopped_early and len(run.train_losses) < config.max_epochs:
+        if run.last_state is not None:
+            model.store.load_state_dict(run.last_state)
+        train_batch = prepare_batch(train_windows, config, model.feature_scaling)
+        val_batch = prepare_batch(val_windows, config, model.feature_scaling)
+        optimizer = run.optimizer
+        # halve the learning rate when validation stalls; cheap insurance
+        # against the configured rate being too hot for a small model
+        lr_patience = max(1, config.early_stopping_patience // 2)
+        n_train = len(train_windows)
+        for epoch in range(len(run.train_losses) + 1, config.max_epochs + 1):
+            order = run.rng.permutation(n_train)
+            epoch_loss = 0.0
+            for lo_idx in range(0, n_train, config.batch_size):
+                idx = order[lo_idx : lo_idx + config.batch_size]
+                model.store.zero_grad()
+                out = model.forward(train_batch.enc[idx], train_batch.dec[idx],
+                                    training=True, rng=run.rng)
+                loss = _batch_loss(model, out["quantiles"], train_batch.labels[idx])
+                loss.backward()
+                optimizer.step()
+                epoch_loss += float(loss.values) * len(idx)
+                del out, loss  # free this batch's graph before the next one is built
+            epoch_loss /= n_train
 
-    model.store.load_state_dict(best_state)
+            val_loss = evaluate_loss(model, val_batch)
+            run.train_losses.append(epoch_loss)
+            run.val_losses.append(val_loss)
+            if on_epoch is not None:
+                on_epoch(epoch, epoch_loss, val_loss)
+            if val_loss < run.best_val - 1e-12:
+                run.best_val = val_loss
+                run.best_epoch = epoch
+                run.best_state = model.store.state_dict()
+            elif epoch - run.best_epoch >= max(config.early_stopping_patience, 0):
+                run.stopped_early = True
+                break
+            elif epoch - max(run.best_epoch, run.last_reduction) >= lr_patience and optimizer.lr > 1e-4:
+                optimizer.lr = max(optimizer.lr * 0.5, 1e-4)
+                run.last_reduction = epoch
+        run.last_state = model.store.state_dict()
+        model.store.load_state_dict(run.best_state)
     return TrainingReport(
-        train_loss=train_losses,
-        val_loss=val_losses,
-        stopped_epoch=stopped,
-        best_epoch=best_epoch,
+        train_loss=list(run.train_losses),
+        val_loss=list(run.val_losses),
+        stopped_epoch=len(run.train_losses),
+        best_epoch=run.best_epoch,
         n_train_windows=len(train_windows),
         n_val_windows=len(val_windows),
         config=asdict(config),
@@ -469,27 +504,31 @@ def train_with_restarts(
     scout_epochs: int = 5,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> tuple[TemporalFusionTransformer, TrainingReport]:
-    """Race several fresh initializations for a few epochs, then fully
-    train the one with the best validation loss.
+    """Race several fresh initializations for a few epochs, then train
+    the one with the best validation loss on to ``config.max_epochs``.
 
     Small models under an aggressive learning rate occasionally start
     in a poor basin; the short scouting phase screens those out using
-    validation loss only.  Deterministic: candidate seeds derive from
-    the configured seed.
+    validation loss only.  A scout's epochs are the first epochs of its
+    full run, so the winner is continued from where its scout stopped
+    (weights, Adam state, random stream, early-stopping counters) and
+    the result is identical to retraining it from scratch.
+    Deterministic: candidate seeds derive from the configured seed.
     """
     if restarts <= 1:
         model = TemporalFusionTransformer(config, encoder_features, decoder_features)
         return model, train(model, windows, on_epoch=on_epoch)
+    scouts = []
     scout_losses = []
-    candidates = [replace(config, seed=config.seed + 101 * r) for r in range(restarts)]
-    for candidate in candidates:
+    for r in range(restarts):
+        candidate = replace(config, seed=config.seed + 101 * r)
         scout_cfg = replace(candidate, max_epochs=min(scout_epochs, candidate.max_epochs))
         scout = TemporalFusionTransformer(scout_cfg, encoder_features, decoder_features)
-        scout_report = train(scout, windows)
-        scout_losses.append(min(scout_report.val_loss))
-    winner = candidates[int(np.argmin(scout_losses))]
-    model = TemporalFusionTransformer(winner, encoder_features, decoder_features)
-    report = train(model, windows, on_epoch=on_epoch)
+        scout_losses.append(min(train(scout, windows).val_loss))
+        scouts.append((candidate, scout))
+    winner, model = scouts[int(np.argmin(scout_losses))]
+    model.config = winner  # differs from its scout's only in max_epochs
+    report = _run_epochs(model, *split_windows(windows, winner.validation_fraction), on_epoch)
     report.restart_scout_losses = [float(v) for v in scout_losses]
     return model, report
 

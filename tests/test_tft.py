@@ -1,9 +1,13 @@
+import gc
 import json
+import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from latscale import tft
 from latscale.tft import (
     ImportanceSeries,
     QuantileForecast,
@@ -21,6 +25,7 @@ from latscale.tft import (
     prepare_batch,
     save_checkpoint,
     train,
+    train_with_restarts,
 )
 from latscale.trace_data import (
     MetricSeries,
@@ -188,6 +193,141 @@ class TestTrain:
 
         current = evaluate_loss(model, prepare_batch(val, model.config))
         assert current == pytest.approx(min(report.val_loss), rel=1e-9)
+
+
+def retrain_with_restarts(config, encoder_features, decoder_features, windows,
+                          restarts=3, scout_epochs=5, on_epoch=None):
+    """Oracle: the restart race that trains the winning seed again from
+    scratch instead of continuing its scout."""
+    if restarts <= 1:
+        model = TemporalFusionTransformer(config, encoder_features, decoder_features)
+        return model, train(model, windows, on_epoch=on_epoch)
+    scout_losses = []
+    candidates = [replace(config, seed=config.seed + 101 * r) for r in range(restarts)]
+    for candidate in candidates:
+        scout_cfg = replace(candidate, max_epochs=min(scout_epochs, candidate.max_epochs))
+        scout = TemporalFusionTransformer(scout_cfg, encoder_features, decoder_features)
+        scout_report = train(scout, windows)
+        scout_losses.append(min(scout_report.val_loss))
+    winner = candidates[int(np.argmin(scout_losses))]
+    model = TemporalFusionTransformer(winner, encoder_features, decoder_features)
+    report = train(model, windows, on_epoch=on_epoch)
+    report.restart_scout_losses = [float(v) for v in scout_losses]
+    return model, report
+
+
+FEATURES = (["cps.green", "pods.cart", "latency_p95.green"], ["cps.green", "pods.cart"])
+
+
+def run_restarts(race, config, windows, tmp_path, name, **kwargs):
+    epochs = []
+    model, report = race(config, *FEATURES, windows, restarts=2,
+                         on_epoch=lambda *args: epochs.append(args), **kwargs)
+    save_checkpoint(model, tmp_path / f"{name}.json")
+    return model, report, (tmp_path / f"{name}.json").read_bytes(), epochs
+
+
+class TestRestarts:
+    @pytest.mark.parametrize("max_epochs, patience, scout_epochs, case", [
+        (2, 5, 5, "max_epochs_within_scout"),
+        (8, 2, 3, "lr_cut_after_scout_ended_off_its_best"),
+        (10, 1, 5, "scout_stops_early"),
+    ])
+    def test_continued_winner_equals_retrained(self, tmp_path, max_epochs, patience,
+                                                scout_epochs, case):
+        windows = sine_windows(n=160)
+        config = replace(SMALL, max_epochs=max_epochs, early_stopping_patience=patience)
+        model, report, checkpoint, epochs = run_restarts(
+            train_with_restarts, config, windows, tmp_path, "continued", scout_epochs=scout_epochs)
+        _, oracle_report, oracle_checkpoint, oracle_epochs = run_restarts(
+            retrain_with_restarts, config, windows, tmp_path, "retrained",
+            scout_epochs=scout_epochs)
+        assert checkpoint == oracle_checkpoint
+        assert report.to_json() == oracle_report.to_json()
+        assert epochs == oracle_epochs
+        run = model._run  # the case this parameter set is meant to cover
+        assert {
+            "max_epochs_within_scout": max_epochs <= scout_epochs,
+            "lr_cut_after_scout_ended_off_its_best": (
+                run.last_reduction > scout_epochs
+                and np.argmin(report.val_loss[:scout_epochs]) + 1 < scout_epochs),
+            "scout_stops_early": run.stopped_early and report.stopped_epoch < scout_epochs,
+        }[case]
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_one_train_call_per_scout(self, monkeypatch, restarts):
+        calls = []
+        real = tft.train
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(tft, "train", counted)
+        config = replace(SMALL, max_epochs=2, seed=5)
+        model, _ = train_with_restarts(config, *FEATURES, sine_windows(n=120),
+                                       restarts=restarts, scout_epochs=1)
+        assert len(calls) == restarts
+        assert model in calls
+
+    def test_single_restart_is_plain_train(self, tmp_path):
+        windows = sine_windows(n=120)
+        config = replace(SMALL, max_epochs=2, seed=5)
+        got_epochs, want_epochs = [], []
+        model, report = train_with_restarts(config, *FEATURES, windows, restarts=1,
+                                            on_epoch=lambda *a: got_epochs.append(a))
+        plain = TemporalFusionTransformer(config, *FEATURES)
+        plain_report = train(plain, windows, on_epoch=lambda *a: want_epochs.append(a))
+        save_checkpoint(model, tmp_path / "single.json")
+        save_checkpoint(plain, tmp_path / "plain.json")
+        assert (tmp_path / "single.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert report.to_json() == plain_report.to_json()
+        assert got_epochs == want_epochs
+
+    def test_second_train_starts_a_fresh_run(self, tmp_path):
+        """A model trained before, including one whose run stopped early,
+        trains again exactly like a fresh model holding the same weights."""
+        windows = sine_windows(n=160)
+        config = replace(SMALL, max_epochs=6, early_stopping_patience=1)
+        model = small_model(config)
+        first = train(model, windows)
+        assert model._run.stopped_early and first.stopped_epoch < config.max_epochs
+        fresh = small_model(config)
+        fresh.store.load_state_dict(model.store.state_dict())
+        again, fresh_report = train(model, windows), train(fresh, windows)
+        save_checkpoint(model, tmp_path / "again.json")
+        save_checkpoint(fresh, tmp_path / "fresh.json")
+        assert again.to_json() == fresh_report.to_json()
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_training_leaves_nothing_heavy(self, monkeypatch, restarts):
+        """Without the cycle collector, every prepared batch is freed when
+        training returns and the trained model is freed once dropped."""
+        batch_refs = []
+        real = tft.prepare_batch
+
+        def recording(*args, **kwargs):
+            batch = real(*args, **kwargs)
+            batch_refs.extend(weakref.ref(a) for a in (batch.enc, batch.dec, batch.labels))
+            return batch
+
+        monkeypatch.setattr(tft, "prepare_batch", recording)
+        config = replace(SMALL, max_epochs=2, seed=5)
+        windows = sine_windows(n=120)
+        gc.collect()
+        gc.disable()
+        try:
+            model, report = train_with_restarts(config, *FEATURES, windows,
+                                                restarts=restarts, scout_epochs=1)
+            assert len(batch_refs) == 3 * 2 * (restarts + (restarts > 1))  # train and validation
+            assert all(ref() is None for ref in batch_refs)
+            model_ref = weakref.ref(model)
+            del model
+            assert model_ref() is None
+            assert report.stopped_epoch == 2
+        finally:
+            gc.enable()
 
 
 class TestPredict:
