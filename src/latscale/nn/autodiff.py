@@ -238,11 +238,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine)."""
-    v = x.values
-    mu = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
+    # np.var's own steps, with the mean and the centring done once
+    centred = x.values - x.values.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (v - mu) * inv
+    xhat = centred * inv
     out = Tensor(xhat, (x,))
 
     def backward(g):
@@ -428,8 +428,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs a random generator")
-    mask = (rng.random(x.values.shape) >= p) / (1.0 - p)
-    return mul(x, mask)
+    keep = rng.random(x.values.shape) >= p  # the graph keeps 1 byte per element
+    out = Tensor(x.values * (keep / (1.0 - p)), (x,))
+    out._backward = lambda g: _accumulate(x, g * (keep / (1.0 - p)))
+    return out
 
 
 def grad_check(

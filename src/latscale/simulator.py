@@ -8,6 +8,7 @@ second) and records the p95 latency per trace.
 """
 from __future__ import annotations
 
+import functools
 import json
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -249,31 +250,55 @@ def check_references(graph: CallGraph, workload: Mapping[str, WorkloadProfile],
                 )
 
 
+@functools.lru_cache(maxsize=1)
+def _request_noise(seed: int, noise_sigma: float, counts: bytes,
+                   widths: tuple[int, ...]) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+    """Lognormal noise for every hop of every simulated request, per trace
+    as (steps, block) pairs, one per request count n: ``block`` is the
+    (steps x n x hops) noise of the steps whose trace sends n requests.
+
+    ``counts`` holds the (steps x traces) request counts as int64 bytes,
+    traces in sorted order.  The noise is drawn step by step, traces in
+    order within a step, one (requests x hops) block each; one draw of
+    the total size gives the same stream as a draw per block.  Only the
+    seed, sigma and this layout decide the noise, so the layout last
+    drawn is kept and a plan that changes pods, CPU or memory reuses
+    it.  The arrays are read-only.
+    """
+    n_req = np.frombuffer(counts, dtype=np.int64).reshape(-1, len(widths))
+    sizes = n_req * np.array(widths)  # (steps, traces), in draw order
+    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    noise = np.random.default_rng([seed, 3]).lognormal(0.0, noise_sigma, size=int(sizes.sum()))
+    per_trace = []
+    for k, width in enumerate(widths):
+        blocks = []
+        for n in np.unique(n_req[:, k]):
+            steps = np.flatnonzero(n_req[:, k] == n)
+            block = noise[starts[steps, k, None] + np.arange(n * width)].reshape(steps.size, n, width)
+            steps.flags.writeable = block.flags.writeable = False
+            blocks.append((steps, block))
+        per_trace.append(tuple(blocks))
+    return tuple(per_trace)
+
+
 def _noisy_p95(hops: Mapping[str, np.ndarray], cps: Mapping[str, np.ndarray],
-               rng: np.random.Generator, noise_sigma: float) -> dict[str, np.ndarray]:
+               seed: int, noise_sigma: float) -> dict[str, np.ndarray]:
     """Per-trace p95 over each step's max(1, round(rate)) requests, every
     hop latency of every request scaled by its own lognormal noise.
 
-    The noise is drawn step by step, traces in sorted order within a
-    step, one (requests x hops) block each; one draw of the total size
-    gives the same stream as a draw per block.  Steps of a trace with
-    the same request count are then gathered as one matrix, so memory
-    stays that of the draws even when a burst makes one step large.
+    The noise comes from ``_request_noise``; steps of a trace with the
+    same request count are one matrix, so memory stays that of the
+    noise even when a burst makes one step large.
     """
     order = sorted(hops)
     n_req = np.stack([np.maximum(1, np.round(cps[c])).astype(np.int64) for c in order], axis=1)
-    widths = np.array([hops[c].shape[1] for c in order])
-    sizes = n_req * widths  # (steps, traces), in draw order
-    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    noise = rng.lognormal(0.0, noise_sigma, size=int(sizes.sum()))
+    noise = _request_noise(seed, noise_sigma, n_req.tobytes(), tuple(hops[c].shape[1] for c in order))
     latency = {}
-    for k, color in enumerate(order):
-        latency[color] = np.empty(len(sizes))
-        for n in np.unique(n_req[:, k]):
-            steps = np.flatnonzero(n_req[:, k] == n)
-            block = noise[starts[steps, k, None] + np.arange(n * widths[k])]
-            requests = (hops[color][steps, None] * block.reshape(steps.size, n, widths[k])).sum(axis=2)
-            rank = nearest_rank(95.0, int(n))
+    for color, blocks in zip(order, noise):
+        latency[color] = np.empty(len(n_req))
+        for steps, block in blocks:
+            requests = (hops[color][steps, None] * block).sum(axis=2)
+            rank = nearest_rank(95.0, block.shape[1])
             latency[color][steps] = np.partition(requests, rank - 1, axis=1)[:, rank - 1]
     return latency
 
@@ -293,7 +318,10 @@ def simulate(
     capacity, and per-request latency is the base service time
     amplified by 1/(1 - rho) and multiplied by lognormal noise.  The
     per-trace target is the p95 over that step's simulated requests.
-    Identical seeds give bit-identical datasets.
+    Identical seeds give bit-identical datasets.  The request noise
+    depends only on the seed, sigma and the request counts, so a re-run
+    of the same seed and workload under other pods, CPU or memory (a
+    re-simulation under a plan) reuses the noise drawn last.
     """
     if duration_steps < 1:
         raise ValueError("duration_steps must be >= 1")
@@ -338,7 +366,7 @@ def simulate(
     # noise-free per-hop latency, (steps, hops) per trace
     hops = {color: np.column_stack([det[svc] for svc in trace_services[color]]) for color in colors}
     if noise_sigma > 0:
-        latency = _noisy_p95(hops, cps, np.random.default_rng([seed, 3]), noise_sigma)
+        latency = _noisy_p95(hops, cps, seed, noise_sigma)
     else:
         latency = {color: hops[color].sum(axis=1) for color in colors}
 

@@ -445,7 +445,6 @@ def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window
     if not run.stopped_early and len(run.train_losses) < config.max_epochs:
         if run.last_state is not None:
             model.store.load_state_dict(run.last_state)
-        train_batch = prepare_batch(train_windows, config, model.feature_scaling)
         val_batch = prepare_batch(val_windows, config, model.feature_scaling)
         optimizer = run.optimizer
         # halve the learning rate when validation stalls; cheap insurance
@@ -457,14 +456,15 @@ def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window
             epoch_loss = 0.0
             for lo_idx in range(0, n_train, config.batch_size):
                 idx = order[lo_idx : lo_idx + config.batch_size]
+                # prepared per batch: the scaling is elementwise and per window
+                batch = prepare_batch([train_windows[i] for i in idx], config, model.feature_scaling)
                 model.store.zero_grad()
-                out = model.forward(train_batch.enc[idx], train_batch.dec[idx],
-                                    training=True, rng=run.rng)
-                loss = _batch_loss(model, out["quantiles"], train_batch.labels[idx])
+                out = model.forward(batch.enc, batch.dec, training=True, rng=run.rng)
+                loss = _batch_loss(model, out["quantiles"], batch.labels)
                 loss.backward()
                 optimizer.step()
                 epoch_loss += float(loss.values) * len(idx)
-                del out, loss  # free this batch's graph before the next one is built
+                del batch, out, loss  # free this batch before the next one is built
             epoch_loss /= n_train
 
             val_loss = evaluate_loss(model, val_batch)

@@ -137,6 +137,29 @@ class TestAutodiffPrimitives:
         y = ad.dropout(x, 0.3, rng, training=True).values
         assert abs(y.mean() - 3.0) / 3.0 < 0.02
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_dropout_equals_a_float_mask_product(self, p):
+        """The boolean mask kept in the graph gives the float mask's bits."""
+        rng = np.random.default_rng(7)
+        values, upstream = rng.normal(size=(2, 64, 16, 8))
+        mask = (np.random.default_rng(8).random(values.shape) >= p) / (1.0 - p)
+        x, x_ref = Tensor(values.copy()), Tensor(values.copy())
+        y = ad.dropout(x, p, np.random.default_rng(8), training=True)
+        y_ref = ad.mul(x_ref, mask)
+        np.testing.assert_array_equal(y.values, y_ref.values)
+        y.backward(upstream)
+        y_ref.backward(upstream)
+        np.testing.assert_array_equal(x.grad, x_ref.grad)
+
+    @pytest.mark.parametrize("shape", [(6, 16), (2048, 8), (12800, 8), (3, 5, 7)])
+    def test_layer_norm_equals_the_np_var_form(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            v = rng.normal(rng.normal(), rng.exponential(), shape)
+            inv = 1.0 / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5)
+            expected = (v - v.mean(axis=-1, keepdims=True)) * inv
+            np.testing.assert_array_equal(ad.layer_norm(Tensor(v)).values, expected)
+
 
 class TestGlu:
     def test_zero_gate_weights_give_half(self):

@@ -18,6 +18,7 @@ from latscale.simulator import (
     UnknownServiceError,
     Walk,
     WorkloadProfile,
+    _request_noise,
     apply_plan,
     build_robotshop_graph,
     load_scenario,
@@ -283,8 +284,84 @@ class TestReferenceLoop:
         self.assert_matches(ds, latency)
 
 
+def dataset_bytes(ds):
+    return b"".join(s.name.encode() + s.values.tobytes() for s in ds.series)
+
+
+class TestNoiseCache:
+    """``simulate`` keeps the request noise of the layout it drew last;
+    a run that reuses it must equal one that draws it afresh."""
+
+    bundled = staticmethod(TestReferenceLoop.bundled)
+
+    @staticmethod
+    def run(s, seed, noise_sigma, configs=None, workloads=None):
+        return simulate(s.graph, workloads or s.workloads, configs or s.configs,
+                        s.duration_steps, seed, noise_sigma)
+
+    @pytest.mark.parametrize("cold_first", [True, False])
+    @pytest.mark.parametrize("noise_sigma", [0.05, 0.3])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("name", ["sla_demo", "robotshop_green", "cart_importance"])
+    def test_cold_and_warm_runs_are_byte_identical(self, name, seed, noise_sigma, cold_first):
+        s = self.bundled(name)
+        other = self.bundled("cart_importance" if name == "sla_demo" else "sla_demo")
+
+        def cold():
+            _request_noise.cache_clear()
+            return dataset_bytes(self.run(s, seed, noise_sigma))
+
+        def warm():
+            self.run(other, seed + 1, noise_sigma)  # another layout in between
+            self.run(s, seed, noise_sigma)
+            hits = _request_noise.cache_info().hits
+            out = dataset_bytes(self.run(s, seed, noise_sigma))
+            assert _request_noise.cache_info().hits == hits + 1
+            return out
+
+        first, second = (cold(), warm()) if cold_first else (warm(), cold())
+        assert first == second
+
+    def test_resimulation_under_a_pods_plan_equals_a_cold_run(self):
+        s = self.bundled()
+        self.run(s, 1, s.noise_sigma)
+        plan = TestApplyPlan.make_plan([PlanAction("cart", "pods", 2, 2.0, 4)])
+        configs = apply_plan(s.configs, plan)
+        hits = _request_noise.cache_info().hits
+        warm = self.run(s, 1, s.noise_sigma, configs=configs)
+        assert _request_noise.cache_info().hits == hits + 1
+        _request_noise.cache_clear()
+        cold = self.run(s, 1, s.noise_sigma, configs=configs)
+        assert dataset_bytes(warm) == dataset_bytes(cold)
+        assert not np.array_equal(warm.target("green").values,
+                                  self.run(s, 1, s.noise_sigma).target("green").values)
+
+    def test_cached_blocks_are_read_only(self):
+        counts = np.array([[2, 3], [2, 1]], dtype=np.int64).tobytes()
+        noise = _request_noise(0, 0.1, counts, (2, 3))
+        assert _request_noise(0, 0.1, counts, (2, 3)) is noise
+        steps, block = noise[0][0]
+        assert block.shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            steps[0] = 1
+
+    def test_sigma_seed_or_one_request_count_misses(self):
+        s = self.bundled()
+        burst = dict(s.workloads)
+        burst["green"] = replace(burst["green"], bursts=((30, 1, 5.0),))
+        self.run(s, 1, 0.1)
+        for seed, noise_sigma, workloads in ((1, 0.2, None), (2, 0.1, None), (1, 0.1, burst)):
+            misses = _request_noise.cache_info().misses
+            self.run(s, seed, noise_sigma, workloads=workloads)
+            assert _request_noise.cache_info().misses == misses + 1
+            self.run(s, 1, 0.1)
+
+
 class TestApplyPlan:
-    def make_plan(self, actions):
+    @staticmethod
+    def make_plan(actions):
         return ScalingPlan(
             trace="green",
             sla_ms=100.0,

@@ -16,6 +16,7 @@ from latscale.tft import (
     band_coverage,
     build_model,
     evaluate,
+    fit_feature_scaling,
     interpret,
     load_checkpoint,
     persistence_metrics,
@@ -24,6 +25,7 @@ from latscale.tft import (
     predict_many,
     prepare_batch,
     save_checkpoint,
+    split_windows,
     train,
     train_with_restarts,
 )
@@ -320,7 +322,12 @@ class TestRestarts:
         try:
             model, report = train_with_restarts(config, *FEATURES, windows,
                                                 restarts=restarts, scout_epochs=1)
-            assert len(batch_refs) == 3 * 2 * (restarts + (restarts > 1))  # train and validation
+            runs = restarts + (restarts > 1)  # the scouts and the continuation
+            epochs = restarts + 1  # one per scout, then on to max_epochs
+            n_train = len(split_windows(windows, config.validation_fraction)[0])
+            batches = -(-n_train // config.batch_size)
+            # validation once per run, training once per batch
+            assert len(batch_refs) == 3 * (runs + epochs * batches)
             assert all(ref() is None for ref in batch_refs)
             model_ref = weakref.ref(model)
             del model
@@ -328,6 +335,17 @@ class TestRestarts:
             assert report.stopped_epoch == 2
         finally:
             gc.enable()
+
+
+def test_batch_prepared_alone_equals_rows_of_the_whole_set():
+    windows = sine_windows(n=300)
+    scaling = fit_feature_scaling(windows)
+    whole = prepare_batch(windows, SMALL, scaling)
+    idx = np.random.default_rng(0).permutation(len(windows))[:SMALL.batch_size]
+    part = prepare_batch([windows[i] for i in idx], SMALL, scaling)
+    for name in ("enc", "dec", "labels", "target_lo", "target_range"):
+        np.testing.assert_array_equal(getattr(part, name), getattr(whole, name)[idx])
+    assert part.starts == [whole.starts[i] for i in idx]
 
 
 class TestPredict:
