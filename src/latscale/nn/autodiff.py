@@ -178,17 +178,24 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if isinstance(a, Tensor):
-            ga = g @ np.swapaxes(bv, -1, -2) if bv.ndim > 1 else np.outer(g, bv)
-            _accumulate(a, ga if ga.shape == av.shape else _reduce_leading(ga, av.shape))
+            _accumulate(a, _matmul_grad_left(g, av, bv))
         if isinstance(b, Tensor):
-            if av.ndim == 1:
-                gb = np.outer(av, g)
-            else:
-                gb = np.swapaxes(av, -1, -2) @ g
-            _accumulate(b, gb if gb.shape == bv.shape else _reduce_leading(gb, bv.shape))
+            _accumulate(b, _matmul_grad_right(g, av, bv))
 
     out._backward = backward
     return out
+
+
+def _matmul_grad_left(g: Array, av: Array, bv: Array) -> Array:
+    """The gradient of ``av @ bv`` with respect to ``av``."""
+    ga = g @ np.swapaxes(bv, -1, -2) if bv.ndim > 1 else np.outer(g, bv)
+    return ga if ga.shape == av.shape else _reduce_leading(ga, av.shape)
+
+
+def _matmul_grad_right(g: Array, av: Array, bv: Array) -> Array:
+    """The gradient of ``av @ bv`` with respect to ``bv``."""
+    gb = np.outer(av, g) if av.ndim == 1 else np.swapaxes(av, -1, -2) @ g
+    return gb if gb.shape == bv.shape else _reduce_leading(gb, bv.shape)
 
 
 def _reduce_leading(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -198,9 +205,12 @@ def _reduce_leading(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+def _sigmoid(v: Array) -> Array:
+    return 0.5 * (1.0 + np.tanh(0.5 * v))  # the overflow-safe form
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # 0.5 * (1 + tanh(x/2)) is the overflow-safe form
-    s = 0.5 * (1.0 + np.tanh(0.5 * x.values))
+    s = _sigmoid(x.values)
     out = Tensor(s, (x,))
     out._backward = lambda g: _accumulate(x, g * s * (1.0 - s))
     return out
@@ -213,11 +223,20 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def _elu(v: Array) -> tuple[Array, Array]:
+    """ELU of ``v``, and the mask ``v > 0`` that its gradient reads with it."""
+    positive = v > 0
+    return np.where(positive, v, np.expm1(np.minimum(v, 0.0))), positive  # clamp avoids overflow
+
+
+def _elu_grad(g: Array, y: Array, positive: Array) -> Array:
+    return g * np.where(positive, 1.0, y + 1.0)
+
+
 def elu(x: Tensor) -> Tensor:
-    v = x.values
-    y = np.where(v > 0, v, np.expm1(np.minimum(v, 0.0)))  # clamp avoids overflow in the dead branch
+    y, positive = _elu(x.values)
     out = Tensor(y, (x,))
-    out._backward = lambda g: _accumulate(x, g * np.where(v > 0, 1.0, y + 1.0))
+    out._backward = lambda g: _accumulate(x, _elu_grad(g, y, positive))
     return out
 
 
@@ -236,21 +255,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
+def _normalize(v: Array, eps: float = 1e-5) -> tuple[Array, Array]:
+    """x-hat and 1/sigma of ``v`` over its last axis."""
     # np.var's own steps, with the mean and the centring done once
-    centred = x.values - x.values.mean(axis=-1, keepdims=True)
+    centred = v - v.mean(axis=-1, keepdims=True)
     var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
+    return centred * inv, inv
+
+
+def _normalize_grad(g: Array, xhat: Array, inv: Array) -> Array:
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - xhat * gx)
+
+
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (no affine)."""
+    xhat, inv = _normalize(x.values, eps)
     out = Tensor(xhat, (x,))
-
-    def backward(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (g - gm - xhat * gx))
-
-    out._backward = backward
+    out._backward = lambda g: _accumulate(x, _normalize_grad(g, xhat, inv))
     return out
 
 
@@ -422,13 +446,90 @@ def _sum_backwards(per_step: Array) -> Array:
     return functools.reduce(np.add, per_step[::-1])
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout: identity at inference, mean-preserving at training."""
+def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Tensor, beta: Tensor,
+                   context: Tensor | None = None, context_w: Tensor | None = None,
+                   p: float = 0.0, rng: np.random.Generator | None = None,
+                   training: bool = False) -> Tensor:
+    """Run a gated residual network (``layers.Grn``) as one graph node.
+
+    The output is LayerNorm(skip(x) + sigmoid(gate(eta1)) * value(eta1))
+    * gamma + beta with eta1 = dropout(dense_out(ELU(dense_in(x) + context
+    @ context_w))).  Dense layers hold weights ``w`` and a bias ``b``;
+    ``skip`` is None for the identity.  Every sum and product is taken in
+    the order of the chain of per-op nodes, the dropout mask is drawn at
+    the same point, and ``x`` gets the skip term before the dense_in term
+    as that chain's backward order gives them, so results and training
+    match it to the last bit.  The node keeps only what its backward
+    reads: the ELU output and its ``> 0`` mask, the keep mask, the
+    dropped-out eta1, the gate and value activations, x-hat and 1/sigma.
+    """
+    xv = x.values
+    pre = xv @ dense_in.w.values + dense_in.b.values
+    if context is not None:
+        pre = pre + context.values @ context_w.values
+    hidden, positive = _elu(pre)
+    eta1 = hidden @ dense_out.w.values + dense_out.b.values
+    keep = _keep_mask(eta1.shape, p, rng, training)
+    if keep is not None:
+        eta1 = eta1 * (keep / (1.0 - p))
+    act = _sigmoid(eta1 @ gate.w.values + gate.b.values)
+    val = eta1 @ value.w.values + value.b.values
+    residual = xv if skip is None else xv @ skip.w.values + skip.b.values
+    xhat, inv = _normalize(residual + act * val)
+    layers = [dense_in, dense_out, gate, value] + ([skip] if skip is not None else [])
+    weights = tuple(t for layer in layers for t in (layer.w, layer.b)) + (gamma, beta)
+    # the chain expands context's subgraph before x's; the stack pops parents last first
+    inputs = (x,) if context is None else (x, context, context_w)
+    out = Tensor(xhat * gamma.values + beta.values, inputs + weights)
+
+    def backward(g):
+        _accumulate(gamma, g * xhat)
+        _accumulate(beta, g)
+        g_res = _normalize_grad(g * gamma.values, xhat, inv)
+        if skip is None:
+            _accumulate(x, g_res)
+        else:
+            _accumulate(x, _matmul_grad_left(g_res, xv, skip.w.values))
+            _accumulate(skip.w, _matmul_grad_right(g_res, xv, skip.w.values))
+            _accumulate(skip.b, g_res)
+        g_gate = g_res * val * act * (1.0 - act)
+        g_value = g_res * act
+        g_eta = (_matmul_grad_left(g_gate, eta1, gate.w.values)
+                 + _matmul_grad_left(g_value, eta1, value.w.values))
+        for layer, g_layer in ((gate, g_gate), (value, g_value)):
+            _accumulate(layer.w, _matmul_grad_right(g_layer, eta1, layer.w.values))
+            _accumulate(layer.b, g_layer)
+        if keep is not None:
+            g_eta = g_eta * (keep / (1.0 - p))
+        _accumulate(dense_out.w, _matmul_grad_right(g_eta, hidden, dense_out.w.values))
+        _accumulate(dense_out.b, g_eta)
+        g_pre = _elu_grad(_matmul_grad_left(g_eta, hidden, dense_out.w.values), hidden, positive)
+        _accumulate(x, _matmul_grad_left(g_pre, xv, dense_in.w.values))
+        _accumulate(dense_in.w, _matmul_grad_right(g_pre, xv, dense_in.w.values))
+        _accumulate(dense_in.b, g_pre)
+        if context is not None:
+            _accumulate(context, _matmul_grad_left(g_pre, context.values, context_w.values))
+            _accumulate(context_w, _matmul_grad_right(g_pre, context.values, context_w.values))
+
+    out._backward = backward
+    return out
+
+
+def _keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None,
+               training: bool) -> Array | None:
+    """Dropout's keep mask, or None where dropout is the identity."""
     if not training or p <= 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs a random generator")
-    keep = rng.random(x.values.shape) >= p  # the graph keeps 1 byte per element
+    return rng.random(shape) >= p  # the graph keeps 1 byte per element
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """Inverted dropout: identity at inference, mean-preserving at training."""
+    keep = _keep_mask(x.values.shape, p, rng, training)
+    if keep is None:
+        return x
     out = Tensor(x.values * (keep / (1.0 - p)), (x,))
     out._backward = lambda g: _accumulate(x, g * (keep / (1.0 - p)))
     return out

@@ -92,52 +92,57 @@ class ParamStore:
 
 
 class Adam:
-    """Adam with bias correction; moments keyed by parameter name.
+    """Adam with bias correction over one flat buffer of every parameter.
 
+    The moments ``m`` and ``v`` are flat arrays in store order.  A
+    parameter without a gradient keeps its moments and values.
     ``clip_norm`` rescales the global gradient norm before the update
     when it exceeds the threshold.
     """
 
     def __init__(self, store: ParamStore, lr: float = 0.03, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None):
-        self.store = store
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
-        self.m = {name: np.zeros_like(t.values) for name, t in store.tensors().items()}
-        self.v = {name: np.zeros_like(t.values) for name, t in store.tensors().items()}
-
-    def _clip(self):
-        sq = 0.0
-        for p in self.store.tensors().values():
-            if p.grad is not None:
-                sq += float(np.sum(p.grad**2))
-        norm = np.sqrt(sq)
-        if norm > self.clip_norm and norm > 0:
-            scale = self.clip_norm / norm
-            for p in self.store.tensors().values():
-                if p.grad is not None:
-                    p.grad = p.grad * scale  # out of place: grads may share arrays
+        self.params = list(store.tensors().values())
+        self.sizes = [p.values.size for p in self.params]
+        ends = np.cumsum(self.sizes)
+        self.slices = [slice(end - size, end) for end, size in zip(ends, self.sizes)]
+        self.m = np.zeros(sum(self.sizes))
+        self.v = np.zeros(sum(self.sizes))
 
     def step(self):
+        has = [p.grad is not None for p in self.params]
+        g = np.concatenate([p.grad.reshape(-1) if h else np.zeros(n)
+                            for p, h, n in zip(self.params, has, self.sizes)])
         if self.clip_norm is not None:
-            self._clip()
+            squares = g * g
+            sq = 0.0  # one sum per tensor, added in store order, as a loop over tensors adds
+            for s, h in zip(self.slices, has):
+                if h:
+                    sq += float(squares[s].sum())
+            norm = np.sqrt(sq)
+            if norm > self.clip_norm and norm > 0:
+                g = g * (self.clip_norm / norm)
+                for p, s, h in zip(self.params, self.slices, has):
+                    if h:
+                        p.grad = g[s].reshape(p.values.shape)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.store.tensors().items():
-            if p.grad is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1 - self.beta2) * p.grad**2
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        where = True if all(has) else np.repeat(has, self.sizes)
+        np.multiply(self.m, self.beta1, out=self.m, where=where)
+        np.add(self.m, (1 - self.beta1) * g, out=self.m, where=where)
+        np.multiply(self.v, self.beta2, out=self.v, where=where)
+        np.add(self.v, (1 - self.beta2) * g**2, out=self.v, where=where)
+        update = self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        for p, s, h in zip(self.params, self.slices, has):
+            if h:
+                p.values -= update[s].reshape(p.values.shape)
 
 
 class Linear:
@@ -166,7 +171,9 @@ class Grn:
 
     eta2 = ELU(W2 a + W3 c + b2), eta1 = W1 eta2 + b1, and the output
     is LayerNorm(skip(a) + GLU(eta1)) with a learned skip projection
-    when the input and output widths differ.
+    when the input and output widths differ.  The whole network runs as
+    one graph node (``autodiff.gated_residual``); the ``Linear`` and
+    ``Glu`` members only hold its parameters.
     """
 
     def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int,
@@ -188,16 +195,14 @@ class Grn:
 
     def __call__(self, x: Tensor, context: Tensor | None = None,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        pre = self.dense_in(x)
-        if context is not None:
-            if self.context is None:
-                raise ValueError("this GRN was built without a context projection")
-            pre = ad.add(pre, self.context(context))
-        eta1 = self.dense_out(ad.elu(pre))
-        eta1 = ad.dropout(eta1, self.dropout, rng, training)
-        skip = self.skip(x) if self.skip is not None else x
-        normed = ad.layer_norm(ad.add(skip, self.glu(eta1)))
-        return ad.add(ad.mul(normed, self.ln_gamma), self.ln_beta)
+        if context is not None and self.context is None:
+            raise ValueError("this GRN was built without a context projection")
+        return ad.gated_residual(
+            x, self.dense_in, self.dense_out, self.glu.gate, self.glu.value, self.skip,
+            self.ln_gamma, self.ln_beta, context,
+            None if self.context is None else self.context.w,
+            self.dropout, rng, training,
+        )
 
 
 class GateAddNorm:

@@ -230,6 +230,70 @@ class TestGrn:
         assert "b.skip.w" in store_diff
 
 
+def composed_grn(grn, x, context=None, training=False, rng=None):
+    """The reference for ``ad.gated_residual``: ``Grn`` as a chain of
+    per-op nodes, one for each matmul, add, activation, dropout and norm."""
+    pre = grn.dense_in(x)
+    if context is not None:
+        pre = ad.add(pre, grn.context(context))
+    eta1 = grn.dense_out(ad.elu(pre))
+    eta1 = ad.dropout(eta1, grn.dropout, rng, training)
+    skip = grn.skip(x) if grn.skip is not None else x
+    normed = ad.layer_norm(ad.add(skip, grn.glu(eta1)))
+    return ad.add(ad.mul(normed, grn.ln_gamma), grn.ln_beta)
+
+
+class TestGatedResidual:
+    @staticmethod
+    def build(seed, lead, n_in, n_out, context_size):
+        rng = np.random.default_rng(seed)
+        store = ParamStore(seed=seed)
+        grn = Grn(store, "grn", n_in, n_out, hidden=5, context_size=context_size, dropout=0.3)
+        for t in store.tensors().values():  # nonzero biases exercise the bias gradients
+            t.values += rng.normal(0, 0.3, t.values.shape)
+        x = rand_tensor(rng, *lead, n_in)
+        ctx = rand_tensor(rng, *lead, context_size) if context_size else None
+        probe = rng.normal(0, 1, (*lead, n_out))
+        return store, grn, x, ctx, probe
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    @pytest.mark.parametrize("n_in,n_out", [(4, 4), (6, 4)])  # identity and projected skip
+    @pytest.mark.parametrize("context_size", [None, 3])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_the_composed_chain(self, lead, n_in, n_out, context_size, training):
+        store, grn, x, ctx, probe = self.build(40, lead, n_in, n_out, context_size)
+        wrt = list(store.tensors().values()) + [x] + ([ctx] if ctx is not None else [])
+        results = []
+        for run in (Grn.__call__, composed_grn):
+            for t in wrt:
+                t.zero_grad()
+            rng = np.random.default_rng(41)
+            out = run(grn, x, ctx, training, rng)
+            # x feeds a second op too, so the order of its accumulations counts
+            ad.add(ad.total(ad.mul(out, probe)), ad.total(ad.mul(x, x))).backward()
+            results.append((out.values, [t.grad for t in wrt], rng.random(4)))
+        (fused, fused_grads, fused_next), (ref, ref_grads, ref_next) = results
+        np.testing.assert_array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fused_next, ref_next)  # same random stream after the call
+
+    def test_is_one_node(self):
+        store, grn, x, ctx, _ = self.build(42, (4,), 6, 4, 3)
+        out = grn(x, context=ctx, training=True, rng=np.random.default_rng(0))
+        assert all(parent._backward is None for parent in out._parents)
+        assert {id(t) for t in out._parents} == {id(t) for t in [*store.tensors().values(), x, ctx]}
+
+    def test_gradient_with_dropout(self):
+        store, grn, x, ctx, probe = self.build(43, (2, 3), 6, 4, 3)
+        # a fresh generator per call draws the same mask, so the loss is deterministic
+        err = grad_check(
+            lambda: ad.mean(ad.mul(grn(x, ctx, True, np.random.default_rng(44)), probe)),
+            list(store.tensors().values()) + [x, ctx],
+        )
+        assert err < 1e-4
+
+
 class TestLstm:
     def test_zero_weights_zero_state_give_zero_output(self):
         store = ParamStore(seed=12)
@@ -429,7 +493,98 @@ class TestGrnStackGradient:
         assert err < 1e-4
 
 
+class LoopAdam:
+    """The reference for ``Adam``: moments per tensor, one tensor at a time."""
+
+    def __init__(self, store, lr=0.03, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=None):
+        self.store, self.lr, self.beta1, self.beta2, self.eps = store, lr, beta1, beta2, eps
+        self.clip_norm = clip_norm
+        self.t = 0
+        self.m = {name: np.zeros_like(t.values) for name, t in store.tensors().items()}
+        self.v = {name: np.zeros_like(t.values) for name, t in store.tensors().items()}
+
+    def step(self):
+        if self.clip_norm is not None:
+            sq = 0.0
+            for p in self.store.tensors().values():
+                if p.grad is not None:
+                    sq += float(np.sum(p.grad**2))
+            norm = np.sqrt(sq)
+            if norm > self.clip_norm and norm > 0:
+                for p in self.store.tensors().values():
+                    if p.grad is not None:
+                        p.grad = p.grad * (self.clip_norm / norm)
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, p in self.store.tensors().items():
+            if p.grad is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1 - self.beta2) * p.grad**2
+            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
 class TestParamStoreAndAdam:
+    @pytest.mark.parametrize("clip_norm", [None, 0.5, 1e9])
+    def test_flat_step_equals_the_per_tensor_loop(self, clip_norm):
+        def build():
+            store = ParamStore(seed=50)
+            grn = Grn(store, "grn", 6, 4, context_size=3)
+            store.parameter("idle", (3,))  # never a gradient
+            return store, grn
+
+        rng = np.random.default_rng(51)
+        x, ctx, probe = rng.normal(0, 1, (8, 6)), rng.normal(0, 1, (8, 3)), rng.normal(0, 3, (8, 4))
+        sides = []
+        for opt_class in (Adam, LoopAdam):
+            store, grn = build()
+            opt = opt_class(store, lr=0.05, clip_norm=clip_norm)
+            grads = []
+            for step in range(6):
+                store.zero_grad()
+                # the context weights get a gradient every other step only
+                context = Tensor(ctx) if step % 2 == 0 else None
+                ad.total(ad.mul(grn(Tensor(x), context), probe)).backward()
+                opt.step()
+                grads.append({name: t.grad for name, t in store.tensors().items()})
+            sides.append((store.state_dict(), grads))
+        (state, grads), (ref_state, ref_grads) = sides
+        for name in ref_state:
+            np.testing.assert_array_equal(state[name], ref_state[name])
+        for step, ref_step in zip(grads, ref_grads):  # the clipped gradients too
+            for name, want in ref_step.items():
+                if want is None:
+                    assert step[name] is None
+                else:
+                    np.testing.assert_array_equal(step[name], want)
+        assert ref_grads[1]["idle"] is None and ref_grads[1]["grn.context.w"] is None
+        np.testing.assert_array_equal(state["idle"], build()[0]["idle"].values)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clip_norm_is_the_per_tensor_sum(self, seed):
+        """Many tensors of mixed sizes, some without a gradient: a flat sum
+        over all of them would round differently from the per-tensor sums."""
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(rng.integers(1, 40, rng.integers(1, 3))) for _ in range(30)]
+        sides = []
+        for opt_class in (Adam, LoopAdam):
+            store = ParamStore(seed=seed)
+            params = [store.parameter(f"p{i}", shape) for i, shape in enumerate(shapes)]
+            opt = opt_class(store, lr=0.01, clip_norm=1.0)
+            draws = np.random.default_rng(seed + 100)
+            for _ in range(3):
+                for p in params:
+                    p.grad = draws.normal(0, 1, p.values.shape) if draws.random() < 0.8 else None
+                opt.step()
+            sides.append([p.values for p in params] + [p.grad for p in params if p.grad is not None])
+        for got, want in zip(*sides):
+            np.testing.assert_array_equal(got, want)
+
+
     def test_duplicate_registration_rejected(self):
         store = ParamStore(seed=0)
         store.parameter("w", (2, 2))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from latscale import tft
+from latscale import nn, tft
 from latscale.tft import (
     ImportanceSeries,
     QuantileForecast,
@@ -193,7 +193,7 @@ class TestTrain:
         _, val = windows[: report.n_train_windows], windows[report.n_train_windows :]
         from latscale.tft import evaluate_loss
 
-        current = evaluate_loss(model, prepare_batch(val, model.config))
+        current = evaluate_loss(model, val)
         assert current == pytest.approx(min(report.val_loss), rel=1e-9)
 
 
@@ -322,12 +322,12 @@ class TestRestarts:
         try:
             model, report = train_with_restarts(config, *FEATURES, windows,
                                                 restarts=restarts, scout_epochs=1)
-            runs = restarts + (restarts > 1)  # the scouts and the continuation
             epochs = restarts + 1  # one per scout, then on to max_epochs
-            n_train = len(split_windows(windows, config.validation_fraction)[0])
-            batches = -(-n_train // config.batch_size)
-            # validation once per run, training once per batch
-            assert len(batch_refs) == 3 * (runs + epochs * batches)
+            train_part, val_part = split_windows(windows, config.validation_fraction)
+            batches = -(-len(train_part) // config.batch_size)
+            val_batches = -(-len(val_part) // config.batch_size)
+            # once per training batch and once per validation slice, every epoch
+            assert len(batch_refs) == 3 * epochs * (batches + val_batches)
             assert all(ref() is None for ref in batch_refs)
             model_ref = weakref.ref(model)
             del model
@@ -335,6 +335,24 @@ class TestRestarts:
             assert report.stopped_epoch == 2
         finally:
             gc.enable()
+
+
+def test_fused_grn_trains_like_the_composed_chain(monkeypatch, tmp_path):
+    """Training with each GRN as one node writes the checkpoint bytes of
+    training with the GRN as a chain of per-op nodes: the fused node keeps
+    the chain's order of gradient accumulations across the whole graph."""
+    from test_nn import composed_grn
+
+    config = replace(SMALL, max_epochs=2, seed=4)
+    windows = sine_windows(n=200)
+    fused = small_model(config)
+    train(fused, windows)
+    save_checkpoint(fused, tmp_path / "fused.json")
+    monkeypatch.setattr(nn.Grn, "__call__", composed_grn)
+    chain = small_model(config)
+    train(chain, windows)
+    save_checkpoint(chain, tmp_path / "chain.json")
+    assert (tmp_path / "fused.json").read_bytes() == (tmp_path / "chain.json").read_bytes()
 
 
 def test_batch_prepared_alone_equals_rows_of_the_whole_set():
