@@ -1,9 +1,8 @@
 from . import autodiff
-from .autodiff import Tensor, grad_check, tensor
+from .autodiff import Tensor, grad_check
 from .layers import (
     Adam,
     GateAddNorm,
-    Glu,
     Grn,
     InterpretableAttention,
     Linear,
@@ -11,13 +10,11 @@ from .layers import (
     ParamStore,
     causal_mask,
     pinball,
-    quantile_loss,
 )
 
 __all__ = [
     "Adam",
     "GateAddNorm",
-    "Glu",
     "Grn",
     "InterpretableAttention",
     "Linear",
@@ -28,6 +25,4 @@ __all__ = [
     "causal_mask",
     "grad_check",
     "pinball",
-    "quantile_loss",
-    "tensor",
 ]

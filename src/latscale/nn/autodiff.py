@@ -90,10 +90,6 @@ class Tensor:
         return f"Tensor(shape={self.values.shape})"
 
 
-def tensor(values) -> Tensor:
-    return Tensor(values)
-
-
 def _accumulate(t: Tensor, grad: Array):
     """Add ``grad`` into ``t.grad`` out of place.
 
@@ -233,13 +229,6 @@ def _elu_grad(g: Array, y: Array, positive: Array) -> Array:
     return g * np.where(positive, 1.0, y + 1.0)
 
 
-def elu(x: Tensor) -> Tensor:
-    y, positive = _elu(x.values)
-    out = Tensor(y, (x,))
-    out._backward = lambda g: _accumulate(x, _elu_grad(g, y, positive))
-    return out
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     v = x.values
     m = np.max(v, axis=axis, keepdims=True)
@@ -268,14 +257,6 @@ def _normalize_grad(g: Array, xhat: Array, inv: Array) -> Array:
     gm = g.mean(axis=-1, keepdims=True)
     gx = (g * xhat).mean(axis=-1, keepdims=True)
     return inv * (g - gm - xhat * gx)
-
-
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
-    xhat, inv = _normalize(x.values, eps)
-    out = Tensor(xhat, (x,))
-    out._backward = lambda g: _accumulate(x, _normalize_grad(g, xhat, inv))
-    return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -446,70 +427,102 @@ def _sum_backwards(per_step: Array) -> Array:
     return functools.reduce(np.add, per_step[::-1])
 
 
-def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Tensor, beta: Tensor,
-                   context: Tensor | None = None, context_w: Tensor | None = None,
-                   p: float = 0.0, rng: np.random.Generator | None = None,
-                   training: bool = False) -> Tensor:
-    """Run a gated residual network (``layers.Grn``) as one graph node.
+def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta: Tensor,
+                   p: float, rng: np.random.Generator | None, training: bool):
+    """LayerNorm(residual + sigmoid(gate(eta')) * value(eta')) * gamma + beta
+    over plain arrays, with eta' = dropout(eta): the gated skip that ends
+    every GRN and joins the blocks.
 
-    The output is LayerNorm(skip(x) + sigmoid(gate(eta1)) * value(eta1))
-    * gamma + beta with eta1 = dropout(dense_out(ELU(dense_in(x) + context
-    @ context_w))).  Dense layers hold weights ``w`` and a bias ``b``;
-    ``skip`` is None for the identity.  Every sum and product is taken in
-    the order of the chain of per-op nodes, the dropout mask is drawn at
-    the same point, and ``x`` gets the skip term before the dense_in term
-    as that chain's backward order gives them, so results and training
-    match it to the last bit.  The node keeps only what its backward
-    reads: the ELU output and its ``> 0`` mask, the keep mask, the
-    dropped-out eta1, the gate and value activations, x-hat and 1/sigma.
+    Returns the output and a backward function.  That function takes the
+    output's gradient, accumulates into the gate, value, gamma and beta
+    parameters and returns (d_residual, d_eta).  It keeps only the keep
+    mask, the dropped-out eta, the gate and value activations, x-hat and
+    1/sigma.
     """
-    xv = x.values
-    pre = xv @ dense_in.w.values + dense_in.b.values
-    if context is not None:
-        pre = pre + context.values @ context_w.values
-    hidden, positive = _elu(pre)
-    eta1 = hidden @ dense_out.w.values + dense_out.b.values
-    keep = _keep_mask(eta1.shape, p, rng, training)
+    keep = _keep_mask(eta.shape, p, rng, training)
     if keep is not None:
-        eta1 = eta1 * (keep / (1.0 - p))
-    act = _sigmoid(eta1 @ gate.w.values + gate.b.values)
-    val = eta1 @ value.w.values + value.b.values
-    residual = xv if skip is None else xv @ skip.w.values + skip.b.values
+        eta = eta * (keep / (1.0 - p))
+    act = _sigmoid(eta @ gate.w.values + gate.b.values)
+    val = eta @ value.w.values + value.b.values
     xhat, inv = _normalize(residual + act * val)
-    layers = [dense_in, dense_out, gate, value] + ([skip] if skip is not None else [])
-    weights = tuple(t for layer in layers for t in (layer.w, layer.b)) + (gamma, beta)
-    # the chain expands context's subgraph before x's; the stack pops parents last first
-    inputs = (x,) if context is None else (x, context, context_w)
-    out = Tensor(xhat * gamma.values + beta.values, inputs + weights)
 
     def backward(g):
         _accumulate(gamma, g * xhat)
         _accumulate(beta, g)
         g_res = _normalize_grad(g * gamma.values, xhat, inv)
+        g_gate = g_res * val * act * (1.0 - act)
+        g_value = g_res * act
+        g_eta = (_matmul_grad_left(g_gate, eta, gate.w.values)
+                 + _matmul_grad_left(g_value, eta, value.w.values))
+        for layer, g_layer in ((gate, g_gate), (value, g_value)):
+            _accumulate(layer.w, _matmul_grad_right(g_layer, eta, layer.w.values))
+            _accumulate(layer.b, g_layer)
+        if keep is not None:
+            g_eta = g_eta * (keep / (1.0 - p))
+        return g_res, g_eta
+
+    return xhat * gamma.values + beta.values, backward
+
+
+def gate_add_norm(x: Tensor, residual: Tensor, gate, value, gamma: Tensor, beta: Tensor,
+                  p: float = 0.0, rng: np.random.Generator | None = None,
+                  training: bool = False) -> Tensor:
+    """Run ``layers.GateAddNorm`` as one graph node: LayerNorm(residual +
+    GLU(dropout(x))) * gamma + beta, to the last bit of its chain of per-op
+    nodes.  At inference ``x`` gets the GLU's two terms as one sum, which
+    is the chain's result when nothing else reads ``x``, as in the model.
+    """
+    y, tail = _gate_add_norm(x.values, residual.values, gate, value, gamma, beta, p, rng, training)
+    # residual first: the stack pops parents last first, so x's subgraph is
+    # expanded before the residual's, as the chain expands them
+    out = Tensor(y, (residual, x, gate.w, gate.b, value.w, value.b, gamma, beta))
+
+    def backward(g):
+        g_res, g_x = tail(g)
+        _accumulate(residual, g_res)
+        _accumulate(x, g_x)
+
+    out._backward = backward
+    return out
+
+
+def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Tensor, beta: Tensor,
+                   p: float = 0.0, rng: np.random.Generator | None = None,
+                   training: bool = False) -> Tensor:
+    """Run a gated residual network (``layers.Grn``) as one graph node.
+
+    The output is LayerNorm(skip(x) + sigmoid(gate(eta1)) * value(eta1))
+    * gamma + beta with eta1 = dropout(dense_out(ELU(dense_in(x)))).
+    Dense layers hold weights ``w`` and a bias ``b``; ``skip`` is None for
+    the identity.  Every sum and product is taken in the order of the
+    chain of per-op nodes, the dropout mask is drawn at the same point,
+    and ``x`` gets the skip term before the dense_in term as that chain's
+    backward order gives them, so results and training match it to the
+    last bit.  Besides the tail's arrays (``_gate_add_norm``) the node
+    keeps only the ELU output and its ``> 0`` mask.
+    """
+    xv = x.values
+    hidden, positive = _elu(xv @ dense_in.w.values + dense_in.b.values)
+    eta1 = hidden @ dense_out.w.values + dense_out.b.values
+    residual = xv if skip is None else xv @ skip.w.values + skip.b.values
+    y, tail = _gate_add_norm(eta1, residual, gate, value, gamma, beta, p, rng, training)
+    layers = [dense_in, dense_out, gate, value] + ([skip] if skip is not None else [])
+    out = Tensor(y, (x,) + tuple(t for layer in layers for t in (layer.w, layer.b)) + (gamma, beta))
+
+    def backward(g):
+        g_res, g_eta = tail(g)
         if skip is None:
             _accumulate(x, g_res)
         else:
             _accumulate(x, _matmul_grad_left(g_res, xv, skip.w.values))
             _accumulate(skip.w, _matmul_grad_right(g_res, xv, skip.w.values))
             _accumulate(skip.b, g_res)
-        g_gate = g_res * val * act * (1.0 - act)
-        g_value = g_res * act
-        g_eta = (_matmul_grad_left(g_gate, eta1, gate.w.values)
-                 + _matmul_grad_left(g_value, eta1, value.w.values))
-        for layer, g_layer in ((gate, g_gate), (value, g_value)):
-            _accumulate(layer.w, _matmul_grad_right(g_layer, eta1, layer.w.values))
-            _accumulate(layer.b, g_layer)
-        if keep is not None:
-            g_eta = g_eta * (keep / (1.0 - p))
         _accumulate(dense_out.w, _matmul_grad_right(g_eta, hidden, dense_out.w.values))
         _accumulate(dense_out.b, g_eta)
         g_pre = _elu_grad(_matmul_grad_left(g_eta, hidden, dense_out.w.values), hidden, positive)
         _accumulate(x, _matmul_grad_left(g_pre, xv, dense_in.w.values))
         _accumulate(dense_in.w, _matmul_grad_right(g_pre, xv, dense_in.w.values))
         _accumulate(dense_in.b, g_pre)
-        if context is not None:
-            _accumulate(context, _matmul_grad_left(g_pre, context.values, context_w.values))
-            _accumulate(context_w, _matmul_grad_right(g_pre, context.values, context_w.values))
 
     out._backward = backward
     return out

@@ -1,5 +1,5 @@
-"""Differentiable building blocks: dense/gated layers, GRN, LSTM cell,
-interpretable multi-head attention, pinball loss, and Adam."""
+"""Differentiable building blocks: dense layers, GRN, gate-add-norm, LSTM
+cell, interpretable multi-head attention, pinball loss, and Adam."""
 from __future__ import annotations
 
 import json
@@ -40,9 +40,6 @@ class ParamStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def tensors(self) -> dict[str, Tensor]:
         return dict(self._params)
@@ -155,70 +152,49 @@ class Linear:
         return ad.add(y, self.b) if self.b is not None else y
 
 
-class Glu:
-    """Gated linear unit: sigmoid(W_g x + b_g) * (W_v x + b_v)."""
-
-    def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int):
-        self.gate = Linear(store, f"{name}.gate", n_in, n_out)
-        self.value = Linear(store, f"{name}.value", n_in, n_out)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.mul(ad.sigmoid(self.gate(x)), self.value(x))
-
-
 class Grn:
     """Gated residual network.
 
-    eta2 = ELU(W2 a + W3 c + b2), eta1 = W1 eta2 + b1, and the output
-    is LayerNorm(skip(a) + GLU(eta1)) with a learned skip projection
-    when the input and output widths differ.  The whole network runs as
-    one graph node (``autodiff.gated_residual``); the ``Linear`` and
-    ``Glu`` members only hold its parameters.
+    eta2 = ELU(W2 a + b2), eta1 = W1 eta2 + b1, and the output is
+    LayerNorm(skip(a) + GLU(eta1)) with a learned skip projection when the
+    input and output widths differ.  The whole network runs as one graph
+    node (``autodiff.gated_residual``); the ``Linear`` members only hold
+    its parameters.
     """
 
     def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int,
-                 hidden: int | None = None, context_size: int | None = None,
-                 dropout: float = 0.0):
+                 hidden: int | None = None, dropout: float = 0.0):
         hidden = n_out if hidden is None else hidden
         self.dense_in = Linear(store, f"{name}.dense_in", n_in, hidden)
-        self.context = (
-            Linear(store, f"{name}.context", context_size, hidden, bias=False)
-            if context_size
-            else None
-        )
         self.dense_out = Linear(store, f"{name}.dense_out", hidden, n_out)
-        self.glu = Glu(store, f"{name}.glu", n_out, n_out)
+        self.gate = Linear(store, f"{name}.glu.gate", n_out, n_out)
+        self.value = Linear(store, f"{name}.glu.value", n_out, n_out)
         self.skip = Linear(store, f"{name}.skip", n_in, n_out) if n_in != n_out else None
         self.ln_gamma = store.parameter(f"{name}.ln.gamma", (n_out,), "ones")
         self.ln_beta = store.parameter(f"{name}.ln.beta", (n_out,), "zeros")
         self.dropout = dropout
 
-    def __call__(self, x: Tensor, context: Tensor | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        if context is not None and self.context is None:
-            raise ValueError("this GRN was built without a context projection")
-        return ad.gated_residual(
-            x, self.dense_in, self.dense_out, self.glu.gate, self.glu.value, self.skip,
-            self.ln_gamma, self.ln_beta, context,
-            None if self.context is None else self.context.w,
-            self.dropout, rng, training,
-        )
+    def __call__(self, x: Tensor, training: bool = False,
+                 rng: np.random.Generator | None = None) -> Tensor:
+        return ad.gated_residual(x, self.dense_in, self.dense_out, self.gate, self.value, self.skip,
+                                 self.ln_gamma, self.ln_beta, self.dropout, rng, training)
 
 
 class GateAddNorm:
-    """LayerNorm(residual + GLU(x)): the gated skip used between blocks."""
+    """LayerNorm(residual + GLU(x)): the gated skip used between blocks,
+    run as one graph node (``autodiff.gate_add_norm``)."""
 
     def __init__(self, store: ParamStore, name: str, width: int, dropout: float = 0.0):
-        self.glu = Glu(store, f"{name}.glu", width, width)
+        self.gate = Linear(store, f"{name}.glu.gate", width, width)
+        self.value = Linear(store, f"{name}.glu.value", width, width)
         self.ln_gamma = store.parameter(f"{name}.ln.gamma", (width,), "ones")
         self.ln_beta = store.parameter(f"{name}.ln.beta", (width,), "zeros")
         self.dropout = dropout
 
     def __call__(self, x: Tensor, residual: Tensor,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        x = ad.dropout(x, self.dropout, rng, training)
-        normed = ad.layer_norm(ad.add(residual, self.glu(x)))
-        return ad.add(ad.mul(normed, self.ln_gamma), self.ln_beta)
+        return ad.gate_add_norm(x, residual, self.gate, self.value, self.ln_gamma, self.ln_beta,
+                                self.dropout, rng, training)
 
 
 class LstmCell:
@@ -292,14 +268,6 @@ class InterpretableAttention:
         context = ad.matmul(weights, v)
         context = ad.dropout(context, self.dropout, rng, training)
         return self.out(context), weights
-
-
-def quantile_loss(y: float, yhat: float, q: float) -> float:
-    """Pinball loss max(q*(y - yhat), (q - 1)*(y - yhat))."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile must be in (0, 1), got {q}")
-    err = y - yhat
-    return max(q * err, (q - 1.0) * err)
 
 
 def pinball(error: Tensor, q: float) -> Tensor:

@@ -72,34 +72,12 @@ def desired_latency(forecast: "QuantileForecast", report: ViolationReport) -> np
     return median * (1.0 - report.violation_fraction)
 
 
-def combined_predict(theta: Sequence[float], models: Sequence[KrrModel],
-                     importance_row: Sequence[float]) -> float:
-    """theta_0 + sum_k theta_k * f_k(importance_row[k]); linear in theta."""
-    th = np.asarray(theta, dtype=np.float64)
-    row = np.asarray(importance_row, dtype=np.float64)
-    if th.size != len(models) + 1 or row.size != len(models):
-        raise ValueError(
-            f"arity mismatch: {th.size} parameters, {len(models)} models, {row.size} scores"
-        )
-    acc = th[0]
-    for k, model in enumerate(models):
-        acc += th[k + 1] * krr_predict(model, float(row[k]))
-    return float(acc)
-
-
 def tabulate_model_outputs(models: Sequence[KrrModel], importance_matrix: np.ndarray) -> np.ndarray:
     """F[t, k] = f_k(importance_matrix[t, k])."""
     imp = np.asarray(importance_matrix, dtype=np.float64)
     if imp.ndim != 2 or imp.shape[1] != len(models):
         raise ValueError(f"importance matrix {imp.shape} does not match {len(models)} models")
     return np.column_stack([krr_predict(m, imp[:, k]) for k, m in enumerate(models)])
-
-
-def objective(theta: Sequence[float], models: Sequence[KrrModel],
-              importance_matrix: np.ndarray, target: Sequence[float]) -> float:
-    """Sum of squared differences between combined predictions and the target."""
-    fun, _ = least_squares_objective(models, importance_matrix, target)
-    return fun(np.asarray(theta, dtype=np.float64))[0]
 
 
 def least_squares_objective(models: Sequence[KrrModel], importance_matrix: np.ndarray,
@@ -190,20 +168,15 @@ def solve_theta(
     target: Sequence[float],
     factor_bounds: Sequence[tuple[float, float]] | None = None,
     intercept_bounds: tuple[float, float] = DEFAULT_INTERCEPT_BOX,
-    theta_init: Sequence[float] | None = None,
 ) -> tuple[ThetaVector, LbfgsbResult]:
-    """Fit theta on the combined-regressor least squares problem.
-
-    Starts from the no-change point (all factors one, intercept at the
-    target mean) unless an explicit start is given.
-    """
+    """Fit theta on the combined-regressor least squares problem, starting
+    from the no-change point (all factors one, intercept at the target
+    mean)."""
     k = len(models)
     if factor_bounds is None:
         factor_bounds = [DEFAULT_FACTOR_BOX] * k
     bounds = [tuple(intercept_bounds)] + [tuple(b) for b in factor_bounds]
     t = np.asarray(target, dtype=np.float64)
-    if theta_init is None:
-        theta_init = np.concatenate([[t.mean()], np.ones(k)])
     fun_and_grad, design = least_squares_objective(models, importance_matrix, t)
     # Solve in row-scaled units: theta* is unchanged, but gradients land
     # in a range where the absolute projected-gradient tolerance is
@@ -216,7 +189,7 @@ def solve_theta(
         resid = scaled_design @ theta - scaled_t
         return float(resid @ resid), 2.0 * (scaled_design.T @ resid)
 
-    result = lbfgsb_minimize(scaled_fun, theta_init, bounds)
+    result = lbfgsb_minimize(scaled_fun, np.concatenate([[t.mean()], np.ones(k)]), bounds)
     result.objective_value = fun_and_grad(result.theta)[0]
     return ThetaVector(values=result.theta, bounds=bounds), result
 

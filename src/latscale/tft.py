@@ -550,20 +550,25 @@ def train_with_restarts(
     return model, report
 
 
-def evaluate_loss(model: TemporalFusionTransformer, windows: Sequence[Window]) -> float:
-    """Mean loss per window, at inference.  Each ``batch_size`` slice is
-    prepared on its own, as training batches are: the scaling is
-    elementwise and per window, so a slice equals those rows of the whole set."""
-    total_loss = 0.0
-    n = len(windows)
+def _slices(model: TemporalFusionTransformer, windows: Sequence[Window]):
+    """Each ``batch_size`` slice of ``windows``, prepared on its own, as
+    training batches are: the scaling is elementwise and per window, so a
+    slice equals those rows of the whole set."""
+    scaling = _require_scaling(model)
     bs = model.config.batch_size
-    for lo in range(0, n, bs):
-        batch = prepare_batch(windows[lo : lo + bs], model.config, _require_scaling(model))
+    for lo in range(0, len(windows), bs):
+        yield prepare_batch(windows[lo : lo + bs], model.config, scaling)
+
+
+def evaluate_loss(model: TemporalFusionTransformer, windows: Sequence[Window]) -> float:
+    """Mean loss per window, at inference."""
+    total_loss = 0.0
+    for batch in _slices(model, windows):
         out = model.forward(batch.enc, batch.dec, training=False)
         loss = _batch_loss(model, out["quantiles"], batch.labels)
-        total_loss += float(loss.values) * min(bs, n - lo)
+        total_loss += float(loss.values) * len(batch.starts)
         del batch, out, loss
-    return total_loss / n
+    return total_loss / len(windows)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +582,17 @@ def predict(model: TemporalFusionTransformer, window: Window) -> QuantileForecas
 
 
 def predict_many(model: TemporalFusionTransformer, windows: Sequence[Window]) -> list[QuantileForecast]:
-    config = model.config
-    batch = prepare_batch(windows, config, _require_scaling(model))
     forecasts = []
-    bs = config.batch_size
-    for lo in range(0, batch.enc.shape[0], bs):
-        out = model.forward(batch.enc[lo : lo + bs], batch.dec[lo : lo + bs], training=False)
+    for batch in _slices(model, windows):
+        out = model.forward(batch.enc, batch.dec, training=False)
         raw = np.sort(out["quantiles"].values, axis=2)  # quantile non-crossing
         del out
-        for i in range(raw.shape[0]):
-            ms = denormalize_target(raw[i], batch.target_lo[lo + i], batch.target_range[lo + i])
+        for values, lo, span, start in zip(raw, batch.target_lo, batch.target_range, batch.starts):
             forecasts.append(
                 QuantileForecast(
-                    quantiles=tuple(config.quantiles),
-                    values=np.maximum(ms, 0.0),
-                    window_start=batch.starts[lo + i],
+                    quantiles=tuple(model.config.quantiles),
+                    values=np.maximum(denormalize_target(values, lo, span), 0.0),
+                    window_start=start,
                 )
             )
     return forecasts

@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,12 +174,11 @@ def _classify_column(column: str) -> tuple[SeriesKind, str | None]:
     return kind, service
 
 
-def load_dataset(path, schema: Mapping[str, tuple[SeriesKind, str | None]] | None = None) -> TraceDataset:
+def load_dataset(path) -> TraceDataset:
     """Load a TraceDataset from CSV.
 
     First column must be the integer time index ``t``; remaining
-    columns follow the ``<kind>.<owner>`` naming convention unless
-    ``schema`` maps a column name to an explicit (kind, microservice).
+    columns follow the ``<kind>.<owner>`` naming convention.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -227,10 +226,7 @@ def load_dataset(path, schema: Mapping[str, tuple[SeriesKind, str | None]] | Non
 
     series = []
     for name, values in zip(header[1:], data[1:]):
-        if schema and name in schema:
-            kind, service = schema[name]
-        else:
-            kind, service = _classify_column(name)
+        kind, service = _classify_column(name)
         series.append(MetricSeries(name=name, kind=kind, values=values, microservice=service))
     return TraceDataset(time_index=t, series=tuple(series))
 

@@ -14,7 +14,7 @@ import pytest
 
 from latscale import cli, krr, scaler, tft
 from latscale.nn import (
-    Glu,
+    GateAddNorm,
     Grn,
     InterpretableAttention,
     LstmCell,
@@ -50,20 +50,20 @@ class TestCriterion1Gradients:
         worst_block = 0.0
 
         store = ParamStore(seed=1)
-        glu = Glu(store, "glu", 4, 4)
+        gate = GateAddNorm(store, "gate", 4)
         x = Tensor(rng.normal(0, 1, (5, 4)))
+        residual = Tensor(rng.normal(0, 1, (5, 4)))
         probe = rng.normal(0, 1, (5, 4))
         worst_block = max(worst_block, grad_check(
-            lambda: ad.mean(ad.mul(glu(x), probe)), list(store.tensors().values()) + [x]))
+            lambda: ad.mean(ad.mul(gate(x, residual), probe)),
+            list(store.tensors().values()) + [x, residual]))
 
         store = ParamStore(seed=2)
-        grn = Grn(store, "grn", 5, 4, context_size=3)
+        grn = Grn(store, "grn", 5, 4)
         xg = Tensor(rng.normal(0, 1, (6, 5)))
-        cg = Tensor(rng.normal(0, 1, (6, 3)))
         probe = rng.normal(0, 1, (6, 4))
         worst_block = max(worst_block, grad_check(
-            lambda: ad.mean(ad.mul(grn(xg, context=cg), probe)),
-            list(store.tensors().values()) + [xg, cg]))
+            lambda: ad.mean(ad.mul(grn(xg), probe)), list(store.tensors().values()) + [xg]))
 
         store = ParamStore(seed=3)
         cell = LstmCell(store, "lstm", 3, 4)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from latscale.nn import (
     Adam,
     GateAddNorm,
-    Glu,
     Grn,
     InterpretableAttention,
     Linear,
@@ -17,12 +16,42 @@ from latscale.nn import (
     causal_mask,
     grad_check,
     pinball,
-    quantile_loss,
 )
 
 
 def rand_tensor(rng, *shape):
     return Tensor(rng.normal(0, 1, shape))
+
+
+# Per-op oracles: the nodes the fused ops replace, kept here to check them.
+
+def elu(x):
+    y, positive = ad._elu(x.values)
+    out = Tensor(y, (x,))
+    out._backward = lambda g: ad._accumulate(x, ad._elu_grad(g, y, positive))
+    return out
+
+
+def layer_norm(x):
+    """Normalize the last axis to zero mean, unit variance (no affine)."""
+    xhat, inv = ad._normalize(x.values)
+    out = Tensor(xhat, (x,))
+    out._backward = lambda g: ad._accumulate(x, ad._normalize_grad(g, xhat, inv))
+    return out
+
+
+def glu(layer, x):
+    """Gated linear unit sigmoid(gate(x)) * value(x) over a layer's
+    ``gate`` and ``value`` pair."""
+    return ad.mul(ad.sigmoid(layer.gate(x)), layer.value(x))
+
+
+def quantile_loss(y: float, yhat: float, q: float) -> float:
+    """Scalar pinball loss max(q*(y - yhat), (q - 1)*(y - yhat))."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile must be in (0, 1), got {q}")
+    err = y - yhat
+    return max(q * err, (q - 1.0) * err)
 
 
 class TestAutodiffPrimitives:
@@ -59,7 +88,7 @@ class TestAutodiffPrimitives:
 
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(4)
-        y = ad.layer_norm(rand_tensor(rng, 6, 16)).values
+        y = layer_norm(rand_tensor(rng, 6, 16)).values
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-3)
 
@@ -158,34 +187,7 @@ class TestAutodiffPrimitives:
             v = rng.normal(rng.normal(), rng.exponential(), shape)
             inv = 1.0 / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5)
             expected = (v - v.mean(axis=-1, keepdims=True)) * inv
-            np.testing.assert_array_equal(ad.layer_norm(Tensor(v)).values, expected)
-
-
-class TestGlu:
-    def test_zero_gate_weights_give_half(self):
-        store = ParamStore(seed=0)
-        glu = Glu(store, "g", 3, 3)
-        store["g.gate.w"].values[:] = 0.0
-        x = Tensor(np.array([[0.5, -1.0, 2.0]]))
-        expected = 0.5 * (x.values @ store["g.value.w"].values + store["g.value.b"].values)
-        np.testing.assert_allclose(glu(x).values, expected, atol=1e-12)
-
-    def test_output_bounded_by_value_path(self):
-        rng = np.random.default_rng(7)
-        store = ParamStore(seed=7)
-        glu = Glu(store, "g", 5, 4)
-        x = rand_tensor(rng, 20, 5)
-        out = glu(x).values
-        value = x.values @ store["g.value.w"].values + store["g.value.b"].values
-        assert np.all(np.abs(out) <= np.abs(value) + 1e-12)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(8)
-        store = ParamStore(seed=8)
-        glu = Glu(store, "g", 4, 4)
-        x = rand_tensor(rng, 6, 4)
-        err = grad_check(lambda: ad.mean(glu(x)), list(store.tensors().values()) + [x])
-        assert err < 1e-4
+            np.testing.assert_array_equal(layer_norm(Tensor(v)).values, expected)
 
 
 class TestGrn:
@@ -200,26 +202,15 @@ class TestGrn:
     def test_gradient_all_weights(self):
         rng = np.random.default_rng(10)
         store = ParamStore(seed=10)
-        grn = Grn(store, "grn", 5, 3, context_size=2)
+        grn = Grn(store, "grn", 5, 3)
         x = rand_tensor(rng, 7, 5)
-        ctx = rand_tensor(rng, 7, 2)
         # weight the outputs so the loss is not the (identically zero)
         # plain mean of a LayerNorm
         probe = rng.normal(0, 1, (7, 3))
         err = grad_check(
-            lambda: ad.mean(ad.mul(grn(x, context=ctx), probe)),
-            list(store.tensors().values()) + [x, ctx],
+            lambda: ad.mean(ad.mul(grn(x), probe)), list(store.tensors().values()) + [x]
         )
         assert err < 1e-4
-
-    def test_without_context_no_projection_registered(self):
-        store = ParamStore(seed=11)
-        grn = Grn(store, "grn", 4, 4)
-        assert "grn.context.w" not in store
-        x = Tensor(np.ones((2, 4)))
-        np.testing.assert_array_equal(grn(x).values, grn(x).values)
-        with pytest.raises(ValueError, match="without a context"):
-            grn(x, context=Tensor(np.ones((2, 4))))
 
     def test_skip_projection_only_when_dims_differ(self):
         store_same = ParamStore(seed=1)
@@ -230,45 +221,54 @@ class TestGrn:
         assert "b.skip.w" in store_diff
 
 
-def composed_grn(grn, x, context=None, training=False, rng=None):
+def composed_grn(grn, x, training=False, rng=None):
     """The reference for ``ad.gated_residual``: ``Grn`` as a chain of
     per-op nodes, one for each matmul, add, activation, dropout and norm."""
-    pre = grn.dense_in(x)
-    if context is not None:
-        pre = ad.add(pre, grn.context(context))
-    eta1 = grn.dense_out(ad.elu(pre))
+    eta1 = grn.dense_out(elu(grn.dense_in(x)))
     eta1 = ad.dropout(eta1, grn.dropout, rng, training)
     skip = grn.skip(x) if grn.skip is not None else x
-    normed = ad.layer_norm(ad.add(skip, grn.glu(eta1)))
+    normed = layer_norm(ad.add(skip, glu(grn, eta1)))
     return ad.add(ad.mul(normed, grn.ln_gamma), grn.ln_beta)
+
+
+def composed_gate_add_norm(gan, x, residual, training=False, rng=None):
+    """The reference for ``ad.gate_add_norm``: ``GateAddNorm`` as a chain
+    of per-op nodes."""
+    x = ad.dropout(x, gan.dropout, rng, training)
+    normed = layer_norm(ad.add(residual, glu(gan, x)))
+    return ad.add(ad.mul(normed, gan.ln_gamma), gan.ln_beta)
+
+
+def perturb(store, rng):
+    """Move every parameter off its init, so nonzero biases and a gamma
+    other than one exercise every gradient."""
+    for t in store.tensors().values():
+        t.values += rng.normal(0, 0.3, t.values.shape)
 
 
 class TestGatedResidual:
     @staticmethod
-    def build(seed, lead, n_in, n_out, context_size):
+    def build(seed, lead, n_in, n_out):
         rng = np.random.default_rng(seed)
         store = ParamStore(seed=seed)
-        grn = Grn(store, "grn", n_in, n_out, hidden=5, context_size=context_size, dropout=0.3)
-        for t in store.tensors().values():  # nonzero biases exercise the bias gradients
-            t.values += rng.normal(0, 0.3, t.values.shape)
+        grn = Grn(store, "grn", n_in, n_out, hidden=5, dropout=0.3)
+        perturb(store, rng)
         x = rand_tensor(rng, *lead, n_in)
-        ctx = rand_tensor(rng, *lead, context_size) if context_size else None
         probe = rng.normal(0, 1, (*lead, n_out))
-        return store, grn, x, ctx, probe
+        return store, grn, x, probe
 
     @pytest.mark.parametrize("lead", [(7,), (3, 5)])
     @pytest.mark.parametrize("n_in,n_out", [(4, 4), (6, 4)])  # identity and projected skip
-    @pytest.mark.parametrize("context_size", [None, 3])
     @pytest.mark.parametrize("training", [False, True])
-    def test_matches_the_composed_chain(self, lead, n_in, n_out, context_size, training):
-        store, grn, x, ctx, probe = self.build(40, lead, n_in, n_out, context_size)
-        wrt = list(store.tensors().values()) + [x] + ([ctx] if ctx is not None else [])
+    def test_matches_the_composed_chain(self, lead, n_in, n_out, training):
+        store, grn, x, probe = self.build(40, lead, n_in, n_out)
+        wrt = list(store.tensors().values()) + [x]
         results = []
         for run in (Grn.__call__, composed_grn):
             for t in wrt:
                 t.zero_grad()
             rng = np.random.default_rng(41)
-            out = run(grn, x, ctx, training, rng)
+            out = run(grn, x, training, rng)
             # x feeds a second op too, so the order of its accumulations counts
             ad.add(ad.total(ad.mul(out, probe)), ad.total(ad.mul(x, x))).backward()
             results.append((out.values, [t.grad for t in wrt], rng.random(4)))
@@ -279,19 +279,91 @@ class TestGatedResidual:
         np.testing.assert_array_equal(fused_next, ref_next)  # same random stream after the call
 
     def test_is_one_node(self):
-        store, grn, x, ctx, _ = self.build(42, (4,), 6, 4, 3)
-        out = grn(x, context=ctx, training=True, rng=np.random.default_rng(0))
+        store, grn, x, _ = self.build(42, (4,), 6, 4)
+        out = grn(x, training=True, rng=np.random.default_rng(0))
         assert all(parent._backward is None for parent in out._parents)
-        assert {id(t) for t in out._parents} == {id(t) for t in [*store.tensors().values(), x, ctx]}
+        assert {id(t) for t in out._parents} == {id(t) for t in [*store.tensors().values(), x]}
 
     def test_gradient_with_dropout(self):
-        store, grn, x, ctx, probe = self.build(43, (2, 3), 6, 4, 3)
+        store, grn, x, probe = self.build(43, (2, 3), 6, 4)
         # a fresh generator per call draws the same mask, so the loss is deterministic
         err = grad_check(
-            lambda: ad.mean(ad.mul(grn(x, ctx, True, np.random.default_rng(44)), probe)),
-            list(store.tensors().values()) + [x, ctx],
+            lambda: ad.mean(ad.mul(grn(x, True, np.random.default_rng(44)), probe)),
+            list(store.tensors().values()) + [x],
         )
         assert err < 1e-4
+
+
+class TestGateAddNorm:
+    @staticmethod
+    def build(seed, lead, width=4):
+        rng = np.random.default_rng(seed)
+        store = ParamStore(seed=seed)
+        gan = GateAddNorm(store, "gan", width, dropout=0.3)
+        mix = store.parameter("mix", (width, width))
+        perturb(store, rng)
+        shared = rand_tensor(rng, *lead, width)
+        probe = rng.normal(0, 1, (*lead, width))
+        return store, gan, mix, shared, probe
+
+    @staticmethod
+    def feed(mix, shared):
+        """(x, residual) from one shared input, as the model feeds them: x
+        reads the input twice, as the attention output reads the queries
+        that are also the residual.  With three paths into the input, a
+        node that lists x before the residual sums them in another order."""
+        return ad.add(ad.matmul(shared, mix), shared), ad.reshape(shared, shared.shape)
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_the_composed_chain(self, lead, training):
+        store, gan, mix, shared, probe = self.build(60, lead)
+        wrt = list(store.tensors().values()) + [shared]
+        results = []
+        for run in (GateAddNorm.__call__, composed_gate_add_norm):
+            for t in wrt:
+                t.zero_grad()
+            rng = np.random.default_rng(61)
+            out = run(gan, *self.feed(mix, shared), training, rng)
+            # the shared input feeds a third op, so the order of its accumulations counts
+            ad.add(ad.total(ad.mul(out, probe)), ad.total(ad.mul(shared, shared))).backward()
+            results.append((out.values, [t.grad for t in wrt], rng.random(4)))
+        (fused, fused_grads, fused_next), (ref, ref_grads, ref_next) = results
+        np.testing.assert_array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fused_next, ref_next)  # same random stream after the call
+
+    def test_is_one_node(self):
+        _, gan, mix, shared, _ = self.build(62, (4,))
+        x, residual = self.feed(mix, shared)
+        out = gan(x, residual, training=True, rng=np.random.default_rng(0))
+        # residual before x, so the backward walk expands x's subgraph first, as the chain does
+        expected = (residual, x, gan.gate.w, gan.gate.b, gan.value.w, gan.value.b,
+                    gan.ln_gamma, gan.ln_beta)
+        assert len(out._parents) == len(expected)
+        assert all(got is want for got, want in zip(out._parents, expected))
+
+    def test_gradient_with_dropout(self):
+        store, gan, mix, shared, probe = self.build(63, (2, 3))
+        # a fresh generator per call draws the same mask, so the loss is deterministic
+        err = grad_check(
+            lambda: ad.mean(ad.mul(gan(*self.feed(mix, shared), True, np.random.default_rng(64)),
+                                   probe)),
+            list(store.tensors().values()) + [shared],
+        )
+        assert err < 1e-4
+
+    def test_zero_gate_weights_give_half(self):
+        _, gan, _, residual, _ = self.build(65, (5,))
+        gan.gate.w.values[:] = 0.0
+        gan.gate.b.values[:] = 0.0
+        x = rand_tensor(np.random.default_rng(66), 5, 4)
+        pre = residual.values + 0.5 * (x.values @ gan.value.w.values + gan.value.b.values)
+        centred = pre - pre.mean(axis=-1, keepdims=True)
+        xhat = centred / np.sqrt(pre.var(axis=-1, keepdims=True) + 1e-5)
+        expected = xhat * gan.ln_gamma.values + gan.ln_beta.values
+        np.testing.assert_allclose(gan(x, residual).values, expected, atol=1e-12)
 
 
 class TestLstm:
@@ -533,22 +605,24 @@ class TestParamStoreAndAdam:
     def test_flat_step_equals_the_per_tensor_loop(self, clip_norm):
         def build():
             store = ParamStore(seed=50)
-            grn = Grn(store, "grn", 6, 4, context_size=3)
+            grn = Grn(store, "grn", 6, 4)
+            side = Linear(store, "side", 3, 4)
             store.parameter("idle", (3,))  # never a gradient
-            return store, grn
+            return store, grn, side
 
         rng = np.random.default_rng(51)
         x, ctx, probe = rng.normal(0, 1, (8, 6)), rng.normal(0, 1, (8, 3)), rng.normal(0, 3, (8, 4))
         sides = []
         for opt_class in (Adam, LoopAdam):
-            store, grn = build()
+            store, grn, side = build()
             opt = opt_class(store, lr=0.05, clip_norm=clip_norm)
             grads = []
             for step in range(6):
                 store.zero_grad()
-                # the context weights get a gradient every other step only
-                context = Tensor(ctx) if step % 2 == 0 else None
-                ad.total(ad.mul(grn(Tensor(x), context), probe)).backward()
+                out = grn(Tensor(x))
+                if step % 2 == 0:  # the side layer gets a gradient every other step only
+                    out = ad.add(out, side(Tensor(ctx)))
+                ad.total(ad.mul(out, probe)).backward()
                 opt.step()
                 grads.append({name: t.grad for name, t in store.tensors().items()})
             sides.append((store.state_dict(), grads))
@@ -561,7 +635,7 @@ class TestParamStoreAndAdam:
                     assert step[name] is None
                 else:
                     np.testing.assert_array_equal(step[name], want)
-        assert ref_grads[1]["idle"] is None and ref_grads[1]["grn.context.w"] is None
+        assert ref_grads[1]["idle"] is None and ref_grads[1]["side.w"] is None
         np.testing.assert_array_equal(state["idle"], build()[0]["idle"].values)
 
     @pytest.mark.parametrize("seed", range(8))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from latscale.krr import fit as krr_fit, fit_per_feature
+from latscale.krr import fit as krr_fit, fit_per_feature, predict as krr_predict
 from latscale.scaler import (
     Advisory,
     FeatureSpec,
@@ -13,15 +13,36 @@ from latscale.scaler import (
     ScalingPlan,
     SlaSpec,
     ThetaVector,
-    combined_predict,
     desired_latency,
     detect_violation,
     lbfgsb_minimize,
     least_squares_objective,
     make_plan,
-    objective,
     solve_theta,
 )
+
+
+
+def combined_predict(theta, models, importance_row) -> float:
+    """theta_0 + sum_k theta_k * f_k(importance_row[k]), one row at a time:
+    the oracle for the tabulated design of ``least_squares_objective``."""
+    th = np.asarray(theta, dtype=np.float64)
+    row = np.asarray(importance_row, dtype=np.float64)
+    if th.size != len(models) + 1 or row.size != len(models):
+        raise ValueError(
+            f"arity mismatch: {th.size} parameters, {len(models)} models, {row.size} scores"
+        )
+    acc = th[0]
+    for k, model in enumerate(models):
+        acc += th[k + 1] * krr_predict(model, float(row[k]))
+    return float(acc)
+
+
+def objective(theta, models, importance_matrix, target) -> float:
+    """Sum of squared differences between the oracle's combined
+    predictions and the target."""
+    rows = [combined_predict(theta, models, row) for row in importance_matrix]
+    return float(np.sum((np.asarray(rows) - np.asarray(target)) ** 2))
 
 
 @dataclass
@@ -128,6 +149,14 @@ class TestObjective:
         _, design = least_squares_objective(self.models, self.imp, self.target)
         synthetic = design @ theta
         assert objective(theta, self.models, self.imp, synthetic) == pytest.approx(0.0, abs=1e-18)
+
+    def test_fun_is_the_oracle_objective(self):
+        fun_and_grad, design = least_squares_objective(self.models, self.imp, self.target)
+        theta = np.array([3.0, 0.8, -1.1, 0.4])
+        rows = [combined_predict(theta, self.models, row) for row in self.imp]
+        np.testing.assert_allclose(design @ theta, rows, rtol=1e-12)
+        assert fun_and_grad(theta)[0] == pytest.approx(
+            objective(theta, self.models, self.imp, self.target), rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         fun_and_grad, _ = least_squares_objective(self.models, self.imp, self.target)

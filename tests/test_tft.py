@@ -337,22 +337,34 @@ class TestRestarts:
             gc.enable()
 
 
-def test_fused_grn_trains_like_the_composed_chain(monkeypatch, tmp_path):
-    """Training with each GRN as one node writes the checkpoint bytes of
-    training with the GRN as a chain of per-op nodes: the fused node keeps
-    the chain's order of gradient accumulations across the whole graph."""
-    from test_nn import composed_grn
-
-    config = replace(SMALL, max_epochs=2, seed=4)
+def assert_trains_like_the_chain(monkeypatch, tmp_path, layer, composed, seed):
+    """Train 2 epochs with ``layer`` fused, then with ``composed`` patched
+    into ``layer.__call__``: the checkpoints must be the same bytes, so the
+    fused node keeps the chain's order of gradient accumulations across
+    the whole graph."""
+    config = replace(SMALL, max_epochs=2, seed=seed)
     windows = sine_windows(n=200)
     fused = small_model(config)
     train(fused, windows)
     save_checkpoint(fused, tmp_path / "fused.json")
-    monkeypatch.setattr(nn.Grn, "__call__", composed_grn)
+    monkeypatch.setattr(layer, "__call__", composed)
     chain = small_model(config)
     train(chain, windows)
     save_checkpoint(chain, tmp_path / "chain.json")
     assert (tmp_path / "fused.json").read_bytes() == (tmp_path / "chain.json").read_bytes()
+
+
+def test_fused_grn_trains_like_the_composed_chain(monkeypatch, tmp_path):
+    from test_nn import composed_grn
+
+    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.Grn, composed_grn, seed=4)
+
+
+def test_fused_gate_add_norm_trains_like_the_composed_chain(monkeypatch, tmp_path):
+    from test_nn import composed_gate_add_norm
+
+    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.GateAddNorm, composed_gate_add_norm,
+                                 seed=5)
 
 
 def test_batch_prepared_alone_equals_rows_of_the_whole_set():

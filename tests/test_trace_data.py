@@ -112,18 +112,6 @@ class TestLoadDataset:
             assert a.name == b.name and a.kind == b.kind
             np.testing.assert_array_equal(a.values, b.values)
 
-    def test_explicit_schema_mapping(self, tmp_path):
-        path = write_csv(tmp_path / "d.csv", "t,calls.x,lat.x\n0,1,5\n1,2,6\n")
-        ds = load_dataset(
-            path,
-            schema={
-                "calls.x": (SeriesKind.FRONT_END_CALLS, None),
-                "lat.x": (SeriesKind.TARGET_LATENCY, None),
-            },
-        )
-        assert ds.traces == ["x"]
-        assert ds.get("calls.x").kind is SeriesKind.FRONT_END_CALLS
-
 
 class TestP95:
     def test_paper_style_boundary(self):
