@@ -212,6 +212,16 @@ class TestGrn:
         )
         assert err < 1e-4
 
+    def test_registers_the_checkpoint_parameter_names(self):
+        store = ParamStore(seed=11)
+        Grn(store, "grn", 4, 4)
+        # checkpoint format 1 keys these names; a GRN has no context projection
+        assert list(store.tensors()) == [
+            "grn.dense_in.w", "grn.dense_in.b", "grn.dense_out.w", "grn.dense_out.b",
+            "grn.glu.gate.w", "grn.glu.gate.b", "grn.glu.value.w", "grn.glu.value.b",
+            "grn.ln.gamma", "grn.ln.beta",
+        ]
+
     def test_skip_projection_only_when_dims_differ(self):
         store_same = ParamStore(seed=1)
         Grn(store_same, "a", 4, 4)

@@ -104,6 +104,33 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="cannot classify"):
             load_dataset(path)
 
+    def test_every_prefix_sets_kind_and_owner(self, tmp_path):
+        path = write_csv(
+            tmp_path / "d.csv",
+            "t,cps.x,pods.cart,cpu.cart,mem.db,latency_p95.x\n0,1,2,3,4,5\n1,2,2,3,4,6\n",
+        )
+        ds = load_dataset(path)
+        got = [(s.name, s.kind, s.microservice) for s in ds.series]
+        assert got == [
+            ("cps.x", SeriesKind.FRONT_END_CALLS, None),
+            ("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, "cart"),
+            ("cpu.cart", SeriesKind.VERTICAL_RESOURCE, "cart"),
+            ("mem.db", SeriesKind.VERTICAL_RESOURCE, "db"),
+            ("latency_p95.x", SeriesKind.TARGET_LATENCY, None),
+        ]
+        assert ds.traces == ["x"]
+
+    @pytest.mark.parametrize("text,message", [
+        ("time,latency_p95.green\n0,1\n", "first column must be the time index"),
+        ("t\n0\n1\n", "no data columns"),
+        ("t,latency_p95.green\n", "no data rows"),
+        ("t,latency_p95.green\n0,1\n1.5,2\n", "must be integer"),
+    ])
+    def test_malformed_layout(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(path)
+
     def test_roundtrip_exact(self, tmp_path):
         ds = small_dataset(40)
         save_dataset(ds, tmp_path / "d.csv")
