@@ -10,9 +10,16 @@ weights are exported as importance scores.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import ctypes.util
+import functools
 import json
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field, asdict, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -446,6 +453,52 @@ def _keep_freed_heap():
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None.
+
+    The wheel's ``numpy.libs/libscipy_openblas*`` is looked up first,
+    then a system ``libopenblas``; any other BLAS gives None.
+    """
+    wheel = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    candidates = [(str(path), "scipy_openblas_", "64_") for path in wheel]
+    if not candidates and (system := ctypes.util.find_library("openblas")):
+        candidates.append((system, "openblas_", ""))
+    for path, prefix, suffix in candidates:
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread and restore its count after.
+
+    Raced scouts need it: at OpenBLAS's default of one thread per CPU,
+    two scouts racing on 2 CPUs oversubscribe them, and an ``e2e`` loop
+    with two one-epoch scouts took ~4.2 s, against ~2.4 s pinned.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_threads = threads
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+@_one_blas_thread()
 def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window],
                 val_windows: Sequence[Window], on_epoch) -> TrainingReport:
     """Take ``model._run`` on to ``max_epochs`` or an early stop, then
@@ -531,23 +584,103 @@ def train_with_restarts(
     (weights, Adam state, random stream, early-stopping counters) and
     the result is identical to retraining it from scratch.
     Deterministic: candidate seeds derive from the configured seed.
+
+    The scouts race on the usable CPUs: they are dealt round-robin to
+    this process and to forked workers, one process per CPU and at most
+    one per scout.  Training pins OpenBLAS to one thread, so the
+    processes do not compete for CPUs.  A scout depends on its own seed
+    only, so the bytes are the same as with one process.
     """
     if restarts <= 1:
         model = TemporalFusionTransformer(config, encoder_features, decoder_features)
         return model, train(model, windows, on_epoch=on_epoch)
-    scouts = []
-    scout_losses = []
-    for r in range(restarts):
-        candidate = replace(config, seed=config.seed + 101 * r)
+    candidates = [replace(config, seed=config.seed + 101 * r) for r in range(restarts)]
+
+    def scout(candidate: TftConfig):
         scout_cfg = replace(candidate, max_epochs=min(scout_epochs, candidate.max_epochs))
-        scout = TemporalFusionTransformer(scout_cfg, encoder_features, decoder_features)
-        scout_losses.append(min(train(scout, windows).val_loss))
-        scouts.append((candidate, scout))
-    winner, model = scouts[int(np.argmin(scout_losses))]
-    model.config = winner  # differs from its scout's only in max_epochs
-    report = _run_epochs(model, *split_windows(windows, winner.validation_fraction), on_epoch)
+        model = TemporalFusionTransformer(scout_cfg, encoder_features, decoder_features)
+        return model, min(train(model, windows).val_loss)
+
+    scouts = _race(scout, candidates, _scout_processes(restarts))
+    scout_losses = [loss for _, loss in scouts]
+    best = int(np.argmin(scout_losses))
+    model = scouts[best][0]
+    model.config = candidates[best]  # differs from its scout's only in max_epochs
+    report = _run_epochs(model, *split_windows(windows, model.config.validation_fraction), on_epoch)
     report.restart_scout_losses = [float(v) for v in scout_losses]
     return model, report
+
+
+def _scout_processes(restarts: int) -> int:
+    """How many processes race the scouts: one per usable CPU, at most
+    one per scout.  One when OpenBLAS cannot be pinned (unpinned BLAS
+    threads would compete with the workers), when ``fork`` is missing,
+    in a daemonic process, which may not start children, or beside
+    other Python threads, whose locks a forked child could inherit held."""
+    if (_blas_threads() is None or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(restarts, cpus or 1)
+
+
+def _race(scout: Callable, candidates: Sequence[TftConfig], processes: int) -> list:
+    """``scout(candidate)`` for every candidate, in candidate order.
+
+    Candidates are dealt round-robin over ``processes``: this process
+    runs every ``processes``-th one, starting with the first, and each
+    of the others is a forked worker that sends its results back
+    through a one-way pipe.  Workers are terminated if this process
+    raises, and joined in every case.
+    """
+    results = [None] * len(candidates)
+    workers = []
+    try:
+        for p in range(1, processes):
+            fork = multiprocessing.get_context("fork")
+            receiver, sender = fork.Pipe(duplex=False)
+            worker = fork.Process(
+                target=_scout_worker, args=(sender, scout, candidates[p::processes]), daemon=True)
+            worker.start()
+            workers.append((worker, receiver))
+            sender.close()  # the worker holds the only write end: its exit is EOF here
+        for i in range(0, len(candidates), processes):
+            results[i] = scout(candidates[i])
+        for p, (worker, receiver) in enumerate(workers, 1):
+            try:
+                message = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"restart scout worker of seeds {[c.seed for c in candidates[p::processes]]} "
+                    f"exited with code {worker.exitcode} and no result") from None
+            if isinstance(message, tuple):
+                seed, exc = message
+                raise RuntimeError(
+                    f"restart scout of seed {seed} failed: {type(exc).__name__}: {exc}") from exc
+            results[p::processes] = message
+        return results
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.join()
+
+
+def _scout_worker(sender, scout: Callable, share: Sequence[TftConfig]):
+    """Run in a forked worker: send the list of ``scout`` results over
+    ``share``, or (seed, exception) of the first scout that raised."""
+    results = []
+    for candidate in share:
+        try:
+            results.append(scout(candidate))
+        except Exception as exc:
+            sender.send((candidate.seed, exc))
+            return
+    sender.send(results)
 
 
 def _slices(model: TemporalFusionTransformer, windows: Sequence[Window]):

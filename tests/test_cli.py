@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import re
 from importlib import resources
 
@@ -406,6 +407,38 @@ class TestE2e:
                    "--sla-ms", "30", "--out", str(tmp_path), "--quiet"])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: stage {stage}: injected")
+
+    def test_scout_failing_in_a_worker_names_the_train_stage(self, workspace, tmp_path, capsys,
+                                                             monkeypatch):
+        real = tft.train
+
+        def fail_second_scout(model, *args, **kwargs):
+            if model.config.seed == 9 + 101:
+                raise RuntimeError("injected")
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(tft, "train", fail_second_scout)
+        monkeypatch.setattr(tft, "_scout_processes", lambda restarts: 2)
+        rc = main(["e2e", "--config", str(workspace["ini"]),
+                   "--scenario", str(workspace["scenario"]), "--restarts", "2",
+                   "--sla-ms", "30", "--out", str(tmp_path), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "error: stage train: restart scout of seed 110 failed: RuntimeError: injected")
+        assert multiprocessing.active_children() == []
+
+    def test_scout_race_writes_the_same_bytes_on_one_and_two_processes(self, workspace, tmp_path,
+                                                                       monkeypatch):
+        runs = {}
+        for processes in (1, 2):
+            monkeypatch.setattr(tft, "_scout_processes", lambda restarts: min(restarts, processes))
+            out = tmp_path / f"on{processes}"
+            assert main(["e2e", "--config", str(workspace["ini"]),
+                         "--scenario", str(workspace["scenario"]), "--restarts", "3",
+                         "--sla-ms", "30", "--out", str(out), "--quiet"]) == 0
+            runs[processes] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert json.loads(runs[1]["training_report.json"])["restart_scout_losses"]
+        assert runs[1] == runs[2]
 
 
 # Every file both e2e and the separate commands write.

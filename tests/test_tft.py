@@ -1,5 +1,9 @@
 import gc
 import json
+import multiprocessing
+import os
+import threading
+import time
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -229,14 +233,22 @@ def run_restarts(race, config, windows, tmp_path, name, **kwargs):
     return model, report, (tmp_path / f"{name}.json").read_bytes(), epochs
 
 
+def race_on(monkeypatch, processes):
+    """Make ``train_with_restarts`` race its scouts on ``processes``
+    processes, whatever the machine's CPU count."""
+    monkeypatch.setattr(tft, "_scout_processes", lambda restarts: min(restarts, processes))
+
+
 class TestRestarts:
+    @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("max_epochs, patience, scout_epochs, case", [
         (2, 5, 5, "max_epochs_within_scout"),
         (8, 2, 3, "lr_cut_after_scout_ended_off_its_best"),
         (10, 1, 5, "scout_stops_early"),
     ])
-    def test_continued_winner_equals_retrained(self, tmp_path, max_epochs, patience,
-                                                scout_epochs, case):
+    def test_continued_winner_equals_retrained(self, tmp_path, monkeypatch, max_epochs, patience,
+                                                scout_epochs, case, processes):
+        race_on(monkeypatch, processes)
         windows = sine_windows(n=160)
         config = replace(SMALL, max_epochs=max_epochs, early_stopping_patience=patience)
         model, report, checkpoint, epochs = run_restarts(
@@ -266,6 +278,7 @@ class TestRestarts:
             return real(model, *args, **kwargs)
 
         monkeypatch.setattr(tft, "train", counted)
+        race_on(monkeypatch, 1)  # the calls are counted in this process
         config = replace(SMALL, max_epochs=2, seed=5)
         model, _ = train_with_restarts(config, *FEATURES, sine_windows(n=120),
                                        restarts=restarts, scout_epochs=1)
@@ -315,6 +328,7 @@ class TestRestarts:
             return batch
 
         monkeypatch.setattr(tft, "prepare_batch", recording)
+        race_on(monkeypatch, 1)  # the batches are recorded in this process
         config = replace(SMALL, max_epochs=2, seed=5)
         windows = sine_windows(n=120)
         gc.collect()
@@ -335,6 +349,134 @@ class TestRestarts:
             assert report.stopped_epoch == 2
         finally:
             gc.enable()
+
+
+def quick_scout(model, windows, on_epoch=None):
+    return SimpleNamespace(val_loss=[1.0])
+
+
+def die(model, windows, on_epoch=None):
+    os._exit(7)
+
+
+def hang(model, windows, on_epoch=None):
+    time.sleep(600)
+
+
+def fail(model, windows, on_epoch=None):
+    raise ValueError(f"injected at seed {model.config.seed}")
+
+
+class TestScoutWorkers:
+    """The race on two processes: the scout of seed 5 trains in this
+    process and the scout of seed 106 in a forked worker."""
+
+    def race(self, monkeypatch, train_by_seed):
+        real = tft.train
+
+        def patched(model, windows, on_epoch=None):
+            return train_by_seed.get(model.config.seed, real)(model, windows, on_epoch)
+
+        monkeypatch.setattr(tft, "train", patched)
+        race_on(monkeypatch, 2)
+        config = replace(SMALL, max_epochs=2, seed=5)
+        return train_with_restarts(config, *FEATURES, sine_windows(n=120),
+                                   restarts=2, scout_epochs=1)
+
+    def test_worker_scout_trains_in_another_process(self, monkeypatch, tmp_path):
+        real = tft.train
+
+        def record_pid(model, windows, on_epoch=None):
+            (tmp_path / str(model.config.seed)).write_text(str(os.getpid()))
+            return real(model, windows, on_epoch)
+
+        model, report = self.race(monkeypatch, {5: record_pid, 106: record_pid})
+        assert (tmp_path / "5").read_text() == str(os.getpid())
+        assert (tmp_path / "106").read_text() != str(os.getpid())
+        assert len(report.restart_scout_losses) == 2 and report.stopped_epoch == 2
+        assert multiprocessing.active_children() == []
+
+    def test_failure_here_terminates_the_worker(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="injected at seed 5"):
+            self.race(monkeypatch, {5: fail, 106: hang})
+        assert time.perf_counter() - start < 60
+        assert multiprocessing.active_children() == []
+
+    def test_failure_in_a_worker_is_raised_with_its_seed(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="restart scout of seed 106 failed: "
+                                               "ValueError: injected at seed 106") as info:
+            self.race(monkeypatch, {5: quick_scout, 106: fail})
+        assert isinstance(info.value.__cause__, ValueError)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_without_a_result(self, monkeypatch):
+        with pytest.raises(RuntimeError, match=r"seeds \[106\] exited with code 7 and no result"):
+            self.race(monkeypatch, {5: quick_scout, 106: die})
+        assert multiprocessing.active_children() == []
+
+
+class TestScoutProcesses:
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(tft, "_blas_threads", lambda: ("get", "set"))  # a pin is found
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def test_one_per_usable_cpu_and_at_most_one_per_scout(self, four_cpus):
+        assert [tft._scout_processes(r) for r in (2, 4, 9)] == [2, 4, 4]
+
+    @pytest.mark.parametrize("owner, name, value", [
+        (tft, "_blas_threads", lambda: None),
+        (multiprocessing, "get_all_start_methods", lambda: ["spawn"]),
+        (multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True)),
+    ], ids=["no_blas_pin", "no_fork", "daemonic"])
+    def test_one_process_when(self, four_cpus, monkeypatch, owner, name, value):
+        monkeypatch.setattr(owner, name, value)
+        assert tft._scout_processes(3) == 1
+
+    def test_one_process_beside_another_thread(self, four_cpus):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert tft._scout_processes(3) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def threads(self):
+        """The OpenBLAS thread count reader, with the count set to 2."""
+        found = tft._blas_threads()
+        if found is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get, set_threads = found
+        before = get()
+        set_threads(2)
+        yield get
+        set_threads(before)
+
+    def test_training_runs_on_one_thread(self, threads):
+        seen = []
+        train(small_model(replace(SMALL, max_epochs=2)), sine_windows(n=120),
+              on_epoch=lambda *args: seen.append(threads()))
+        assert seen == [1, 1]
+        assert threads() == 2
+
+    def test_count_is_restored_when_training_raises(self, threads):
+        seen = []
+
+        def stop(*args):
+            seen.append(threads())
+            raise ValueError("stop")
+
+        with pytest.raises(ValueError, match="stop"):
+            train(small_model(replace(SMALL, max_epochs=2)), sine_windows(n=120), on_epoch=stop)
+        assert seen == [1]
+        assert threads() == 2
 
 
 def assert_trains_like_the_chain(monkeypatch, tmp_path, layer, composed, seed):
