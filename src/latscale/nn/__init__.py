@@ -9,7 +9,6 @@ from .layers import (
     LstmCell,
     ParamStore,
     causal_mask,
-    pinball,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "autodiff",
     "causal_mask",
     "grad_check",
-    "pinball",
 ]

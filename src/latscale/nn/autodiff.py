@@ -38,8 +38,14 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: Array | None = None):
-        """Accumulate gradients of this (typically scalar) node's output
-        into every tensor that feeds it."""
+        """Accumulate gradients into every tensor that feeds this node,
+        starting from any output: ``seed`` is the gradient of the final
+        objective with respect to this node's values (ones by default,
+        which makes the objective the sum of those values).  A seed of
+        another shape raises ValueError."""
+        seed = np.ones_like(self.values) if seed is None else np.asarray(seed, dtype=np.float64)
+        if seed.shape != self.values.shape:
+            raise ValueError(f"seed of shape {seed.shape} for a node of shape {self.values.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -56,35 +62,10 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.values) if seed is None else np.asarray(seed, dtype=np.float64)
+        self.grad = seed
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Small conveniences; the heavy lifting stays in module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
@@ -128,27 +109,6 @@ def add(a, b) -> Tensor:
             _accumulate(b, g)
 
     out._backward = backward
-    return out
-
-
-def sub(a, b) -> Tensor:
-    av, bv = _values(a), _values(b)
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-    out = Tensor(av - bv, parents)
-
-    def backward(g):
-        if isinstance(a, Tensor):
-            _accumulate(a, g)
-        if isinstance(b, Tensor):
-            _accumulate(b, -g)
-
-    out._backward = backward
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.values, (a,))
-    out._backward = lambda g: _accumulate(a, -g)
     return out
 
 
@@ -299,35 +259,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def swap_last(x: Tensor) -> Tensor:
     out = Tensor(np.swapaxes(x.values, -1, -2), (x,))
     out._backward = lambda g: _accumulate(x, np.swapaxes(g, -1, -2))
-    return out
-
-
-def total(x: Tensor) -> Tensor:
-    out = Tensor(x.values.sum(), (x,))
-    out._backward = lambda g: _accumulate(x, np.broadcast_to(g, x.values.shape))
-    return out
-
-
-def mean(x: Tensor) -> Tensor:
-    n = x.values.size
-    out = Tensor(x.values.mean(), (x,))
-    out._backward = lambda g: _accumulate(x, np.broadcast_to(g / n, x.values.shape))
-    return out
-
-
-def maximum(a, b) -> Tensor:
-    av, bv = _values(a), _values(b)
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-    out = Tensor(np.maximum(av, bv), parents)
-    pick_a = av >= bv
-
-    def backward(g):
-        if isinstance(a, Tensor):
-            _accumulate(a, np.where(pick_a, g, 0.0))
-        if isinstance(b, Tensor):
-            _accumulate(b, np.where(pick_a, 0.0, g))
-
-    out._backward = backward
     return out
 
 

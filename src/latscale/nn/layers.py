@@ -1,5 +1,5 @@
 """Differentiable building blocks: dense layers, GRN, gate-add-norm, LSTM
-cell, interpretable multi-head attention, pinball loss, and Adam."""
+cell, interpretable multi-head attention, and Adam."""
 from __future__ import annotations
 
 import json
@@ -269,9 +269,3 @@ class InterpretableAttention:
         context = ad.dropout(context, self.dropout, rng, training)
         return self.out(context), weights
 
-
-def pinball(error: Tensor, q: float) -> Tensor:
-    """Elementwise pinball loss of a residual tensor (y - yhat)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile must be in (0, 1), got {q}")
-    return ad.maximum(ad.mul(error, q), ad.mul(error, q - 1.0))

@@ -93,12 +93,17 @@ def least_squares_objective(models: Sequence[KrrModel], importance_matrix: np.nd
     if outputs.shape[0] != t.size:
         raise ValueError(f"{outputs.shape[0]} rows vs {t.size} target values")
     design = np.column_stack([np.ones(t.size), outputs])
+    return _squared_residual(design, t), design
+
+
+def _squared_residual(design: np.ndarray, t: np.ndarray) -> Callable:
+    """theta -> (||design theta - t||^2, its gradient 2 design^T (design theta - t))."""
 
     def fun_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         resid = design @ theta - t
         return float(resid @ resid), 2.0 * (design.T @ resid)
 
-    return fun_and_grad, design
+    return fun_and_grad
 
 
 @dataclass
@@ -182,13 +187,7 @@ def solve_theta(
     # in a range where the absolute projected-gradient tolerance is
     # attainable in double precision even for millisecond-scale targets.
     scale = float(max(1.0, np.max(np.abs(t)), np.max(np.abs(design))))
-    scaled_design = design / scale
-    scaled_t = t / scale
-
-    def scaled_fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        resid = scaled_design @ theta - scaled_t
-        return float(resid @ resid), 2.0 * (scaled_design.T @ resid)
-
+    scaled_fun = _squared_residual(design / scale, t / scale)
     result = lbfgsb_minimize(scaled_fun, np.concatenate([[t.mean()], np.ones(k)]), bounds)
     result.objective_value = fun_and_grad(result.theta)[0]
     return ThetaVector(values=result.theta, bounds=bounds), result

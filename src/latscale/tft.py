@@ -173,8 +173,8 @@ class TemporalFusionTransformer:
     def parameter_count(self) -> int:
         return self.store.parameter_count()
 
-    def _vsn(self, flat: Tensor, embeds, select, feature_grns, training, rng):
-        embedded = [embed(ad.narrow(flat, 1, i, 1)) for i, embed in enumerate(embeds)]
+    def _vsn(self, flat: np.ndarray, embeds, select, feature_grns, training, rng):
+        embedded = [embed(flat[:, i : i + 1]) for i, embed in enumerate(embeds)]
         logits = select(ad.concat(embedded, axis=1), training=training, rng=rng)
         weights = ad.softmax(logits, axis=-1)
         combined = None
@@ -196,11 +196,11 @@ class TemporalFusionTransformer:
         h = cfg.hidden_size
 
         enc_vsn, enc_w = self._vsn(
-            Tensor(enc.reshape(b * k, n_enc)), self.enc_embed, self.enc_select,
+            enc.reshape(b * k, n_enc), self.enc_embed, self.enc_select,
             self.enc_feature_grns, training, rng,
         )
         dec_vsn, dec_w = self._vsn(
-            Tensor(dec.reshape(b * tau, n_dec)), self.dec_embed, self.dec_select,
+            dec.reshape(b * tau, n_dec), self.dec_embed, self.dec_select,
             self.dec_feature_grns, training, rng,
         )
         vsn_seq = ad.concat(
@@ -349,19 +349,22 @@ def denormalize_target(values: np.ndarray, lo: float | np.ndarray, rng: float | 
     return (values - EPSILON) * rng + lo
 
 
-def _batch_loss(model: TemporalFusionTransformer, out_quantiles: Tensor, labels: np.ndarray) -> Tensor:
+def _batch_loss(quantiles: Sequence[float], pred: np.ndarray,
+                labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over windows of the pinball loss summed over quantiles and
-    horizon steps."""
-    b, tau, _ = out_quantiles.shape
-    losses = []
-    for qi, q in enumerate(model.config.quantiles):
-        pred = ad.reshape(ad.narrow(out_quantiles, 2, qi, 1), (b, tau))
-        err = ad.sub(labels, pred)
-        losses.append(ad.total(nn.pinball(err, q)))
-    summed = losses[0]
-    for extra in losses[1:]:
-        summed = ad.add(summed, extra)
-    return ad.mul(summed, 1.0 / b)
+    horizon steps, and its gradient with respect to ``pred`` (B, tau, Q).
+
+    The pinball loss of a residual e = y - yhat is max(q e, (q - 1) e).
+    """
+    scale = 1.0 / pred.shape[0]
+    loss = 0.0
+    grad = np.empty_like(pred)
+    for qi, q in enumerate(quantiles):
+        err = labels - pred[:, :, qi]
+        over, under = err * q, err * (q - 1.0)
+        loss = loss + np.maximum(over, under).sum()
+        grad[:, :, qi] = -np.where(over >= under, scale * q, scale * (q - 1.0))
+    return float(loss * scale), grad
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +501,6 @@ def _one_blas_thread():
         set_threads(before)
 
 
-@_one_blas_thread()
 def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window],
                 val_windows: Sequence[Window], on_epoch) -> TrainingReport:
     """Take ``model._run`` on to ``max_epochs`` or an early stop, then
@@ -530,11 +532,11 @@ def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window
                 batch = prepare_batch([train_windows[i] for i in idx], config, model.feature_scaling)
                 model.store.zero_grad()
                 out = model.forward(batch.enc, batch.dec, training=True, rng=run.rng)
-                loss = _batch_loss(model, out["quantiles"], batch.labels)
-                loss.backward()
+                loss, grad = _batch_loss(config.quantiles, out["quantiles"].values, batch.labels)
+                out["quantiles"].backward(grad)
                 optimizer.step()
-                epoch_loss += float(loss.values) * len(idx)
-                del batch, out, loss  # free this batch before the next one is built
+                epoch_loss += loss * len(idx)
+                del batch, out, grad  # free this batch before the next one is built
             epoch_loss /= n_train
 
             val_loss = evaluate_loss(model, val_windows)
@@ -587,9 +589,10 @@ def train_with_restarts(
 
     The scouts race on the usable CPUs: they are dealt round-robin to
     this process and to forked workers, one process per CPU and at most
-    one per scout.  Training pins OpenBLAS to one thread, so the
-    processes do not compete for CPUs.  A scout depends on its own seed
-    only, so the bytes are the same as with one process.
+    one per scout.  While more than one process races, OpenBLAS is
+    pinned to one thread, so the processes do not compete for CPUs; the
+    winner goes on at the caller's thread count.  A scout depends on its
+    own seed only, so the bytes are the same as with one process.
     """
     if restarts <= 1:
         model = TemporalFusionTransformer(config, encoder_features, decoder_features)
@@ -601,7 +604,10 @@ def train_with_restarts(
         model = TemporalFusionTransformer(scout_cfg, encoder_features, decoder_features)
         return model, min(train(model, windows).val_loss)
 
-    scouts = _race(scout, candidates, _scout_processes(restarts))
+    processes = _scout_processes(restarts)
+    # pinned before the race forks, so its workers start on one thread as well
+    with _one_blas_thread() if processes > 1 else contextlib.nullcontext():
+        scouts = _race(scout, candidates, processes)
     scout_losses = [loss for _, loss in scouts]
     best = int(np.argmin(scout_losses))
     model = scouts[best][0]
@@ -698,9 +704,9 @@ def evaluate_loss(model: TemporalFusionTransformer, windows: Sequence[Window]) -
     total_loss = 0.0
     for batch in _slices(model, windows):
         out = model.forward(batch.enc, batch.dec, training=False)
-        loss = _batch_loss(model, out["quantiles"], batch.labels)
-        total_loss += float(loss.values) * len(batch.starts)
-        del batch, out, loss
+        loss, _ = _batch_loss(model.config.quantiles, out["quantiles"].values, batch.labels)
+        total_loss += loss * len(batch.starts)
+        del batch, out
     return total_loss / len(windows)
 
 

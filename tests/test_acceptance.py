@@ -26,6 +26,7 @@ from latscale.nn import (
 )
 from latscale.simulator import ServiceConfig, WorkloadProfile, build_robotshop_graph, simulate
 from latscale.trace_data import WindowSpec, make_windows, p95
+from oracles import batch_loss_node, mean
 
 GREEN_FEATURES = ["cps.green", "cps.blue", "cps.purple", "cps.red", "pods.cart", "pods.catalogue"]
 
@@ -55,7 +56,7 @@ class TestCriterion1Gradients:
         residual = Tensor(rng.normal(0, 1, (5, 4)))
         probe = rng.normal(0, 1, (5, 4))
         worst_block = max(worst_block, grad_check(
-            lambda: ad.mean(ad.mul(gate(x, residual), probe)),
+            lambda: mean(ad.mul(gate(x, residual), probe)),
             list(store.tensors().values()) + [x, residual]))
 
         store = ParamStore(seed=2)
@@ -63,7 +64,7 @@ class TestCriterion1Gradients:
         xg = Tensor(rng.normal(0, 1, (6, 5)))
         probe = rng.normal(0, 1, (6, 4))
         worst_block = max(worst_block, grad_check(
-            lambda: ad.mean(ad.mul(grn(xg), probe)), list(store.tensors().values()) + [xg]))
+            lambda: mean(ad.mul(grn(xg), probe)), list(store.tensors().values()) + [xg]))
 
         store = ParamStore(seed=3)
         cell = LstmCell(store, "lstm", 3, 4)
@@ -73,7 +74,7 @@ class TestCriterion1Gradients:
             h, c = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4)))
             for xt in xs:
                 h, c = cell.step(xt, h, c)
-            return ad.mean(ad.mul(h, 1.7))
+            return mean(ad.mul(h, 1.7))
 
         worst_block = max(worst_block, grad_check(lstm_loss, list(store.tensors().values()) + xs))
 
@@ -82,7 +83,7 @@ class TestCriterion1Gradients:
         xa = Tensor(rng.normal(0, 1, (2, 5, 4)))
         probe = rng.normal(0, 1, (2, 5, 4))
         worst_block = max(worst_block, grad_check(
-            lambda: ad.mean(ad.mul(attn(xa, xa, mask=causal_mask(5, 5))[0], probe)),
+            lambda: mean(ad.mul(attn(xa, xa, mask=causal_mask(5, 5))[0], probe)),
             list(store.tensors().values()) + [xa]))
 
         config = tft.TftConfig(hidden_size=4, attention_heads=1, encoder_length=8,
@@ -94,7 +95,7 @@ class TestCriterion1Gradients:
 
         def model_loss():
             out = model.forward(enc, dec, training=False)
-            return tft._batch_loss(model, out["quantiles"], labels)
+            return batch_loss_node(config.quantiles, out["quantiles"], labels)
 
         full_err = grad_check(model_loss, model.store.tensors().values(),
                               max_coords_per_tensor=6, rng=np.random.default_rng(9))

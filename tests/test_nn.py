@@ -15,8 +15,8 @@ from latscale.nn import (
     autodiff as ad,
     causal_mask,
     grad_check,
-    pinball,
 )
+from oracles import mean, pinball, sub, total
 
 
 def rand_tensor(rng, *shape):
@@ -60,14 +60,23 @@ class TestAutodiffPrimitives:
         store = ParamStore(seed=1)
         layer = Linear(store, "lin", 4, 3)
         x = rand_tensor(rng, 5, 4)
-        err = grad_check(lambda: ad.total(layer(x)), [store["lin.w"], store["lin.b"], x])
+        err = grad_check(lambda: total(layer(x)), [store["lin.w"], store["lin.b"], x])
         assert err < 1e-8
+
+    def test_backward_rejects_a_seed_of_another_shape(self):
+        x = Tensor(np.ones((2, 3)))
+        y = ad.mul(x, 2.0)
+        with pytest.raises(ValueError, match=r"seed of shape \(3,\) for a node of shape \(2, 3\)"):
+            y.backward(np.ones(3))  # broadcastable, yet not the node's shape
+        assert x.grad is None
+        y.backward(np.full((2, 3), 0.5))
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_broadcast_add_and_mul(self):
         rng = np.random.default_rng(1)
         a = rand_tensor(rng, 3, 4)
         b = rand_tensor(rng, 4)
-        err = grad_check(lambda: ad.mean(ad.mul(ad.add(a, b), b)), [a, b])
+        err = grad_check(lambda: mean(ad.mul(ad.add(a, b), b)), [a, b])
         assert err < 1e-7
 
     def test_batched_matmul_gradient(self):
@@ -75,7 +84,7 @@ class TestAutodiffPrimitives:
         a = rand_tensor(rng, 2, 3, 4)
         b = rand_tensor(rng, 2, 4, 5)
         w = rand_tensor(rng, 5, 2)
-        err = grad_check(lambda: ad.total(ad.matmul(ad.matmul(a, b), w)), [a, b, w])
+        err = grad_check(lambda: total(ad.matmul(ad.matmul(a, b), w)), [a, b, w])
         assert err < 1e-7
 
     def test_softmax_rows_are_distributions(self):
@@ -100,7 +109,7 @@ class TestAutodiffPrimitives:
             left = ad.narrow(x, 1, 0, 4)
             right = ad.narrow(x, 1, 4, 4)
             glued = ad.concat([right, left], axis=1)
-            return ad.mean(ad.mul(ad.reshape(glued, (6, 4)), 2.0))
+            return mean(ad.mul(ad.reshape(glued, (6, 4)), 2.0))
 
         assert grad_check(loss, [x]) < 1e-8
 
@@ -112,14 +121,14 @@ class TestAutodiffPrimitives:
             out._backward = lambda g: ad._accumulate(t, g * 2.5 * t.values)  # wrong factor
             return out
 
-        err = grad_check(lambda: ad.total(bad_square(x)), [x])
+        err = grad_check(lambda: total(bad_square(x)), [x])
         assert err > 1e-2
 
     def test_tensor_added_to_itself(self):
         rng = np.random.default_rng(22)
         p = rand_tensor(rng, 3, 2)
         probe = rng.normal(0, 1, (3, 2))
-        assert grad_check(lambda: ad.total(ad.mul(ad.add(p, p), probe)), [p]) < 1e-8
+        assert grad_check(lambda: total(ad.mul(ad.add(p, p), probe)), [p]) < 1e-8
         np.testing.assert_array_equal(p.grad, 2.0 * probe)
 
     def test_tensor_feeding_two_ops(self):
@@ -129,8 +138,8 @@ class TestAutodiffPrimitives:
         x = rand_tensor(rng, 4, 3)
         y = rand_tensor(rng, 4, 3)
         w = rand_tensor(rng, 3, 3)
-        for loss in (lambda: ad.mean(ad.mul(ad.add(x, y), ad.matmul(x, w))),
-                     lambda: ad.mean(ad.mul(ad.matmul(x, w), ad.add(x, y)))):
+        for loss in (lambda: mean(ad.mul(ad.add(x, y), ad.matmul(x, w))),
+                     lambda: mean(ad.mul(ad.matmul(x, w), ad.add(x, y)))):
             assert grad_check(loss, [x, y, w]) < 1e-8
 
     def test_clipping_scales_shared_gradients_once(self):
@@ -143,7 +152,7 @@ class TestAutodiffPrimitives:
         probe = rng.normal(0, 1, (3, 2))
 
         def loss():
-            return ad.total(ad.mul(ad.add(p1, p2), probe))
+            return total(ad.mul(ad.add(p1, p2), probe))
 
         assert grad_check(loss, [p1, p2]) < 1e-8
         store.zero_grad()
@@ -208,7 +217,7 @@ class TestGrn:
         # plain mean of a LayerNorm
         probe = rng.normal(0, 1, (7, 3))
         err = grad_check(
-            lambda: ad.mean(ad.mul(grn(x), probe)), list(store.tensors().values()) + [x]
+            lambda: mean(ad.mul(grn(x), probe)), list(store.tensors().values()) + [x]
         )
         assert err < 1e-4
 
@@ -280,7 +289,7 @@ class TestGatedResidual:
             rng = np.random.default_rng(41)
             out = run(grn, x, training, rng)
             # x feeds a second op too, so the order of its accumulations counts
-            ad.add(ad.total(ad.mul(out, probe)), ad.total(ad.mul(x, x))).backward()
+            ad.add(total(ad.mul(out, probe)), total(ad.mul(x, x))).backward()
             results.append((out.values, [t.grad for t in wrt], rng.random(4)))
         (fused, fused_grads, fused_next), (ref, ref_grads, ref_next) = results
         np.testing.assert_array_equal(fused, ref)
@@ -298,7 +307,7 @@ class TestGatedResidual:
         store, grn, x, probe = self.build(43, (2, 3), 6, 4)
         # a fresh generator per call draws the same mask, so the loss is deterministic
         err = grad_check(
-            lambda: ad.mean(ad.mul(grn(x, True, np.random.default_rng(44)), probe)),
+            lambda: mean(ad.mul(grn(x, True, np.random.default_rng(44)), probe)),
             list(store.tensors().values()) + [x],
         )
         assert err < 1e-4
@@ -336,7 +345,7 @@ class TestGateAddNorm:
             rng = np.random.default_rng(61)
             out = run(gan, *self.feed(mix, shared), training, rng)
             # the shared input feeds a third op, so the order of its accumulations counts
-            ad.add(ad.total(ad.mul(out, probe)), ad.total(ad.mul(shared, shared))).backward()
+            ad.add(total(ad.mul(out, probe)), total(ad.mul(shared, shared))).backward()
             results.append((out.values, [t.grad for t in wrt], rng.random(4)))
         (fused, fused_grads, fused_next), (ref, ref_grads, ref_next) = results
         np.testing.assert_array_equal(fused, ref)
@@ -358,7 +367,7 @@ class TestGateAddNorm:
         store, gan, mix, shared, probe = self.build(63, (2, 3))
         # a fresh generator per call draws the same mask, so the loss is deterministic
         err = grad_check(
-            lambda: ad.mean(ad.mul(gan(*self.feed(mix, shared), True, np.random.default_rng(64)),
+            lambda: mean(ad.mul(gan(*self.feed(mix, shared), True, np.random.default_rng(64)),
                                    probe)),
             list(store.tensors().values()) + [shared],
         )
@@ -404,7 +413,7 @@ class TestLstm:
             h, c = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3)))
             for x in xs:
                 h, c = cell.step(x, h, c)
-            return ad.mean(h)
+            return mean(h)
 
         err = grad_check(loss, list(store.tensors().values()) + xs)
         assert err < 1e-4
@@ -455,7 +464,7 @@ class TestLstmSequence:
             for t in wrt:
                 t.zero_grad()
             out = run()
-            ad.total(ad.mul(out, probe)).backward()
+            total(ad.mul(out, probe)).backward()
             results.append((out.values, [t.grad for t in wrt]))
         (fused, fused_grads), (ref, ref_grads) = results
         # equal to the last bit, not just close: the fused op keeps the
@@ -466,7 +475,7 @@ class TestLstmSequence:
 
     def test_gradient(self):
         store, _, x, probe, segments = self.build(31, 2, (4, 3))
-        err = grad_check(lambda: ad.mean(ad.mul(ad.lstm_sequence(x, segments), probe)),
+        err = grad_check(lambda: mean(ad.mul(ad.lstm_sequence(x, segments), probe)),
                          list(store.tensors().values()) + [x])
         assert err < 1e-4
 
@@ -526,7 +535,7 @@ class TestAttention:
         x = rand_tensor(rng, 2, 4, 4)
         probe = rng.normal(0, 1, (2, 4, 4))
         err = grad_check(
-            lambda: ad.mean(ad.mul(attn(x, x, mask=causal_mask(4, 4))[0], probe)),
+            lambda: mean(ad.mul(attn(x, x, mask=causal_mask(4, 4))[0], probe)),
             list(store.tensors().values()) + [x],
         )
         assert err < 1e-4
@@ -569,7 +578,7 @@ class TestGrnStackGradient:
 
         def loss():
             a = g1(x)
-            return ad.mean(ad.mul(gate(g2(a), a), probe))
+            return mean(ad.mul(gate(g2(a), a), probe))
 
         err = grad_check(loss, list(store.tensors().values()) + [x])
         assert err < 1e-4
@@ -632,7 +641,7 @@ class TestParamStoreAndAdam:
                 out = grn(Tensor(x))
                 if step % 2 == 0:  # the side layer gets a gradient every other step only
                     out = ad.add(out, side(Tensor(ctx)))
-                ad.total(ad.mul(out, probe)).backward()
+                total(ad.mul(out, probe)).backward()
                 opt.step()
                 grads.append({name: t.grad for name, t in store.tensors().items()})
             sides.append((store.state_dict(), grads))
@@ -696,7 +705,7 @@ class TestParamStoreAndAdam:
         target = np.array([1.0, -2.0, 0.5, 3.0])
         for _ in range(400):
             store.zero_grad()
-            loss = ad.total(ad.mul(ad.sub(w, target), ad.sub(w, target)))
+            loss = total(ad.mul(sub(w, target), sub(w, target)))
             loss.backward()
             opt.step()
         np.testing.assert_allclose(w.values, target, atol=1e-3)

@@ -40,6 +40,7 @@ from latscale.trace_data import (
     WindowSpec,
     make_windows,
 )
+from oracles import chain_batch_loss
 
 SMALL = TftConfig(encoder_length=64, decoder_length=16, hidden_size=8,
                   attention_heads=1, max_epochs=15, seed=3)
@@ -367,22 +368,23 @@ def fail(model, windows, on_epoch=None):
     raise ValueError(f"injected at seed {model.config.seed}")
 
 
-class TestScoutWorkers:
+def race_two(monkeypatch, train_by_seed, on_epoch=None):
     """The race on two processes: the scout of seed 5 trains in this
-    process and the scout of seed 106 in a forked worker."""
+    process and the scout of seed 106 in a forked worker, each with
+    ``train_by_seed``'s stand-in for ``tft.train`` where it has one."""
+    real = tft.train
 
-    def race(self, monkeypatch, train_by_seed):
-        real = tft.train
+    def patched(model, windows, on_epoch=None):
+        return train_by_seed.get(model.config.seed, real)(model, windows, on_epoch)
 
-        def patched(model, windows, on_epoch=None):
-            return train_by_seed.get(model.config.seed, real)(model, windows, on_epoch)
+    monkeypatch.setattr(tft, "train", patched)
+    race_on(monkeypatch, 2)
+    config = replace(SMALL, max_epochs=2, seed=5)
+    return train_with_restarts(config, *FEATURES, sine_windows(n=120),
+                               restarts=2, scout_epochs=1, on_epoch=on_epoch)
 
-        monkeypatch.setattr(tft, "train", patched)
-        race_on(monkeypatch, 2)
-        config = replace(SMALL, max_epochs=2, seed=5)
-        return train_with_restarts(config, *FEATURES, sine_windows(n=120),
-                                   restarts=2, scout_epochs=1)
 
+class TestScoutWorkers:
     def test_worker_scout_trains_in_another_process(self, monkeypatch, tmp_path):
         real = tft.train
 
@@ -390,7 +392,7 @@ class TestScoutWorkers:
             (tmp_path / str(model.config.seed)).write_text(str(os.getpid()))
             return real(model, windows, on_epoch)
 
-        model, report = self.race(monkeypatch, {5: record_pid, 106: record_pid})
+        model, report = race_two(monkeypatch, {5: record_pid, 106: record_pid})
         assert (tmp_path / "5").read_text() == str(os.getpid())
         assert (tmp_path / "106").read_text() != str(os.getpid())
         assert len(report.restart_scout_losses) == 2 and report.stopped_epoch == 2
@@ -399,20 +401,20 @@ class TestScoutWorkers:
     def test_failure_here_terminates_the_worker(self, monkeypatch):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="injected at seed 5"):
-            self.race(monkeypatch, {5: fail, 106: hang})
+            race_two(monkeypatch, {5: fail, 106: hang})
         assert time.perf_counter() - start < 60
         assert multiprocessing.active_children() == []
 
     def test_failure_in_a_worker_is_raised_with_its_seed(self, monkeypatch):
         with pytest.raises(RuntimeError, match="restart scout of seed 106 failed: "
                                                "ValueError: injected at seed 106") as info:
-            self.race(monkeypatch, {5: quick_scout, 106: fail})
+            race_two(monkeypatch, {5: quick_scout, 106: fail})
         assert isinstance(info.value.__cause__, ValueError)
         assert multiprocessing.active_children() == []
 
     def test_worker_that_dies_without_a_result(self, monkeypatch):
         with pytest.raises(RuntimeError, match=r"seeds \[106\] exited with code 7 and no result"):
-            self.race(monkeypatch, {5: quick_scout, 106: die})
+            race_two(monkeypatch, {5: quick_scout, 106: die})
         assert multiprocessing.active_children() == []
 
 
@@ -459,37 +461,51 @@ class TestBlasPin:
         yield get
         set_threads(before)
 
-    def test_training_runs_on_one_thread(self, threads):
+    def test_raced_scouts_run_on_one_thread(self, threads, monkeypatch, tmp_path):
+        """Each scout reads one thread, in this process and in the worker;
+        the winner goes on at the caller's count."""
+        real = tft.train
+
+        def record(model, windows, on_epoch=None):
+            (tmp_path / str(model.config.seed)).write_text(str(threads()))
+            return real(model, windows, on_epoch)
+
+        seen = []
+        race_two(monkeypatch, {5: record, 106: record}, on_epoch=lambda *a: seen.append(threads()))
+        assert [(tmp_path / seed).read_text() for seed in ("5", "106")] == ["1", "1"]
+        assert seen == [2, 2]
+        assert threads() == 2
+
+    def test_plain_training_runs_on_the_callers_count(self, threads):
         seen = []
         train(small_model(replace(SMALL, max_epochs=2)), sine_windows(n=120),
               on_epoch=lambda *args: seen.append(threads()))
-        assert seen == [1, 1]
-        assert threads() == 2
+        assert seen == [2, 2]
 
-    def test_count_is_restored_when_training_raises(self, threads):
+    def test_count_is_restored_when_a_raced_scout_raises(self, threads, monkeypatch):
         seen = []
 
-        def stop(*args):
+        def stop(model, windows, on_epoch=None):
             seen.append(threads())
             raise ValueError("stop")
 
         with pytest.raises(ValueError, match="stop"):
-            train(small_model(replace(SMALL, max_epochs=2)), sine_windows(n=120), on_epoch=stop)
+            race_two(monkeypatch, {5: stop, 106: quick_scout})
         assert seen == [1]
         assert threads() == 2
 
 
-def assert_trains_like_the_chain(monkeypatch, tmp_path, layer, composed, seed):
-    """Train 2 epochs with ``layer`` fused, then with ``composed`` patched
-    into ``layer.__call__``: the checkpoints must be the same bytes, so the
-    fused node keeps the chain's order of gradient accumulations across
+def assert_trains_like_the_chain(monkeypatch, tmp_path, owner, name, composed, seed):
+    """Train 2 epochs as the code stands, then with ``composed`` patched in
+    as ``owner.name``: the checkpoints must be the same bytes, so the
+    fused code keeps the chain's order of gradient accumulations across
     the whole graph."""
     config = replace(SMALL, max_epochs=2, seed=seed)
     windows = sine_windows(n=200)
     fused = small_model(config)
     train(fused, windows)
     save_checkpoint(fused, tmp_path / "fused.json")
-    monkeypatch.setattr(layer, "__call__", composed)
+    monkeypatch.setattr(owner, name, composed)
     chain = small_model(config)
     train(chain, windows)
     save_checkpoint(chain, tmp_path / "chain.json")
@@ -499,14 +515,41 @@ def assert_trains_like_the_chain(monkeypatch, tmp_path, layer, composed, seed):
 def test_fused_grn_trains_like_the_composed_chain(monkeypatch, tmp_path):
     from test_nn import composed_grn
 
-    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.Grn, composed_grn, seed=4)
+    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.Grn, "__call__", composed_grn, seed=4)
 
 
 def test_fused_gate_add_norm_trains_like_the_composed_chain(monkeypatch, tmp_path):
     from test_nn import composed_gate_add_norm
 
-    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.GateAddNorm, composed_gate_add_norm,
-                                 seed=5)
+    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.GateAddNorm, "__call__",
+                                 composed_gate_add_norm, seed=5)
+
+
+def chain_loss(quantiles, pred, labels):
+    """``tft._batch_loss`` as the chain of per-op nodes, on a leaf that
+    stands for the quantile output: the gradient is what the chain
+    delivers to that output."""
+    leaf = nn.Tensor(pred)
+    loss = chain_batch_loss(quantiles, leaf, labels)
+    loss.backward()
+    return float(loss.values), leaf.grad
+
+
+@pytest.mark.parametrize("quantiles", [(0.5,), (0.1, 0.5, 0.9), (0.05, 0.25, 0.5, 0.75, 0.95)])
+def test_batch_loss_equals_the_chain_bit_for_bit(quantiles):
+    rng = np.random.default_rng(len(quantiles))
+    pred = rng.normal(0, 1, (6, 8, len(quantiles)))
+    labels = rng.normal(0, 1, (6, 8))
+    for qi in range(len(quantiles)):
+        labels[:, qi] = pred[:, qi, qi]  # err == 0, where both branches of the max tie
+    value, grad = tft._batch_loss(quantiles, pred, labels)
+    want_value, want_grad = chain_loss(quantiles, pred, labels)
+    assert value == want_value
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_numpy_loss_trains_like_the_chain(monkeypatch, tmp_path):
+    assert_trains_like_the_chain(monkeypatch, tmp_path, tft, "_batch_loss", chain_loss, seed=6)
 
 
 def test_batch_prepared_alone_equals_rows_of_the_whole_set():
