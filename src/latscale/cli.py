@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import krr, scaler, tft
-from .simulator import Scenario, apply_plan, load_scenario, scenario_to_dict
+from .simulator import Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict
 from .trace_data import (
     DataFormatError, WindowSpec, load_dataset, make_windows, p95, save_dataset,
 )
@@ -278,7 +278,8 @@ def _cell(row_no: int, row, column: str, parse):
 
 def _read_steps(path, key_column: str, value_column: str, key_type):
     """A ``step,<key>,<value>`` CSV as its keys in first-seen order and a
-    (steps, keys) matrix.  A non-numeric or non-finite number, a repeated
+    (steps, keys) matrix.  A non-numeric or non-finite number, a negative
+    value (latencies and weights are never below zero), a repeated
     (step, key) pair or a step without every key raises DataFormatError."""
     per_step: dict[int, dict] = {}
     keys: dict = {}  # insertion-ordered set
@@ -290,6 +291,9 @@ def _read_steps(path, key_column: str, value_column: str, key_type):
             raise DataFormatError(f"repeated {key_column} {key!r} in one step",
                                   row=row_no, column=key_column)
         step_values[key] = _cell(row_no, row, value_column, float)
+        if step_values[key] < 0:
+            raise DataFormatError(f"negative cell {row[value_column]!r}",
+                                  row=row_no, column=value_column)
     if not per_step:
         raise DataFormatError("no data rows")
     for step, step_values in per_step.items():
@@ -412,12 +416,7 @@ def _build_catalog(features, dataset, scenario: Scenario | None):
         )
         if actionable:
             svc = scenario.configs.get(owner) if scenario else None
-            if prefix == "pods":
-                bounds[name] = (1.0, float(svc.pods_max) if svc else 16.0)
-            elif prefix == "cpu":
-                bounds[name] = (0.05, float(svc.cpu_max_cores) if svc else 32.0)
-            else:
-                bounds[name] = (2.0**24, float(svc.mem_max_bytes) if svc else 64e9)
+            bounds[name] = resource_bounds(svc)[prefix]
     return catalog, bounds
 
 

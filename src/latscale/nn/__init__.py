@@ -1,5 +1,5 @@
 from . import autodiff
-from .autodiff import Tensor, grad_check
+from .autodiff import Tensor
 from .layers import (
     Adam,
     GateAddNorm,
@@ -22,5 +22,4 @@ __all__ = [
     "Tensor",
     "autodiff",
     "causal_mask",
-    "grad_check",
 ]

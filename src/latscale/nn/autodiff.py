@@ -8,7 +8,7 @@ so finite-difference checks can be tight.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,14 +25,6 @@ class Tensor:
         self.grad: Array | None = None
         self._parents = parents
         self._backward = backward
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.values.ndim
 
     def zero_grad(self):
         self.grad = None
@@ -236,7 +228,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    index = [slice(None)] * x.ndim
+    index = [slice(None)] * x.values.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
     out = Tensor(x.values[index], (x,))
@@ -478,51 +470,3 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
     out._backward = lambda g: _accumulate(x, g * (keep / (1.0 - p)))
     return out
 
-
-def grad_check(
-    make_loss: Callable[[], Tensor],
-    wrt: Iterable[Tensor],
-    step: float = 1e-5,
-    max_coords_per_tensor: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Compare reverse-mode gradients against central finite differences.
-
-    ``make_loss`` must rebuild the scalar loss from the same tensor
-    objects on every call (and be deterministic, so no training-mode
-    dropout).  Sampling ``max_coords_per_tensor`` coordinates keeps the
-    check affordable on larger models.  Returns the worst per-tensor
-    relative error, where each tensor's error is measured in the
-    infinity norm over the checked coordinates.
-    """
-    wrt = list(wrt)
-    for t in wrt:
-        t.zero_grad()
-    loss = make_loss()
-    if loss.values.size != 1:
-        raise ValueError("grad_check expects a scalar loss")
-    loss.backward()
-    analytic = [np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in wrt]
-
-    worst = 0.0
-    rng = rng or np.random.default_rng(0)
-    for t, a in zip(wrt, analytic):
-        flat = t.values.reshape(-1)
-        n = flat.size
-        if max_coords_per_tensor is not None and n > max_coords_per_tensor:
-            coords = rng.choice(n, size=max_coords_per_tensor, replace=False)
-        else:
-            coords = np.arange(n)
-        fd = np.empty(len(coords))
-        for out_idx, i in enumerate(coords):
-            original = flat[i]
-            flat[i] = original + step
-            f_plus = float(make_loss().values)
-            flat[i] = original - step
-            f_minus = float(make_loss().values)
-            flat[i] = original
-            fd[out_idx] = (f_plus - f_minus) / (2.0 * step)
-        a_sel = a.reshape(-1)[coords]
-        scale = max(np.max(np.abs(a_sel), initial=0.0), np.max(np.abs(fd), initial=0.0), 1e-12)
-        worst = max(worst, float(np.max(np.abs(a_sel - fd), initial=0.0)) / scale)
-    return worst

@@ -35,12 +35,6 @@ class ParamStore:
         self._params[name] = t
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def tensors(self) -> dict[str, Tensor]:
         return dict(self._params)
 

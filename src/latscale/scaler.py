@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from . import simulator
 from .krr import KrrModel, predict as krr_predict
 
 if TYPE_CHECKING:
@@ -261,8 +262,8 @@ def make_plan(
 
     Actionable features get factor = theta_k applied multiplicatively
     to their current value, clamped to the resource bounds (looked up
-    by feature name, falling back to the resource kind).  Calls-per-
-    second features become advisory notes only.
+    by feature name, then by resource kind, then the simulator's
+    default box).  Calls-per-second features become advisory notes only.
     """
     factors = theta.factors
     if len(feature_catalog) != factors.size:
@@ -276,9 +277,8 @@ def make_plan(
         if spec.actionable:
             if spec.resource not in ACTIONABLE_RESOURCES:
                 raise ValueError(f"feature {spec.name!r}: unknown resource {spec.resource!r}")
-            lo, hi = resource_bounds.get(
-                spec.name, resource_bounds.get(spec.resource, (1.0, 16.0) if spec.resource == "pods" else (0.0, np.inf))
-            )
+            lo, hi = resource_bounds.get(spec.name, resource_bounds.get(
+                spec.resource, simulator.resource_bounds()[spec.resource]))
             raw = factor * spec.current
             recommended = float(np.clip(round(raw) if spec.resource == "pods" else raw, lo, hi))
             actions.append(

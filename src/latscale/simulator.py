@@ -28,6 +28,9 @@ UTIL_FLOOR = 0.02
 MEM_PENALTY = 2.0  # base-latency multiplier when memory is below the floor
 CPU_MIN_CORES = 0.05
 MEM_MIN_BYTES = 2**24  # 16 MiB
+PODS_MAX = 16  # the default maxima of a ServiceConfig
+CPU_MAX_CORES = 32.0
+MEM_MAX_BYTES = 64e9
 
 
 class UnconfiguredServiceError(KeyError):
@@ -162,9 +165,9 @@ class ServiceConfig:
     pods: int = 1
     cpu_cores: float = 1.0
     mem_bytes: float = 512e6
-    pods_max: int = 16
-    cpu_max_cores: float = 32.0
-    mem_max_bytes: float = 64e9
+    pods_max: int = PODS_MAX
+    cpu_max_cores: float = CPU_MAX_CORES
+    mem_max_bytes: float = MEM_MAX_BYTES
     mem_floor_bytes: float = 0.0
     pods_walk: Walk | None = None
     cpu_walk: Walk | None = None
@@ -233,6 +236,16 @@ def _resource_timeline(base: float, walk: Walk | None, steps: int, rng: np.rando
     if walk is None:
         return np.full(steps, float(base))
     return base * walk.factors(steps, rng)
+
+
+def resource_bounds(cfg: ServiceConfig | None = None) -> dict[str, tuple[float, float]]:
+    """The (lo, hi) box ``simulate`` and ``apply_plan`` clamp each resource
+    of ``cfg`` into; without ``cfg``, the box of a service with the
+    default maxima."""
+    pods_max, cpu_max, mem_max = (PODS_MAX, CPU_MAX_CORES, MEM_MAX_BYTES) if cfg is None else (
+        cfg.pods_max, cfg.cpu_max_cores, cfg.mem_max_bytes)
+    return {"pods": (1.0, float(pods_max)), "cpu": (CPU_MIN_CORES, float(cpu_max)),
+            "mem": (float(MEM_MIN_BYTES), float(mem_max))}
 
 
 def check_references(graph: CallGraph, workload: Mapping[str, WorkloadProfile],
@@ -344,18 +357,13 @@ def simulate(
     for idx, svc in enumerate(services):
         cfg = configs[svc]
         walk_rng = np.random.default_rng([seed, 2, idx])
+        bounds = resource_bounds(cfg)
         raw_pods = _resource_timeline(cfg.pods, cfg.pods_walk, duration_steps, walk_rng)
-        pods_t[svc] = np.clip(np.round(raw_pods), 1, cfg.pods_max)
-        cpu_t[svc] = np.clip(
-            _resource_timeline(cfg.cpu_cores, cfg.cpu_walk, duration_steps, walk_rng),
-            CPU_MIN_CORES,
-            cfg.cpu_max_cores,
-        )
-        mem_t[svc] = np.clip(
-            _resource_timeline(cfg.mem_bytes, cfg.mem_walk, duration_steps, walk_rng),
-            MEM_MIN_BYTES,
-            cfg.mem_max_bytes,
-        )
+        pods_t[svc] = np.clip(np.round(raw_pods), *bounds["pods"])
+        raw_cpu = _resource_timeline(cfg.cpu_cores, cfg.cpu_walk, duration_steps, walk_rng)
+        cpu_t[svc] = np.clip(raw_cpu, *bounds["cpu"])
+        raw_mem = _resource_timeline(cfg.mem_bytes, cfg.mem_walk, duration_steps, walk_rng)
+        mem_t[svc] = np.clip(raw_mem, *bounds["mem"])
         rate = np.zeros(duration_steps)
         for color in colors:
             if svc in trace_services[color]:
@@ -385,23 +393,25 @@ def simulate(
 def apply_plan(configs: Mapping[str, ServiceConfig], plan: "ScalingPlan") -> dict[str, ServiceConfig]:
     """Return new service configs with the plan's scaling factors applied.
 
-    Pod counts are rounded and clamped to [1, pods_max]; CPU and memory
-    scale continuously within their bounds.  Advisory (calls-per-
-    second) entries are left untouched.
+    Pod counts are rounded; every resource is clamped into its
+    ``resource_bounds``.  Advisory (calls-per-second) entries are left
+    untouched.
     """
     out = {name: replace(cfg) for name, cfg in configs.items()}
     for action in plan.actions:
         if action.service not in out:
             raise UnknownServiceError(f"plan references unknown service {action.service!r}")
         cfg = out[action.service]
-        if action.resource == "pods":
-            cfg.pods = int(np.clip(round(action.factor * cfg.pods), 1, cfg.pods_max))
-        elif action.resource == "cpu":
-            cfg.cpu_cores = float(np.clip(action.factor * cfg.cpu_cores, CPU_MIN_CORES, cfg.cpu_max_cores))
-        elif action.resource == "mem":
-            cfg.mem_bytes = float(np.clip(action.factor * cfg.mem_bytes, MEM_MIN_BYTES, cfg.mem_max_bytes))
-        else:
+        bounds = resource_bounds(cfg)
+        if action.resource not in bounds:
             raise ValueError(f"unknown resource {action.resource!r} in plan")
+        lo, hi = bounds[action.resource]
+        if action.resource == "pods":
+            cfg.pods = int(np.clip(round(action.factor * cfg.pods), lo, hi))
+        elif action.resource == "cpu":
+            cfg.cpu_cores = float(np.clip(action.factor * cfg.cpu_cores, lo, hi))
+        else:
+            cfg.mem_bytes = float(np.clip(action.factor * cfg.mem_bytes, lo, hi))
     return out
 
 
@@ -442,15 +452,9 @@ class Scenario:
                         f"{start + duration}, past duration_steps {self.duration_steps}"
                     )
 
-    def run(self, seed: int | None = None) -> TraceDataset:
-        return simulate(
-            self.graph,
-            self.workloads,
-            self.configs,
-            self.duration_steps,
-            self.seed if seed is None else seed,
-            noise_sigma=self.noise_sigma,
-        )
+    def run(self) -> TraceDataset:
+        return simulate(self.graph, self.workloads, self.configs, self.duration_steps, self.seed,
+                        noise_sigma=self.noise_sigma)
 
 
 def _from_doc(cls, doc, where: str, **given):
@@ -528,9 +532,3 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -68,6 +68,10 @@ class TftConfig:
             raise ValueError("quantiles must include the median 0.5, which violation checks read")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be finite and positive")
+        if self.early_stopping_patience < 0:
+            raise ValueError("early stopping patience must be >= 0")
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation fraction must be in (0, 1)")
 
@@ -122,10 +126,6 @@ class ImportanceSeries:
                 raise ValueError(f"{name} weights must be non-negative")
             if np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-6:
                 raise ValueError(f"{name} weight rows must sum to one")
-
-    def mean_decoder_importance(self) -> dict[str, float]:
-        means = self.decoder_variable_importance.mean(axis=0)
-        return {name: float(v) for name, v in zip(self.decoder_features, means)}
 
 
 class TemporalFusionTransformer:
@@ -235,18 +235,6 @@ class TemporalFusionTransformer:
         }
 
 
-def build_model(config: TftConfig, encoder_features, decoder_features) -> TemporalFusionTransformer:
-    """Assemble a model; feature arguments may be name lists or counts.
-
-    The encoder side must already include the target as its last input.
-    """
-    if isinstance(encoder_features, int):
-        encoder_features = [f"enc_{i}" for i in range(encoder_features)]
-    if isinstance(decoder_features, int):
-        decoder_features = [f"dec_{i}" for i in range(decoder_features)]
-    return TemporalFusionTransformer(config, encoder_features, decoder_features)
-
-
 # ---------------------------------------------------------------------------
 # Window batching and normalization
 
@@ -288,13 +276,15 @@ class FeatureScaling:
 
 def fit_feature_scaling(windows: Sequence[Window]) -> FeatureScaling:
     """Per-feature min-max over all encoder and decoder values of the
-    given (training) windows."""
+    given (training) windows, taken per window in place: the windows
+    are views, and min and max are exact, so no copy of them is needed."""
     names = windows[0].decoder.feature_names
-    stacked = np.concatenate(
-        [np.concatenate([w.encoder.values[:, : len(names)], w.decoder.values]) for w in windows]
-    )
-    lo = stacked.min(axis=0)
-    rng = stacked.max(axis=0) - lo + RANGE_FLOOR
+    width = len(names)
+    lo = np.min([np.minimum(w.encoder.values[:, :width].min(axis=0), w.decoder.values.min(axis=0))
+                 for w in windows], axis=0)
+    hi = np.max([np.maximum(w.encoder.values[:, :width].max(axis=0), w.decoder.values.max(axis=0))
+                 for w in windows], axis=0)
+    rng = hi - lo + RANGE_FLOOR
     return FeatureScaling(params={n: (float(l), float(r)) for n, l, r in zip(names, lo, rng)})
 
 
@@ -309,7 +299,7 @@ class PreparedBatch:
 
 
 def prepare_batch(windows: Sequence[Window], config: TftConfig,
-                  scaling: FeatureScaling | None = None) -> PreparedBatch:
+                  scaling: FeatureScaling) -> PreparedBatch:
     """Stack windows into model inputs.
 
     Covariates are scaled with the dataset-level parameters; the target
@@ -325,8 +315,6 @@ def prepare_batch(windows: Sequence[Window], config: TftConfig,
             f"window lengths ({enc_raw.shape[1]}, {dec_raw.shape[1]}) do not match "
             f"the configured ({k}, {tau})"
         )
-    if scaling is None:
-        scaling = fit_feature_scaling(windows)
     names = windows[0].decoder.feature_names
 
     target_raw = enc_raw[:, :, -1]
@@ -548,7 +536,7 @@ def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window
                 run.best_val = val_loss
                 run.best_epoch = epoch
                 run.best_state = model.store.state_dict()
-            elif epoch - run.best_epoch >= max(config.early_stopping_patience, 0):
+            elif epoch - run.best_epoch >= config.early_stopping_patience:
                 run.stopped_early = True
                 break
             elif epoch - max(run.best_epoch, run.last_reduction) >= lr_patience and optimizer.lr > 1e-4:

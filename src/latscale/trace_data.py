@@ -124,14 +124,6 @@ class TraceDataset:
     def traces(self) -> list[str]:
         return [s.owner for s in self.series if s.kind is SeriesKind.TARGET_LATENCY]
 
-    @property
-    def microservices(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.series:
-            if s.kind in RESOURCE_KINDS and s.microservice:
-                seen.setdefault(s.microservice)
-        return list(seen)
-
     def get(self, name: str) -> MetricSeries:
         for s in self.series:
             if s.name == name:
@@ -246,7 +238,9 @@ def p95(samples: Sequence[float] | np.ndarray) -> float:
     Returns the smallest sample value v such that at least 95% of the
     samples are <= v.
     """
-    return percentile_nearest_rank(samples, 95.0)
+    arr = np.asarray(samples, dtype=np.float64)
+    rank = nearest_rank(95.0, arr.size)
+    return float(np.partition(arr, rank - 1)[rank - 1])
 
 
 def nearest_rank(pct: float, n: int) -> int:
@@ -259,12 +253,6 @@ def nearest_rank(pct: float, n: int) -> int:
     return math.ceil(pct / 100.0 * n)
 
 
-def percentile_nearest_rank(samples: Sequence[float] | np.ndarray, pct: float) -> float:
-    arr = np.asarray(samples, dtype=np.float64)
-    rank = nearest_rank(pct, arr.size)
-    return float(np.partition(arr, rank - 1)[rank - 1])
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Encoder/decoder lengths for sliding windows."""
@@ -275,10 +263,6 @@ class WindowSpec:
     def __post_init__(self):
         if self.encoder_length < 1 or self.decoder_length < 1:
             raise ValueError("encoder and decoder lengths must be >= 1")
-
-    @property
-    def total(self) -> int:
-        return self.encoder_length + self.decoder_length
 
 
 @dataclass(frozen=True)
@@ -308,7 +292,6 @@ class Window:
     encoder: Block
     decoder: Block
     future_target: np.ndarray
-    target_name: str
 
 
 def make_windows(
@@ -348,7 +331,6 @@ def make_windows(
             encoder=Block(enc_names, view[:k]),
             decoder=Block(dec_names, view[k:, :-1]),
             future_target=view[k:, -1],
-            target_name=target.name,
         )
         for start, view in enumerate(views)
     ]

@@ -1,5 +1,5 @@
-"""Autodiff nodes that only the tests use: reductions that turn a block's
-output into a scalar for ``grad_check``, and the pinball loss as the
+"""Autodiff code that only the tests use: ``grad_check``, reductions that
+turn a block's output into a scalar for it, and the pinball loss as the
 chain of per-op nodes that ``tft._batch_loss`` replaces."""
 import numpy as np
 
@@ -81,3 +81,46 @@ def batch_loss_node(quantiles, pred: Tensor, labels: np.ndarray) -> Tensor:
     out = Tensor(value, (pred,))
     out._backward = lambda g: ad._accumulate(pred, g * grad)
     return out
+
+
+def grad_check(make_loss, wrt, step=1e-5, max_coords_per_tensor=None, rng=None) -> float:
+    """Compare reverse-mode gradients against central finite differences.
+
+    ``make_loss`` must rebuild the scalar loss from the same tensor
+    objects on every call (and be deterministic, so no training-mode
+    dropout).  Sampling ``max_coords_per_tensor`` coordinates keeps the
+    check affordable on larger models.  Returns the worst per-tensor
+    relative error, where each tensor's error is measured in the
+    infinity norm over the checked coordinates.
+    """
+    wrt = list(wrt)
+    for t in wrt:
+        t.zero_grad()
+    loss = make_loss()
+    if loss.values.size != 1:
+        raise ValueError("grad_check expects a scalar loss")
+    loss.backward()
+    analytic = [np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in wrt]
+
+    worst = 0.0
+    rng = rng or np.random.default_rng(0)
+    for t, a in zip(wrt, analytic):
+        flat = t.values.reshape(-1)
+        n = flat.size
+        if max_coords_per_tensor is not None and n > max_coords_per_tensor:
+            coords = rng.choice(n, size=max_coords_per_tensor, replace=False)
+        else:
+            coords = np.arange(n)
+        fd = np.empty(len(coords))
+        for out_idx, i in enumerate(coords):
+            original = flat[i]
+            flat[i] = original + step
+            f_plus = float(make_loss().values)
+            flat[i] = original - step
+            f_minus = float(make_loss().values)
+            flat[i] = original
+            fd[out_idx] = (f_plus - f_minus) / (2.0 * step)
+        a_sel = a.reshape(-1)[coords]
+        scale = max(np.max(np.abs(a_sel), initial=0.0), np.max(np.abs(fd), initial=0.0), 1e-12)
+        worst = max(worst, float(np.max(np.abs(a_sel - fd), initial=0.0)) / scale)
+    return worst

@@ -22,11 +22,10 @@ from latscale.nn import (
     Tensor,
     autodiff as ad,
     causal_mask,
-    grad_check,
 )
 from latscale.simulator import ServiceConfig, WorkloadProfile, build_robotshop_graph, simulate
 from latscale.trace_data import WindowSpec, make_windows, p95
-from oracles import batch_loss_node, mean
+from oracles import batch_loss_node, grad_check, mean
 
 GREEN_FEATURES = ["cps.green", "cps.blue", "cps.purple", "cps.red", "pods.cart", "pods.catalogue"]
 
@@ -88,7 +87,7 @@ class TestCriterion1Gradients:
 
         config = tft.TftConfig(hidden_size=4, attention_heads=1, encoder_length=8,
                                decoder_length=4, dropout=0.0, seed=5)
-        model = tft.build_model(config, 3, 2)
+        model = tft.TemporalFusionTransformer(config, ["a", "b", "target"], ["a", "b"])
         enc = rng.uniform(0.01, 1.01, (2, 8, 3))
         dec = rng.uniform(0.01, 1.01, (2, 4, 2))
         labels = rng.uniform(0.01, 1.01, (2, 4))
@@ -170,8 +169,10 @@ class TestCriterion3Interpretability:
             tft.train(model, windows)
             means: dict[str, float] = {}
             for w in windows[-24:]:
-                for name, v in tft.interpret(model, w).mean_decoder_importance().items():
-                    means[name] = means.get(name, 0.0) + v / 24
+                imp = tft.interpret(model, w)
+                mean_weights = imp.decoder_variable_importance.mean(axis=0)
+                for name, v in zip(imp.decoder_features, mean_weights):
+                    means[name] = means.get(name, 0.0) + float(v) / 24
             top = max(means, key=means.get)
             rankings.append((seed, top, means["pods.cart"]))
         ok = all(top == "pods.cart" for _, top, _ in rankings)
@@ -364,7 +365,7 @@ class TestCriterion8Invariants:
         rng = np.random.default_rng(8)
         config = tft.TftConfig(hidden_size=4, encoder_length=8, decoder_length=4,
                                dropout=0.0, seed=11)
-        model = tft.build_model(config, 3, 2)
+        model = tft.TemporalFusionTransformer(config, ["a", "b", "target"], ["a", "b"])
         weight_rows = 0
         forecast_rows = 0
         worst_sum = 0.0

@@ -9,7 +9,10 @@ import pytest
 
 from latscale import cli, krr, tft
 from latscale.cli import RunConfig, UsageError, load_run_config, main
-from latscale.simulator import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
+from latscale.scaler import PlanAction, ScalingPlan
+from latscale.simulator import (
+    Scenario, ServiceConfig, apply_plan, load_scenario, scenario_from_dict, scenario_to_dict,
+)
 
 TINY_SCENARIO = {
     "seed": 5,
@@ -245,7 +248,9 @@ PLAN_INPUT_EDITS = [
     ("no-weight-column", "importance.csv", "missing column (row 1, column 'weight')"),
     ("no-value-column", "forecast.csv", "missing column (row 1, column 'value_ms')"),
     ("nan-weight", "importance.csv", "non-finite cell 'nan' (row 4, column 'weight')"),
+    ("negative-weight", "importance.csv", "negative cell '-0.5' (row 4, column 'weight')"),
     ("inf-value", "forecast.csv", "non-finite cell 'inf' (row 3, column 'value_ms')"),
+    ("negative-value", "forecast.csv", "negative cell '-5' (row 3, column 'value_ms')"),
     ("word-step", "importance.csv", "cannot read 'one' as int (row 2, column 'step')"),
     ("ragged-row", "importance.csv", "ragged row: expected 3 cells (row 5)"),
     ("repeated-row", "importance.csv", "repeated feature 'cps.green' in one step (row 3"),
@@ -302,8 +307,12 @@ class TestPlan:
             rows = [row[:2] for row in rows]
         elif edit == "nan-weight":
             rows[3][2] = "nan"
+        elif edit == "negative-weight":
+            rows[3][2] = "-0.5"
         elif edit == "inf-value":
             rows[2][2] = "inf"
+        elif edit == "negative-value":
+            rows[2][2] = "-5"  # step 1's median
         elif edit == "word-step":
             rows[1][0] = "one"
         elif edit == "ragged-row":
@@ -349,6 +358,34 @@ class TestPlan:
                    "--sla-ms", "10", "--out", str(tmp_path), "--quiet"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: stage plan: injected")
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize("known", [True, False], ids=["sla_demo", "no-scenario"])
+    def test_catalog_bounds_are_the_clamps_apply_plan_applies(self, known):
+        """``plan`` clamps each recommendation into the box that the
+        re-simulation's ``apply_plan`` clamps the resource into."""
+        scenario = cli.resolve_scenario("sla_demo")
+        dataset = scenario.run()
+        catalog, bounds = cli._build_catalog(dataset.feature_names("both"), dataset,
+                                             scenario if known else None)
+        configs = scenario.configs if known else {
+            name: ServiceConfig(name, base_service_ms=1.0, per_pod_rate=1.0)
+            for name in scenario.configs
+        }
+        attribute = {"pods": "pods", "cpu": "cpu_cores", "mem": "mem_bytes"}
+        actionable = [spec for spec in catalog if spec.actionable]
+        assert {spec.resource for spec in actionable} == set(attribute)
+        for spec in actionable:
+            clamped = []
+            for factor in (1e-12, 1e12):
+                action = PlanAction(spec.microservice, spec.resource, spec.current, factor, 0.0)
+                plan = ScalingPlan(trace="green", sla_ms=1.0, violation_fraction=0.0, theta=[],
+                                   converged=True, objective_value=0.0, actions=[action],
+                                   advisories=[])
+                after = apply_plan(configs, plan)[spec.microservice]
+                clamped.append(float(getattr(after, attribute[spec.resource])))
+            assert tuple(clamped) == bounds[spec.name], spec.name
 
 
 # (stage, owner of a call the stage makes, name of that call)
@@ -495,6 +532,12 @@ class TestConfigFile:
         ("[boxes]\npods = 4, 2\n", "[boxes] pods"),
         ("[DEFAULT]\nseed = 3\n[run]\n", "[DEFAULT]"),
         ("[tft]\nquantiles = 0.2, 0.8\n", "[tft] quantiles: quantiles must include the median"),
+        ("[tft]\nlearning_rate = nan\n",
+         "[tft] learning_rate: learning rate must be finite and positive"),
+        ("[tft]\nlearning_rate = 0\n",
+         "[tft] learning_rate: learning rate must be finite and positive"),
+        ("[tft]\nearly_stopping_patience = -1\n",
+         "[tft] early_stopping_patience: early stopping patience must be >= 0"),
         ("[run]\nsteady_window = 0\n", "[run] steady_window: steady_window must be positive"),
         ("[run]\nrestarts = 0\n", "[run] restarts: restarts must be positive"),
         ("[run]\nsla_factor = 0\n", "[run] sla_factor: sla_factor must be positive"),
@@ -502,7 +545,8 @@ class TestConfigFile:
         ("[run]\nresources = diagonal\n", "[run] resources: unknown resource mode"),
     ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
             "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section",
-            "no-median", "steady-window", "restarts", "sla-factor", "sla-ms", "resources"])
+            "no-median", "learning-rate-nan", "learning-rate-zero", "patience", "steady-window",
+            "restarts", "sla-factor", "sla-ms", "resources"])
     def test_rejects_with_section_and_key(self, tmp_path, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -18,7 +18,6 @@ from latscale.tft import (
     TemporalFusionTransformer,
     TftConfig,
     band_coverage,
-    build_model,
     evaluate,
     fit_feature_scaling,
     interpret,
@@ -130,34 +129,40 @@ def expected_parameter_count(cfg: TftConfig, n_enc: int, n_dec: int) -> int:
     return total
 
 
+def named_model(cfg, n_enc, n_dec):
+    return TemporalFusionTransformer(cfg, [f"enc_{i}" for i in range(n_enc)],
+                                     [f"dec_{i}" for i in range(n_dec)])
+
+
 class TestBuildModel:
     def test_parameter_count_matches_bookkeeping(self):
         cfg = TftConfig(hidden_size=8, attention_heads=1)
-        model = build_model(cfg, 7, 6)
+        model = named_model(cfg, 7, 6)
         assert model.parameter_count() == expected_parameter_count(cfg, 7, 6)
 
     def test_parameter_count_two_heads(self):
         cfg = TftConfig(hidden_size=8, attention_heads=2)
-        model = build_model(cfg, 4, 3)
+        model = named_model(cfg, 4, 3)
         assert model.parameter_count() == expected_parameter_count(cfg, 4, 3)
 
     def test_selection_weights_shape(self):
         model = small_model()
         windows = sine_windows()[:3]
-        batch = prepare_batch(windows, SMALL)
+        batch = prepare_batch(windows, SMALL, fit_feature_scaling(windows))
         out = model.forward(batch.enc, batch.dec)
-        assert out["encoder_weights"].shape == (3, 64, 3)
-        assert out["decoder_weights"].shape == (3, 16, 2)
+        assert out["encoder_weights"].values.shape == (3, 64, 3)
+        assert out["decoder_weights"].values.shape == (3, 16, 2)
 
     def test_attention_rows_sum_to_one(self):
         model = small_model()
-        batch = prepare_batch(sine_windows()[:2], SMALL)
+        windows = sine_windows()[:2]
+        batch = prepare_batch(windows, SMALL, fit_feature_scaling(windows))
         out = model.forward(batch.enc, batch.dec)
         np.testing.assert_allclose(out["attention"].values.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_invalid_feature_count(self):
         with pytest.raises(ValueError):
-            build_model(TftConfig(), 0, 2)
+            named_model(TftConfig(), 0, 2)
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +557,35 @@ def test_numpy_loss_trains_like_the_chain(monkeypatch, tmp_path):
     assert_trains_like_the_chain(monkeypatch, tmp_path, tft, "_batch_loss", chain_loss, seed=6)
 
 
+def concatenated_scaling(windows):
+    """The reference for ``fit_feature_scaling``: min and max over one copy
+    of every window's feature values."""
+    names = windows[0].decoder.feature_names
+    stacked = np.concatenate(
+        [np.concatenate([w.encoder.values[:, : len(names)], w.decoder.values]) for w in windows]
+    )
+    lo = stacked.min(axis=0)
+    rng = stacked.max(axis=0) - lo + tft.RANGE_FLOOR
+    return {n: (float(l), float(r)) for n, l, r in zip(names, lo, rng)}
+
+
+@pytest.mark.parametrize("pick", ["contiguous", "shuffled"])
+def test_scaling_fit_per_window_equals_the_concatenation(pick):
+    rng = np.random.default_rng(17)
+    n = 300
+    ds = TraceDataset(time_index=np.arange(n), series=(
+        MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, rng.normal(30, 5, n)),
+        MetricSeries("cpu.cart", SeriesKind.VERTICAL_RESOURCE, rng.uniform(0.5, 2.0, n), "cart"),
+        MetricSeries("latency_p95.green", SeriesKind.TARGET_LATENCY, rng.uniform(40, 90, n)),
+    ))
+    windows = make_windows(ds, WindowSpec(SMALL.encoder_length, SMALL.decoder_length), "green")
+    if pick == "contiguous":
+        chosen = windows[40:170]
+    else:
+        chosen = [windows[i] for i in rng.permutation(len(windows))[:50]]
+    assert fit_feature_scaling(chosen).params == concatenated_scaling(chosen)
+
+
 def test_batch_prepared_alone_equals_rows_of_the_whole_set():
     windows = sine_windows(n=300)
     scaling = fit_feature_scaling(windows)
@@ -621,7 +655,7 @@ class TestInterpret:
         train(model, windows)
         imp = interpret(model, windows[0])
         np.testing.assert_allclose(imp.decoder_variable_importance, 1.0, atol=1e-12)
-        assert imp.mean_decoder_importance() == {"cps.green": 1.0}
+        assert imp.decoder_variable_importance.mean(axis=0).tolist() == [1.0]
 
     def test_importance_series_validates(self):
         with pytest.raises(ValueError, match="sum to one"):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latscale.tft import EPSILON, RANGE_FLOOR, TftConfig, denormalize_target, prepare_batch
+from latscale.tft import (
+    EPSILON, RANGE_FLOOR, TftConfig, denormalize_target, fit_feature_scaling, prepare_batch,
+)
 from latscale.trace_data import (
     Block,
     DataFormatError,
@@ -229,9 +231,9 @@ def prepare_target(values):
                       np.column_stack([np.ones(values.size), values])),
         decoder=Block(("cps.green",), np.ones((1, 1))),
         future_target=np.zeros(1),
-        target_name="latency_p95.green",
     )
-    batch = prepare_batch([window], TftConfig(encoder_length=values.size, decoder_length=1))
+    batch = prepare_batch([window], TftConfig(encoder_length=values.size, decoder_length=1),
+                          fit_feature_scaling([window]))
     return batch.enc[0, :, -1], batch.target_lo[0], batch.target_range[0]
 
 
