@@ -34,7 +34,8 @@ class Tensor:
         starting from any output: ``seed`` is the gradient of the final
         objective with respect to this node's values (ones by default,
         which makes the objective the sum of those values).  A seed of
-        another shape raises ValueError."""
+        another shape raises ValueError.  An inner node's gradient is freed
+        once passed on, so only leaves keep theirs."""
         seed = np.ones_like(self.values) if seed is None else np.asarray(seed, dtype=np.float64)
         if seed.shape != self.values.shape:
             raise ValueError(f"seed of shape {seed.shape} for a node of shape {self.values.shape}")
@@ -58,6 +59,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # spent: only leaves keep their gradients
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
@@ -78,11 +80,35 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient over the axes numpy broadcast during the forward pass."""
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum_columns(grad) if len(shape) == 1 else grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _sum_rows(a: Array) -> Array:
+    """``a.sum(axis=-1, keepdims=True)`` to the last bit.  numpy spends a
+    loop step per row; from 512 rows up to 8 wide, whole columns are added
+    in numpy's order instead: from its initial 0.0 (which turns -0.0 into
+    0.0), in turn below width 8 and pairwise at width 8."""
+    width = a.shape[-1]
+    if width > 8 or a.size < 512 * width:
+        return a.sum(axis=-1, keepdims=True)
+    c = [a[..., j] for j in range(width)]
+    if width < 8:
+        return functools.reduce(np.add, c, 0.0)[..., None]
+    return (0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))))[..., None]
+
+
+def _sum_columns(a: Array) -> Array:
+    """``a`` summed over every axis but the last, to the last bit: from 128
+    rows on, ``einsum`` adds rows in numpy's order, faster.  numpy sums a
+    single column pairwise, so that stays with numpy."""
+    width = a.shape[-1]
+    if width < 2 or a.size < 128 * width or not a.flags.c_contiguous:
+        return a.sum(axis=tuple(range(a.ndim - 1)))
+    return np.einsum("ij->j", a.reshape(-1, width))
 
 
 def _values(x) -> Array:
@@ -181,33 +207,30 @@ def _elu_grad(g: Array, y: Array, positive: Array) -> Array:
     return g * np.where(positive, 1.0, y + 1.0)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    v = x.values
-    m = np.max(v, axis=axis, keepdims=True)
-    e = np.exp(v - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, (x,))
+def _softmax(v: Array) -> Array:
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / _sum_rows(e)
 
-    def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - inner))
 
-    out._backward = backward
-    return out
+def _softmax_grad(g: Array, y: Array) -> Array:
+    return y * (g - _sum_rows(g * y))
 
 
 def _normalize(v: Array, eps: float = 1e-5) -> tuple[Array, Array]:
     """x-hat and 1/sigma of ``v`` over its last axis."""
-    # np.var's own steps, with the mean and the centring done once
-    centred = v - v.mean(axis=-1, keepdims=True)
-    var = (centred * centred).mean(axis=-1, keepdims=True)
+    # np.var's own steps, with the mean and the centring done once; a
+    # mean is numpy's sum divided by the count
+    n = v.shape[-1]
+    centred = v - _sum_rows(v) / n
+    var = _sum_rows(centred * centred) / n
     inv = 1.0 / np.sqrt(var + eps)
     return centred * inv, inv
 
 
 def _normalize_grad(g: Array, xhat: Array, inv: Array) -> Array:
-    gm = g.mean(axis=-1, keepdims=True)
-    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    n = g.shape[-1]
+    gm = _sum_rows(g) / n
+    gx = _sum_rows(g * xhat) / n
     return inv * (g - gm - xhat * gx)
 
 
@@ -248,9 +271,49 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def swap_last(x: Tensor) -> Tensor:
-    out = Tensor(np.swapaxes(x.values, -1, -2), (x,))
-    out._backward = lambda g: _accumulate(x, np.swapaxes(g, -1, -2))
+def select_combine(logits: Tensor, outputs: Sequence[Tensor]) -> tuple[Tensor, Array]:
+    """Variable selection's combine as one graph node: w = softmax(logits),
+    then the sum of w[:, i:i+1] * outputs[i] in feature order; returns the
+    sum and w as an array.  Results match the chain of a softmax and
+    per-feature narrow, mul and add nodes to the last bit.  The weights'
+    gradient is set a column at a time: a column's sum is never -0.0, so
+    the zeros the chain adds to it change nothing."""
+    w = _softmax(logits.values)
+    combined = w[:, 0:1] * outputs[0].values
+    for i in range(1, len(outputs)):
+        combined = combined + w[:, i : i + 1] * outputs[i].values
+    # the walk expands outputs[-1], logits, outputs[-2], ..., as the chain's
+    out = Tensor(combined, (*outputs[:-1], logits, outputs[-1]))
+
+    def backward(g):
+        g_w = np.empty(w.shape)
+        for i, o in enumerate(outputs):
+            g_w[:, i : i + 1] = _sum_rows(g * o.values)
+            _accumulate(o, g * w[:, i : i + 1])
+        _accumulate(logits, _softmax_grad(g_w, w))
+
+    out._backward = backward
+    return out, w
+
+
+def attention_weights(q: Tensor, k: Tensor, scale: float, mask: Array | None = None) -> Tensor:
+    """One head's attention weights softmax(q @ kᵀ * scale + mask) over
+    the keys as one graph node, which keeps only the weights.  Sums and
+    products are taken as the chain of per-op nodes takes them, so results
+    match it to the last bit."""
+    kt = np.swapaxes(k.values, -1, -2)
+    scores = (q.values @ kt) * scale
+    if mask is not None:
+        scores = scores + mask
+    y = _softmax(scores)
+    out = Tensor(y, (q, k))
+
+    def backward(g):
+        g_scores = _softmax_grad(g, y) * scale
+        _accumulate(q, _matmul_grad_left(g_scores, q.values, kt))
+        _accumulate(k, np.swapaxes(_matmul_grad_right(g_scores, q.values, kt), -1, -2))
+
+    out._backward = backward
     return out
 
 

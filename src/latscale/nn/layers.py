@@ -250,12 +250,8 @@ class InterpretableAttention:
         scale = 1.0 / np.sqrt(self.d)
         weights: Tensor | None = None
         for h in range(self.heads):
-            q = self.wq[h](query)
-            k = self.wk[h](keys_values)
-            scores = ad.mul(ad.matmul(q, ad.swap_last(k)), scale)
-            if mask is not None:
-                scores = ad.add(scores, mask)
-            head_weights = ad.softmax(scores, axis=-1)
+            head_weights = ad.attention_weights(self.wq[h](query), self.wk[h](keys_values),
+                                                scale, mask)
             weights = head_weights if weights is None else ad.add(weights, head_weights)
         if self.heads > 1:
             weights = ad.mul(weights, 1.0 / self.heads)

@@ -176,12 +176,8 @@ class TemporalFusionTransformer:
     def _vsn(self, flat: np.ndarray, embeds, select, feature_grns, training, rng):
         embedded = [embed(flat[:, i : i + 1]) for i, embed in enumerate(embeds)]
         logits = select(ad.concat(embedded, axis=1), training=training, rng=rng)
-        weights = ad.softmax(logits, axis=-1)
-        combined = None
-        for i, grn in enumerate(feature_grns):
-            term = ad.mul(ad.narrow(weights, 1, i, 1), grn(embedded[i], training=training, rng=rng))
-            combined = term if combined is None else ad.add(combined, term)
-        return combined, weights
+        outputs = [grn(x, training=training, rng=rng) for grn, x in zip(feature_grns, embedded)]
+        return ad.select_combine(logits, outputs)
 
     def forward(self, enc: np.ndarray, dec: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> dict[str, Tensor]:
@@ -229,8 +225,8 @@ class TemporalFusionTransformer:
         outputs = ad.concat([head(final) for head in self.heads], axis=1)
         return {
             "quantiles": ad.reshape(outputs, (b, tau, len(cfg.quantiles))),
-            "encoder_weights": ad.reshape(enc_w, (b, k, n_enc)),
-            "decoder_weights": ad.reshape(dec_w, (b, tau, n_dec)),
+            "encoder_weights": Tensor(enc_w.reshape(b, k, n_enc)),
+            "decoder_weights": Tensor(dec_w.reshape(b, tau, n_dec)),
             "attention": attn_w,
         }
 

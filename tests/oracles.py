@@ -1,6 +1,8 @@
 """Autodiff code that only the tests use: ``grad_check``, reductions that
-turn a block's output into a scalar for it, and the pinball loss as the
-chain of per-op nodes that ``tft._batch_loss`` replaces."""
+turn a block's output into a scalar for it, the pinball loss as the
+chain of per-op nodes that ``tft._batch_loss`` replaces, and the softmax
+and transpose nodes of the chains that ``ad.select_combine`` and
+``ad.attention_weights`` replace."""
 import numpy as np
 
 from latscale import tft
@@ -48,6 +50,27 @@ def mean(x: Tensor) -> Tensor:
     n = x.values.size
     out = Tensor(x.values.mean(), (x,))
     out._backward = lambda g: ad._accumulate(x, np.broadcast_to(g / n, x.values.shape))
+    return out
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    v = x.values
+    m = np.max(v, axis=axis, keepdims=True)
+    e = np.exp(v - m)
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor(y, (x,))
+
+    def backward(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        ad._accumulate(x, y * (g - inner))
+
+    out._backward = backward
+    return out
+
+
+def swap_last(x: Tensor) -> Tensor:
+    out = Tensor(np.swapaxes(x.values, -1, -2), (x,))
+    out._backward = lambda g: ad._accumulate(x, np.swapaxes(g, -1, -2))
     return out
 
 

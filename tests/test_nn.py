@@ -15,7 +15,7 @@ from latscale.nn import (
     autodiff as ad,
     causal_mask,
 )
-from oracles import grad_check, mean, pinball, sub, total
+from oracles import grad_check, mean, pinball, softmax, sub, swap_last, total
 
 
 def rand_tensor(rng, *shape):
@@ -71,6 +71,33 @@ class TestAutodiffPrimitives:
         y.backward(np.full((2, 3), 0.5))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
+    def test_second_backward_adds_the_same_gradients_again(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        y = ad.mul(ad.mul(x, 3.0), 2.0)
+        y.backward()
+        y.backward()  # x.grad read 18 when the inner node kept its first gradient
+        np.testing.assert_array_equal(x.grad, [12.0, 12.0])
+
+    def test_backward_frees_inner_gradients_and_keeps_leaves(self):
+        rng = np.random.default_rng(25)
+        store = ParamStore(seed=25)
+        grn = Grn(store, "grn", 4, 3)
+        attn = InterpretableAttention(store, "attn", 4, heads=2)
+        x = rand_tensor(rng, 2, 5, 4)
+        attended, _ = attn(x, x, mask=causal_mask(5, 5))
+        out = grn(ad.reshape(attended, (10, 4)))
+        out.backward(rng.normal(0, 1, (10, 3)))
+        inner, leaves, seen, stack = [], [], set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                (inner if node._backward is not None else leaves).append(node)
+                stack.extend(node._parents)
+        assert len(inner) > 10 and all(node.grad is None for node in inner)
+        assert {id(t) for t in leaves} == {id(t) for t in [*store.tensors().values(), x]}
+        assert all(t.grad is not None for t in leaves)
+
     def test_broadcast_add_and_mul(self):
         rng = np.random.default_rng(1)
         a = rand_tensor(rng, 3, 4)
@@ -90,7 +117,7 @@ class TestAutodiffPrimitives:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x = Tensor(rng.normal(0, 5, (4, 7)))
-            y = ad.softmax(x).values
+            y = softmax(x).values
             assert np.all(y >= 0)
             np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -195,7 +222,66 @@ class TestAutodiffPrimitives:
             v = rng.normal(rng.normal(), rng.exponential(), shape)
             inv = 1.0 / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5)
             expected = (v - v.mean(axis=-1, keepdims=True)) * inv
-            np.testing.assert_array_equal(layer_norm(Tensor(v)).values, expected)
+            x = Tensor(v)
+            out = layer_norm(x)
+            np.testing.assert_array_equal(out.values, expected)
+            g = rng.normal(0, 1, shape)
+            out.backward(g)
+            np.testing.assert_array_equal(x.grad, inv * (g - g.mean(axis=-1, keepdims=True) - expected
+                                                         * (g * expected).mean(axis=-1, keepdims=True)))
+
+
+REDUCTION_ROWS = [1, 2, 7, 127, 128, 129, 511, 512, 513, 2048, 12800, 20000]
+
+
+def with_specials(rng, shape):
+    """Values of mixed magnitude with a few -0.0, inf and nan entries, and
+    a row and a column of -0.0 only where that leaves other values."""
+    a = rng.normal(0, 1, shape) * 10.0 ** rng.integers(-8, 9, shape)
+    hit = rng.random(shape) < 0.005
+    a[hit] = rng.choice([-0.0, np.inf, -np.inf, np.nan], hit.sum())
+    if shape[-2] > 1:
+        a[..., 0, :] = -0.0
+    if shape[-1] > 1:
+        a[..., -1] = -0.0
+    return a
+
+
+def assert_same_bits(got, want):
+    """Equal to the last bit, -0.0 against 0.0 included; a nan equals any nan."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+class TestReductions:
+    """The reduction helpers equal numpy's sum and mean to the last bit on
+    either side of their shape gates, so a numpy that sums in another order
+    fails here before it moves a trained model."""
+
+    @pytest.mark.parametrize("width", range(1, 41))
+    def test_row_sums_and_means_equal_numpy(self, width):
+        rng = np.random.default_rng(width)
+        for rows in REDUCTION_ROWS:
+            a = with_specials(rng, (rows, width))
+            assert_same_bits(ad._sum_rows(a), a.sum(axis=-1, keepdims=True))
+            assert_same_bits(ad._sum_rows(a) / width, a.mean(axis=-1, keepdims=True))
+        a = with_specials(rng, (40, 16, width))
+        assert_same_bits(ad._sum_rows(a), a.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("width", range(1, 41))
+    def test_column_sums_equal_numpy(self, width):
+        rng = np.random.default_rng(100 + width)
+        for rows in REDUCTION_ROWS:
+            a = with_specials(rng, (rows, width))
+            assert_same_bits(ad._sum_columns(a), a.sum(axis=0))
+            assert_same_bits(ad._unbroadcast(a, (width,)), a.sum(axis=0))
+        a = with_specials(rng, (40, 16, width))
+        assert_same_bits(ad._sum_columns(a), a.sum(axis=(0, 1)))
+        strided = with_specials(rng, (width, 300)).T
+        assert_same_bits(ad._sum_columns(strided), strided.sum(axis=0))
 
 
 class TestGrn:
@@ -484,7 +570,123 @@ class TestLstmSequence:
             ad.lstm_sequence(x, segments[:1])
 
 
+def composed_attention(attn, query, keys_values, mask=None, training=False, rng=None):
+    """The reference for ``ad.attention_weights``: ``InterpretableAttention``
+    with each head's weights as a chain of per-op nodes."""
+    v = attn.wv(keys_values)
+    scale = 1.0 / np.sqrt(attn.d)
+    weights = None
+    for h in range(attn.heads):
+        q = attn.wq[h](query)
+        k = attn.wk[h](keys_values)
+        scores = ad.mul(ad.matmul(q, swap_last(k)), scale)
+        if mask is not None:
+            scores = ad.add(scores, mask)
+        head_weights = softmax(scores, axis=-1)
+        weights = head_weights if weights is None else ad.add(weights, head_weights)
+    if attn.heads > 1:
+        weights = ad.mul(weights, 1.0 / attn.heads)
+    context = ad.dropout(ad.matmul(weights, v), attn.dropout, rng, training)
+    return attn.out(context), weights
+
+
+def chain_select_combine(logits, outputs):
+    """The reference for ``ad.select_combine``: softmax, then per-feature
+    narrow, mul and add nodes."""
+    weights = softmax(logits, axis=-1)
+    combined = None
+    for i, o in enumerate(outputs):
+        term = ad.mul(ad.narrow(weights, 1, i, 1), o)
+        combined = term if combined is None else ad.add(combined, term)
+    return combined, weights.values
+
+
+class TestSelectCombine:
+    @staticmethod
+    def build(seed, rows, n, h=8):
+        """Logits and n outputs that all read one shared input, which also
+        feeds a last op: with that many paths into it, a node whose parents
+        the walk expands in another order sums its gradient in another order."""
+        rng = np.random.default_rng(seed)
+        shared = rand_tensor(rng, rows, h)
+        mixes = [rand_tensor(rng, h, h) for _ in range(n)]
+        select = rand_tensor(rng, h, n)
+        probe = rng.normal(0, 1, (rows, h))
+        return shared, mixes, select, probe
+
+    @pytest.mark.parametrize("rows", [7, 600])  # either side of _sum_rows' gate
+    @pytest.mark.parametrize("n", [1, 3, 8, 9])
+    def test_matches_the_chain(self, rows, n):
+        shared, mixes, select, probe = self.build(70 + n, rows, n)
+        wrt = [shared, select, *mixes]
+        results = []
+        for run in (ad.select_combine, chain_select_combine):
+            for t in wrt:
+                t.zero_grad()
+            logits = ad.matmul(shared, select)
+            outputs = [ad.add(ad.matmul(shared, m), shared) for m in mixes]
+            combined, weights = run(logits, outputs)
+            ad.add(total(ad.mul(combined, probe)), total(ad.mul(shared, shared))).backward()
+            results.append((combined.values, weights, [t.grad for t in wrt]))
+        (fused, fused_w, fused_grads), (ref, ref_w, ref_grads) = results
+        np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(fused_w, ref_w)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+
+    def test_is_one_node_with_the_chains_walk_order(self):
+        shared, mixes, select, _ = self.build(80, 4, 3)
+        logits = ad.matmul(shared, select)
+        outputs = [ad.matmul(shared, m) for m in mixes]
+        combined, weights = ad.select_combine(logits, outputs)
+        assert isinstance(weights, np.ndarray)
+        expected = (outputs[0], outputs[1], logits, outputs[2])
+        assert len(combined._parents) == len(expected)
+        assert all(got is want for got, want in zip(combined._parents, expected))
+
+
 class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_the_composed_chain(self, heads, masked, training):
+        rng = np.random.default_rng(90 + heads)
+        store = ParamStore(seed=90)
+        attn = InterpretableAttention(store, "attn", 4 * heads, heads=heads, dropout=0.3)
+        perturb(store, rng)
+        shared = rand_tensor(rng, 3, 7, 4 * heads)
+        probe = rng.normal(0, 1, (3, 4, 4 * heads))
+        mask = causal_mask(4, 7, offset=3) if masked else None
+        wrt = list(store.tensors().values()) + [shared]
+        results = []
+        for run in (InterpretableAttention.__call__, composed_attention):
+            for t in wrt:
+                t.zero_grad()
+            draws = np.random.default_rng(91)
+            # queries are the last positions of the keys, as in the model, and
+            # the keys feed one more op, so the order of accumulations counts
+            queries = ad.narrow(shared, 1, 3, 4)
+            out, weights = run(attn, queries, shared, mask, training, draws)
+            ad.add(total(ad.mul(out, probe)), total(ad.mul(shared, shared))).backward()
+            results.append((out.values, weights.values, [t.grad for t in wrt], draws.random(4)))
+        (fused, fused_w, fused_grads, fused_next), (ref, ref_w, ref_grads, ref_next) = results
+        np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(fused_w, ref_w)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(fused_next, ref_next)
+
+    def test_each_head_is_one_node_over_its_query_and_key(self):
+        rng = np.random.default_rng(92)
+        attn = InterpretableAttention(ParamStore(seed=92), "attn", 8, heads=2)
+        x = rand_tensor(rng, 2, 5, 8)
+        _, weights = attn(x, x)
+        heads = weights._parents[0]._parents  # weights = mul(add(head 0, head 1), 1/2)
+        for h, head in enumerate(heads):
+            q, k = head._parents
+            assert q._parents[1] is attn.wq[h].b  # q = add(matmul(x, wq), b)
+            assert k._parents == (x, attn.wk[h].w)
+
     def test_single_head_weights_match_softmax_exactly(self):
         rng = np.random.default_rng(15)
         store = ParamStore(seed=15)

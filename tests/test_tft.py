@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from latscale import nn, tft
+from latscale.nn import autodiff as ad
 from latscale.tft import (
     ImportanceSeries,
     QuantileForecast,
@@ -528,6 +529,29 @@ def test_fused_gate_add_norm_trains_like_the_composed_chain(monkeypatch, tmp_pat
 
     assert_trains_like_the_chain(monkeypatch, tmp_path, nn.GateAddNorm, "__call__",
                                  composed_gate_add_norm, seed=5)
+
+
+def chain_vsn(model, flat, embeds, select, feature_grns, training, rng):
+    """``TemporalFusionTransformer._vsn`` with the combine as the chain of
+    a softmax node and per-feature narrow, mul and add nodes."""
+    from test_nn import chain_select_combine
+
+    embedded = [embed(flat[:, i : i + 1]) for i, embed in enumerate(embeds)]
+    logits = select(ad.concat(embedded, axis=1), training=training, rng=rng)
+    outputs = [grn(x, training=training, rng=rng) for grn, x in zip(feature_grns, embedded)]
+    return chain_select_combine(logits, outputs)
+
+
+def test_fused_selection_trains_like_the_chain(monkeypatch, tmp_path):
+    assert_trains_like_the_chain(monkeypatch, tmp_path, TemporalFusionTransformer, "_vsn",
+                                 chain_vsn, seed=7)
+
+
+def test_fused_attention_trains_like_the_chain(monkeypatch, tmp_path):
+    from test_nn import composed_attention
+
+    assert_trains_like_the_chain(monkeypatch, tmp_path, nn.InterpretableAttention, "__call__",
+                                 composed_attention, seed=8)
 
 
 def chain_loss(quantiles, pred, labels):
