@@ -665,6 +665,9 @@ def cmd_e2e(cfg: RunConfig) -> int:
         }
         write_json(summary, out / "summary.json")
     _say(cfg, f"before {before_p95:.1f} ms -> after {after_p95:.1f} ms (SLA {sla_ms:.1f} ms)")
+    if not summary["sla_met_within_5pct"]:
+        print(f"warning: after p95 {after_p95:.1f} ms misses the SLA of {sla_ms:.1f} ms "
+              f"by more than 5%", file=sys.stderr)
     return 0
 
 

@@ -180,11 +180,17 @@ def _reduce_leading(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def _sigmoid(v: Array) -> Array:
-    return 0.5 * (1.0 + np.tanh(0.5 * v))  # the overflow-safe form
+    """Sigmoid of ``v`` in place, as 0.5 * (1 + tanh(0.5 * v)): the
+    overflow-safe form."""
+    v *= 0.5
+    np.tanh(v, out=v)
+    v += 1.0
+    v *= 0.5
+    return v
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.values)
+    s = _sigmoid(x.values.copy())
     out = Tensor(s, (x,))
     out._backward = lambda g: _accumulate(x, g * s * (1.0 - s))
     return out
@@ -197,14 +203,21 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def _elu(v: Array) -> tuple[Array, Array]:
-    """ELU of ``v``, and the mask ``v > 0`` that its gradient reads with it."""
-    positive = v > 0
-    return np.where(positive, v, np.expm1(np.minimum(v, 0.0))), positive  # clamp avoids overflow
+def _elu(v: Array) -> Array:
+    """ELU of ``v`` in place, without a branch: max(v, 0) + expm1(min(v, 0)),
+    whose clamp keeps expm1 from overflowing."""
+    negative = np.minimum(v, 0.0)
+    np.expm1(negative, out=negative)
+    np.maximum(v, 0.0, out=v)
+    v += negative
+    return v
 
 
-def _elu_grad(g: Array, y: Array, positive: Array) -> Array:
-    return g * np.where(positive, 1.0, y + 1.0)
+def _elu_slope(y: Array) -> Array:
+    """ELU's slope, read from its output ``y``: 1 where the input was
+    positive and y + 1 elsewhere."""
+    slope = y + 1.0
+    return np.minimum(slope, 1.0, out=slope)
 
 
 def _softmax(v: Array) -> Array:
@@ -217,21 +230,26 @@ def _softmax_grad(g: Array, y: Array) -> Array:
 
 
 def _normalize(v: Array, eps: float = 1e-5) -> tuple[Array, Array]:
-    """x-hat and 1/sigma of ``v`` over its last axis."""
+    """x-hat and 1/sigma of ``v`` over its last axis; x-hat overwrites ``v``."""
     # np.var's own steps, with the mean and the centring done once; a
     # mean is numpy's sum divided by the count
     n = v.shape[-1]
-    centred = v - _sum_rows(v) / n
-    var = _sum_rows(centred * centred) / n
+    v -= _sum_rows(v) / n
+    var = _sum_rows(v * v) / n
     inv = 1.0 / np.sqrt(var + eps)
-    return centred * inv, inv
+    v *= inv
+    return v, inv
 
 
 def _normalize_grad(g: Array, xhat: Array, inv: Array) -> Array:
+    """The gradient through ``_normalize``; it overwrites ``g``."""
     n = g.shape[-1]
     gm = _sum_rows(g) / n
     gx = _sum_rows(g * xhat) / n
-    return inv * (g - gm - xhat * gx)
+    g -= gm
+    g -= xhat * gx
+    g *= inv
+    return g
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -271,31 +289,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def select_combine(logits: Tensor, outputs: Sequence[Tensor]) -> tuple[Tensor, Array]:
-    """Variable selection's combine as one graph node: w = softmax(logits),
-    then the sum of w[:, i:i+1] * outputs[i] in feature order; returns the
-    sum and w as an array.  Results match the chain of a softmax and
-    per-feature narrow, mul and add nodes to the last bit.  The weights'
-    gradient is set a column at a time: a column's sum is never -0.0, so
-    the zeros the chain adds to it change nothing."""
-    w = _softmax(logits.values)
-    combined = w[:, 0:1] * outputs[0].values
-    for i in range(1, len(outputs)):
-        combined = combined + w[:, i : i + 1] * outputs[i].values
-    # the walk expands outputs[-1], logits, outputs[-2], ..., as the chain's
-    out = Tensor(combined, (*outputs[:-1], logits, outputs[-1]))
-
-    def backward(g):
-        g_w = np.empty(w.shape)
-        for i, o in enumerate(outputs):
-            g_w[:, i : i + 1] = _sum_rows(g * o.values)
-            _accumulate(o, g * w[:, i : i + 1])
-        _accumulate(logits, _softmax_grad(g_w, w))
-
-    out._backward = backward
-    return out, w
-
-
 def attention_weights(q: Tensor, k: Tensor, scale: float, mask: Array | None = None) -> Tensor:
     """One head's attention weights softmax(q @ kᵀ * scale + mask) over
     the keys as one graph node, which keeps only the weights.  Sums and
@@ -317,6 +310,9 @@ def attention_weights(q: Tensor, k: Tensor, scale: float, mask: Array | None = N
     return out
 
 
+LSTM_BACKWARD_STEPS = 32  # steps per block of ``lstm_sequence``'s backward pass
+
+
 def lstm_sequence(x: Tensor, segments: Sequence[tuple[Tensor, Tensor, Tensor, int]]) -> Tensor:
     """Run an LSTM over ``x`` (B, T, n_in); return every hidden state (B, T, n).
 
@@ -328,9 +324,12 @@ def lstm_sequence(x: Tensor, segments: Sequence[tuple[Tensor, Tensor, Tensor, in
     recurrence and its backprop through time run over plain arrays, so the
     whole sequence is one graph node.
 
-    Every sum and product is taken in the order a chain of
-    ``LstmCell.step`` nodes takes it, and weight gradients are summed from
-    the last step back, so the results match that chain to the last bit
+    Backprop runs over blocks of ``LSTM_BACKWARD_STEPS`` steps, last block
+    first, so its work arrays span one block, not the sequence.  Every sum
+    and product is taken in the order a chain of ``LstmCell.step`` nodes
+    takes it, and the per-step weight gradients are folded into running
+    sums from the last step back, so the results match that chain to the
+    last bit
     (given that numpy's batched matmul matches its per-step matmul, as it
     does with OpenBLAS) and training follows the same trajectory.
     """
@@ -367,17 +366,6 @@ def lstm_sequence(x: Tensor, segments: Sequence[tuple[Tensor, Tensor, Tensor, in
     def backward(g):
         g = g.transpose(1, 0, 2)
         act = gates.reshape(steps, batch, 4, n)
-        i, f, cand, o = (act[:, :, k] for k in range(4))
-        # d z = (([dc, dc, dc, dh] * factor) * gate) * slope per gate, where
-        # factor is what the gate multiplies and slope the activation's slope
-        factor = np.stack([cand, cs[:-1], i, tanh_c], axis=2)
-        gate = act.copy()
-        gate[:, :, 2] = 1.0
-        slope = 1.0 - act
-        slope[:, :, 2] = 1.0 - cand * cand
-        tanh_slope = 1.0 - tanh_c * tanh_c
-        dz = np.empty((steps, batch, 4, n))
-        dz_flat = dz.reshape(steps, batch, 4 * n)
         dx = np.empty(xt.shape)
         dh_next = np.zeros((batch, n))
         dc = np.zeros((batch, n))
@@ -386,31 +374,45 @@ def lstm_sequence(x: Tensor, segments: Sequence[tuple[Tensor, Tensor, Tensor, in
         for wx, wh, b, length in reversed(segments):
             start = stop - length
             wh_t = wh.values.T
-            for t in range(stop - 1, start - 1, -1):
-                dh = g[t] + dh_next
-                dc = dc * f_next + dh * o[t] * tanh_slope[t]
-                np.multiply(dc[:, None], factor[t, :, :3], out=dz[t, :, :3])
-                np.multiply(dh, factor[t, :, 3], out=dz[t, :, 3])
-                dz[t] *= gate[t]
-                dz[t] *= slope[t]
-                dh_next = dz_flat[t] @ wh_t
-                f_next = f[t]
-            dz_seg = dz_flat[start:stop]
-            _accumulate(wx, _sum_backwards(np.matmul(xt[start:stop].transpose(0, 2, 1), dz_seg)))
-            _accumulate(wh, _sum_backwards(np.matmul(hs[start:stop].transpose(0, 2, 1), dz_seg)))
-            _accumulate(b, _sum_backwards(dz_seg.sum(axis=1)))
-            dx[start:stop] = dz_seg @ wx.values.T
+            sums = [None, None, None]  # wx, wh and b, summed from the last step back
+            for hi in range(stop, start, -LSTM_BACKWARD_STEPS):
+                lo = max(start, hi - LSTM_BACKWARD_STEPS)
+                i, f, cand, o = (act[lo:hi, :, k] for k in range(4))
+                # d z = (([dc, dc, dc, dh] * factor) * gate) * slope per gate, where
+                # factor is what the gate multiplies and slope the activation's slope
+                factor = np.stack([cand, cs[lo:hi], i, tanh_c[lo:hi]], axis=2)
+                gate = act[lo:hi].copy()
+                gate[:, :, 2] = 1.0
+                slope = 1.0 - act[lo:hi]
+                slope[:, :, 2] = 1.0 - cand * cand
+                tanh_slope = 1.0 - tanh_c[lo:hi] * tanh_c[lo:hi]
+                dz = np.empty((hi - lo, batch, 4, n))
+                for t in range(hi - lo - 1, -1, -1):
+                    dh = g[lo + t] + dh_next
+                    dc = dc * f_next + dh * o[t] * tanh_slope[t]
+                    np.multiply(dc[:, None], factor[t, :, :3], out=dz[t, :, :3])
+                    np.multiply(dh, factor[t, :, 3], out=dz[t, :, 3])
+                    dz[t] *= gate[t]
+                    dz[t] *= slope[t]
+                    dh_next = dz[t].reshape(batch, 4 * n) @ wh_t
+                    f_next = f[t]
+                dz = dz.reshape(hi - lo, batch, 4 * n)
+                per_step = (np.matmul(xt[lo:hi].transpose(0, 2, 1), dz),
+                            np.matmul(hs[lo:hi].transpose(0, 2, 1), dz), dz.sum(axis=1))
+                for k, block in enumerate(per_step):
+                    for step in block[::-1]:
+                        if sums[k] is None:
+                            sums[k] = step.copy()
+                        else:
+                            sums[k] += step
+                dx[lo:hi] = dz @ wx.values.T
+            for param, summed in zip((wx, wh, b), sums):
+                _accumulate(param, summed)
             stop = start
         _accumulate(x, dx.transpose(1, 0, 2))
 
     out._backward = backward
     return out
-
-
-def _sum_backwards(per_step: Array) -> Array:
-    """Sum per-step gradients from the last step to the first, the order
-    in which a chain of per-step nodes accumulates them."""
-    return functools.reduce(np.add, per_step[::-1])
 
 
 def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta: Tensor,
@@ -423,31 +425,40 @@ def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta
     output's gradient, accumulates into the gate, value, gamma and beta
     parameters and returns (d_residual, d_eta).  It keeps only the keep
     mask, the dropped-out eta, the gate and value activations, x-hat and
-    1/sigma.
+    1/sigma.  Neither function writes to the arrays it is given.
     """
     keep = _keep_mask(eta.shape, p, rng, training)
     if keep is not None:
         eta = eta * (keep / (1.0 - p))
-    act = _sigmoid(eta @ gate.w.values + gate.b.values)
-    val = eta @ value.w.values + value.b.values
-    xhat, inv = _normalize(residual + act * val)
+    act = eta @ gate.w.values
+    act += gate.b.values
+    _sigmoid(act)
+    val = eta @ value.w.values
+    val += value.b.values
+    mixed = act * val
+    mixed += residual
+    xhat, inv = _normalize(mixed)
 
     def backward(g):
         _accumulate(gamma, g * xhat)
         _accumulate(beta, g)
         g_res = _normalize_grad(g * gamma.values, xhat, inv)
-        g_gate = g_res * val * act * (1.0 - act)
+        g_gate = g_res * val
+        g_gate *= act
+        g_gate *= 1.0 - act
         g_value = g_res * act
-        g_eta = (_matmul_grad_left(g_gate, eta, gate.w.values)
-                 + _matmul_grad_left(g_value, eta, value.w.values))
+        g_eta = _matmul_grad_left(g_gate, eta, gate.w.values)
+        g_eta += _matmul_grad_left(g_value, eta, value.w.values)
         for layer, g_layer in ((gate, g_gate), (value, g_value)):
             _accumulate(layer.w, _matmul_grad_right(g_layer, eta, layer.w.values))
             _accumulate(layer.b, g_layer)
         if keep is not None:
-            g_eta = g_eta * (keep / (1.0 - p))
+            g_eta *= keep / (1.0 - p)
         return g_res, g_eta
 
-    return xhat * gamma.values + beta.values, backward
+    y = xhat * gamma.values
+    y += beta.values
+    return y, backward
 
 
 def gate_add_norm(x: Tensor, residual: Tensor, gate, value, gamma: Tensor, beta: Tensor,
@@ -472,6 +483,53 @@ def gate_add_norm(x: Tensor, residual: Tensor, gate, value, gamma: Tensor, beta:
     return out
 
 
+def _gated_residual(xv: Array, dense_in, dense_out, gate, value, skip, gamma: Tensor,
+                    beta: Tensor, p: float, rng: np.random.Generator | None, training: bool):
+    """A gated residual network over a plain array ``xv``: the body of
+    ``gated_residual``, which documents the arguments.
+
+    Returns the output and a backward function.  That function takes the
+    output's gradient, accumulates into every parameter and returns
+    (g_res, g_pre), from which ``_grn_input_grad`` builds the gradient of
+    ``xv``.  Besides the tail's arrays (``_gate_add_norm``) it keeps only
+    ``xv`` and the ELU output, from which the ELU's slope is read.
+    """
+    hidden = xv @ dense_in.w.values
+    hidden += dense_in.b.values
+    _elu(hidden)
+    eta1 = hidden @ dense_out.w.values
+    eta1 += dense_out.b.values
+    if skip is None:
+        residual = xv
+    else:
+        residual = xv @ skip.w.values
+        residual += skip.b.values
+    y, tail = _gate_add_norm(eta1, residual, gate, value, gamma, beta, p, rng, training)
+
+    def backward(g):
+        g_res, g_eta = tail(g)
+        if skip is not None:
+            _accumulate(skip.w, _matmul_grad_right(g_res, xv, skip.w.values))
+            _accumulate(skip.b, g_res)
+        _accumulate(dense_out.w, _matmul_grad_right(g_eta, hidden, dense_out.w.values))
+        _accumulate(dense_out.b, g_eta)
+        g_pre = _matmul_grad_left(g_eta, hidden, dense_out.w.values)
+        g_pre *= _elu_slope(hidden)
+        _accumulate(dense_in.w, _matmul_grad_right(g_pre, xv, dense_in.w.values))
+        _accumulate(dense_in.b, g_pre)
+        return g_res, g_pre
+
+    return y, backward
+
+
+def _grn_input_grad(g_res: Array, g_pre: Array, skip, dense_in, cols: slice = slice(None)):
+    """The two terms of a GRN's input gradient over the columns ``cols`` of
+    its input, in the order the chain of per-op nodes adds them: the skip
+    term, then the dense_in term."""
+    skip_term = g_res[..., cols] if skip is None else g_res @ skip.w.values[cols].T
+    return skip_term, g_pre @ dense_in.w.values[cols].T
+
+
 def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Tensor, beta: Tensor,
                    p: float = 0.0, rng: np.random.Generator | None = None,
                    training: bool = False) -> Tensor:
@@ -484,34 +542,93 @@ def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Ten
     chain of per-op nodes, the dropout mask is drawn at the same point,
     and ``x`` gets the skip term before the dense_in term as that chain's
     backward order gives them, so results and training match it to the
-    last bit.  Besides the tail's arrays (``_gate_add_norm``) the node
-    keeps only the ELU output and its ``> 0`` mask.
+    last bit.
     """
-    xv = x.values
-    hidden, positive = _elu(xv @ dense_in.w.values + dense_in.b.values)
-    eta1 = hidden @ dense_out.w.values + dense_out.b.values
-    residual = xv if skip is None else xv @ skip.w.values + skip.b.values
-    y, tail = _gate_add_norm(eta1, residual, gate, value, gamma, beta, p, rng, training)
+    y, body = _gated_residual(x.values, dense_in, dense_out, gate, value, skip, gamma, beta,
+                              p, rng, training)
     layers = [dense_in, dense_out, gate, value] + ([skip] if skip is not None else [])
     out = Tensor(y, (x,) + tuple(t for layer in layers for t in (layer.w, layer.b)) + (gamma, beta))
 
     def backward(g):
-        g_res, g_eta = tail(g)
-        if skip is None:
-            _accumulate(x, g_res)
-        else:
-            _accumulate(x, _matmul_grad_left(g_res, xv, skip.w.values))
-            _accumulate(skip.w, _matmul_grad_right(g_res, xv, skip.w.values))
-            _accumulate(skip.b, g_res)
-        _accumulate(dense_out.w, _matmul_grad_right(g_eta, hidden, dense_out.w.values))
-        _accumulate(dense_out.b, g_eta)
-        g_pre = _elu_grad(_matmul_grad_left(g_eta, hidden, dense_out.w.values), hidden, positive)
-        _accumulate(x, _matmul_grad_left(g_pre, xv, dense_in.w.values))
-        _accumulate(dense_in.w, _matmul_grad_right(g_pre, xv, dense_in.w.values))
-        _accumulate(dense_in.b, g_pre)
+        for term in _grn_input_grad(*body(g), skip, dense_in):
+            _accumulate(x, term)
 
     out._backward = backward
     return out
+
+
+def _grn_parameters(grn) -> tuple[Tensor, ...]:
+    layers = [grn.dense_in, grn.dense_out, grn.gate, grn.value]
+    layers += [grn.skip] if grn.skip is not None else []
+    return tuple(t for layer in layers for t in (layer.w, layer.b)) + (grn.ln_gamma, grn.ln_beta)
+
+
+def variable_selection(flat: Array, embeds, select, feature_grns,
+                       rng: np.random.Generator | None = None,
+                       training: bool = False) -> tuple[Tensor, Array]:
+    """A variable-selection network as one graph node; returns the
+    combined output (N, h) and the selection weights (N, F) as an array.
+
+    Feature i of ``flat`` (N, F) is embedded by ``embeds[i]`` (weights
+    ``w`` (1, h), bias ``b``) into columns [i h, (i + 1) h) of one (N, F h)
+    matrix.  The selector GRN ``select`` reads the whole matrix, and its
+    softmax gives the weights w; GRN ``feature_grns[i]`` reads a view of
+    feature i's columns.  The output is the sum of w[:, i:i+1] times GRN
+    i's output, in feature order.  GRNs hold ``layers.Grn``'s members.
+
+    This is the chain of per-feature ``Linear`` nodes, a concat, the GRN
+    nodes and the combine, to the last bit: the dropout masks are drawn
+    in the chain's order (selector first), and each embedding's gradient
+    adds the selector's and its own GRN's terms in the order the chain's
+    walk runs them (the last feature's selector term first, every other
+    one's last).  Backward builds the selector's input gradient one
+    feature block at a time.
+    """
+    rows, n_features = flat.shape
+    width = embeds[0].w.values.shape[1]
+    blocks = [slice(i * width, (i + 1) * width) for i in range(n_features)]
+    embedded = np.empty((rows, n_features * width))
+    for i, (embed, cols) in enumerate(zip(embeds, blocks)):
+        np.add(flat[:, i : i + 1] @ embed.w.values, embed.b.values, out=embedded[:, cols])
+
+    def grn_body(grn, xv):
+        return _gated_residual(xv, grn.dense_in, grn.dense_out, grn.gate, grn.value, grn.skip,
+                               grn.ln_gamma, grn.ln_beta, grn.dropout, rng, training)
+
+    logits, select_backward = grn_body(select, embedded)
+    features = [grn_body(grn, embedded[:, cols]) for grn, cols in zip(feature_grns, blocks)]
+    w = _softmax(logits)
+    combined = w[:, 0:1] * features[0][0]
+    for i in range(1, n_features):
+        combined += w[:, i : i + 1] * features[i][0]
+    params = [t for embed in embeds for t in (embed.w, embed.b)]
+    params += [t for grn in (select, *feature_grns) for t in _grn_parameters(grn)]
+    out = Tensor(combined, tuple(params))
+
+    def backward(g):
+        # set a column at a time: a column's sum is never -0.0, so the zeros
+        # the chain's narrow nodes add to it change nothing
+        g_w = np.empty(w.shape)
+        for i, (y, _) in enumerate(features):
+            g_w[:, i : i + 1] = _sum_rows(g * y)
+        select_terms = select_backward(_softmax_grad(g_w, w))
+        last = n_features - 1
+        for i, (embed, grn, cols, (_, grn_backward)) in enumerate(
+                zip(embeds, feature_grns, blocks, features)):
+            skip_term, in_term = _grn_input_grad(*select_terms, select.skip, select.dense_in, cols)
+            from_select = skip_term + in_term
+            own = _grn_input_grad(*grn_backward(g * w[:, i : i + 1]), grn.skip, grn.dense_in)
+            if i == last:
+                g_embed = from_select + own[0]
+                g_embed += own[1]
+            else:
+                g_embed = own[0] + own[1]
+                g_embed += from_select
+            _accumulate(embed.w, _matmul_grad_right(g_embed, flat[:, i : i + 1], embed.w.values))
+            _accumulate(embed.b, g_embed)
+
+    out._backward = backward
+    return out, w
 
 
 def _keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None,

@@ -61,15 +61,17 @@ class ParamStore:
                 raise ValueError(f"parameter {name!r}: shape {values.shape} != {t.values.shape}")
             t.values = values.copy()
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "params": {
                 name: {"shape": list(t.values.shape), "values": t.values.reshape(-1).tolist()}
                 for name, t in self._params.items()
             },
         }
-        return json.dumps(doc)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def load_json(self, text: str):
         doc = json.loads(text)

@@ -174,10 +174,7 @@ class TemporalFusionTransformer:
         return self.store.parameter_count()
 
     def _vsn(self, flat: np.ndarray, embeds, select, feature_grns, training, rng):
-        embedded = [embed(flat[:, i : i + 1]) for i, embed in enumerate(embeds)]
-        logits = select(ad.concat(embedded, axis=1), training=training, rng=rng)
-        outputs = [grn(x, training=training, rng=rng) for grn, x in zip(feature_grns, embedded)]
-        return ad.select_combine(logits, outputs)
+        return ad.variable_selection(flat, embeds, select, feature_grns, rng, training)
 
     def forward(self, enc: np.ndarray, dec: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> dict[str, Tensor]:
@@ -792,14 +789,13 @@ def band_coverage(forecasts: Sequence[QuantileForecast], windows: Sequence[Windo
 def save_checkpoint(model: TemporalFusionTransformer, path) -> None:
     doc = {
         "format_version": nn.layers.CHECKPOINT_FORMAT_VERSION,
-        "config": json.loads(json.dumps(asdict(model.config))),
+        "config": asdict(model.config),
         "encoder_features": list(model.encoder_features),
         "decoder_features": list(model.decoder_features),
         "feature_scaling": model.feature_scaling.to_dict() if model.feature_scaling else None,
-        "params": json.loads(model.store.to_json()),
+        "params": model.store.to_dict(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    Path(path).write_text(json.dumps(doc))
 
 
 def load_checkpoint(path) -> TemporalFusionTransformer:

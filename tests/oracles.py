@@ -1,8 +1,11 @@
 """Autodiff code that only the tests use: ``grad_check``, reductions that
 turn a block's output into a scalar for it, the pinball loss as the
-chain of per-op nodes that ``tft._batch_loss`` replaces, and the softmax
-and transpose nodes of the chains that ``ad.select_combine`` and
-``ad.attention_weights`` replace."""
+chain of per-op nodes that ``tft._batch_loss`` replaces, the ELU, softmax
+and transpose nodes of the chains that ``ad.gated_residual``,
+``ad.variable_selection`` and ``ad.attention_weights`` replace, and
+``ad.lstm_sequence`` with its backward over the whole sequence at once."""
+import functools
+
 import numpy as np
 
 from latscale import tft
@@ -50,6 +53,17 @@ def mean(x: Tensor) -> Tensor:
     n = x.values.size
     out = Tensor(x.values.mean(), (x,))
     out._backward = lambda g: ad._accumulate(x, np.broadcast_to(g / n, x.values.shape))
+    return out
+
+
+def elu(x: Tensor) -> Tensor:
+    """ELU as its own node, in the form with a branch that the GRN kernel's
+    branch-free ``ad._elu`` and ``ad._elu_slope`` must match to the last bit."""
+    v = x.values
+    positive = v > 0
+    y = np.where(positive, v, np.expm1(np.minimum(v, 0.0)))  # the clamp avoids overflow
+    out = Tensor(y, (x,))
+    out._backward = lambda g: ad._accumulate(x, g * np.where(positive, 1.0, y + 1.0))
     return out
 
 
@@ -147,3 +161,77 @@ def grad_check(make_loss, wrt, step=1e-5, max_coords_per_tensor=None, rng=None) 
         scale = max(np.max(np.abs(a_sel), initial=0.0), np.max(np.abs(fd), initial=0.0), 1e-12)
         worst = max(worst, float(np.max(np.abs(a_sel - fd), initial=0.0)) / scale)
     return worst
+
+
+def unblocked_lstm_sequence(x: Tensor, segments) -> Tensor:
+    """The reference for ``ad.lstm_sequence``'s blocked backward: the same
+    node with every backward work array spanning the whole sequence, and
+    each weight gradient summed from one (steps, ...) array of per-step
+    gradients, last step first."""
+    xv = x.values
+    batch, steps, _ = xv.shape
+    n = segments[0][1].values.shape[0]
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], n)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], n)
+    xt = xv.transpose(1, 0, 2)
+    gates = np.empty((steps, batch, 4 * n))
+    cs = np.zeros((steps + 1, batch, n))
+    hs = np.zeros((steps + 1, batch, n))
+    tanh_c = np.empty((steps, batch, n))
+    start = 0
+    for wx, wh, b, length in segments:
+        x_proj = xt[start : start + length] @ wx.values
+        for t in range(start, start + length):
+            act = gates[t]
+            np.multiply(np.tanh((x_proj[t - start] + hs[t] @ wh.values + b.values) * scale),
+                        scale, out=act)
+            act += shift
+            np.multiply(act[:, n : 2 * n], cs[t], out=cs[t + 1])
+            cs[t + 1] += act[:, :n] * act[:, 2 * n : 3 * n]
+            np.tanh(cs[t + 1], out=tanh_c[t])
+            np.multiply(act[:, 3 * n :], tanh_c[t], out=hs[t + 1])
+        start += length
+    out = Tensor(hs[1:].transpose(1, 0, 2), (x,) + tuple(p for seg in segments for p in seg[:3]))
+
+    def sum_backwards(per_step):
+        return functools.reduce(np.add, per_step[::-1])
+
+    def backward(g):
+        g = g.transpose(1, 0, 2)
+        act = gates.reshape(steps, batch, 4, n)
+        i, f, cand, o = (act[:, :, k] for k in range(4))
+        factor = np.stack([cand, cs[:-1], i, tanh_c], axis=2)
+        gate = act.copy()
+        gate[:, :, 2] = 1.0
+        slope = 1.0 - act
+        slope[:, :, 2] = 1.0 - cand * cand
+        tanh_slope = 1.0 - tanh_c * tanh_c
+        dz = np.empty((steps, batch, 4, n))
+        dz_flat = dz.reshape(steps, batch, 4 * n)
+        dx = np.empty(xt.shape)
+        dh_next = np.zeros((batch, n))
+        dc = np.zeros((batch, n))
+        f_next = dc
+        stop = steps
+        for wx, wh, b, length in reversed(segments):
+            start = stop - length
+            wh_t = wh.values.T
+            for t in range(stop - 1, start - 1, -1):
+                dh = g[t] + dh_next
+                dc = dc * f_next + dh * o[t] * tanh_slope[t]
+                np.multiply(dc[:, None], factor[t, :, :3], out=dz[t, :, :3])
+                np.multiply(dh, factor[t, :, 3], out=dz[t, :, 3])
+                dz[t] *= gate[t]
+                dz[t] *= slope[t]
+                dh_next = dz_flat[t] @ wh_t
+                f_next = f[t]
+            dz_seg = dz_flat[start:stop]
+            ad._accumulate(wx, sum_backwards(np.matmul(xt[start:stop].transpose(0, 2, 1), dz_seg)))
+            ad._accumulate(wh, sum_backwards(np.matmul(hs[start:stop].transpose(0, 2, 1), dz_seg)))
+            ad._accumulate(b, sum_backwards(dz_seg.sum(axis=1)))
+            dx[start:stop] = dz_seg @ wx.values.T
+            stop = start
+        ad._accumulate(x, dx.transpose(1, 0, 2))
+
+    out._backward = backward
+    return out

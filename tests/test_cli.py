@@ -413,6 +413,23 @@ class TestE2e:
         assert summary["after_p95_ms"] == summary["before_p95_ms"]
         assert (tmp_path / "dataset.csv").read_bytes() == (tmp_path / "dataset_after.csv").read_bytes()
 
+    def test_met_sla_prints_nothing_when_quiet(self, workspace, tmp_path, capsys):
+        assert main(["e2e", "--config", str(workspace["ini"]),
+                     "--scenario", str(workspace["scenario"]),
+                     "--sla-ms", "1000000", "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_missed_sla_warns_even_when_quiet(self, workspace, tmp_path, capsys):
+        rc = main(["e2e", "--config", str(workspace["ini"]),
+                   "--scenario", str(workspace["scenario"]),
+                   "--sla-ms", "1", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert not summary["sla_met_within_5pct"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: after p95 ")
+        assert "misses the SLA of 1.0 ms" in lines[0]
+
     def test_violation_loop_scales_up(self, workspace, tmp_path):
         rc = main(["e2e", "--config", str(workspace["ini"]),
                    "--scenario", str(workspace["scenario"]),

@@ -15,7 +15,9 @@ from latscale.nn import (
     autodiff as ad,
     causal_mask,
 )
-from oracles import grad_check, mean, pinball, softmax, sub, swap_last, total
+from oracles import (
+    elu, grad_check, mean, pinball, softmax, sub, swap_last, total, unblocked_lstm_sequence,
+)
 
 
 def rand_tensor(rng, *shape):
@@ -24,18 +26,11 @@ def rand_tensor(rng, *shape):
 
 # Per-op oracles: the nodes the fused ops replace, kept here to check them.
 
-def elu(x):
-    y, positive = ad._elu(x.values)
-    out = Tensor(y, (x,))
-    out._backward = lambda g: ad._accumulate(x, ad._elu_grad(g, y, positive))
-    return out
-
-
 def layer_norm(x):
     """Normalize the last axis to zero mean, unit variance (no affine)."""
-    xhat, inv = ad._normalize(x.values)
+    xhat, inv = ad._normalize(x.values.copy())
     out = Tensor(xhat, (x,))
-    out._backward = lambda g: ad._accumulate(x, ad._normalize_grad(g, xhat, inv))
+    out._backward = lambda g: ad._accumulate(x, ad._normalize_grad(g.copy(), xhat, inv))
     return out
 
 
@@ -214,6 +209,18 @@ class TestAutodiffPrimitives:
         y.backward(upstream)
         y_ref.backward(upstream)
         np.testing.assert_array_equal(x.grad, x_ref.grad)
+
+    def test_branch_free_elu_matches_the_where_form(self):
+        rng = np.random.default_rng(26)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 800.0, -800.0]
+        v = np.concatenate([edges, rng.normal(0, 3, 4096)])
+        g = rng.normal(0, 1, v.shape)
+        x = Tensor(v.copy())
+        ref = elu(x)
+        ref.backward(g)
+        y = ad._elu(v.copy())
+        assert_same_bits(y, ref.values)
+        assert_same_bits(g * ad._elu_slope(y), x.grad)
 
     @pytest.mark.parametrize("shape", [(6, 16), (2048, 8), (12800, 8), (3, 5, 7)])
     def test_layer_norm_equals_the_np_var_form(self, shape):
@@ -564,6 +571,28 @@ class TestLstmSequence:
                          list(store.tensors().values()) + [x])
         assert err < 1e-4
 
+    @pytest.mark.parametrize("block,lengths", [
+        (4, (7, 6)),  # T = 13 is not a multiple of the block
+        (16, (5, 4)),  # T is shorter than a block
+        (4, (5, 4)),  # the encoder/decoder boundary off the block grid: blocks restart there
+        (32, (400, 50)),  # the paper's windows at the block size the model uses
+    ])
+    def test_blocked_backward_matches_the_unblocked(self, monkeypatch, block, lengths):
+        monkeypatch.setattr(ad, "LSTM_BACKWARD_STEPS", block)
+        store, _, x, probe, segments = self.build(33, 2, lengths)
+        wrt = list(store.tensors().values()) + [x]
+        results = []
+        for run in (ad.lstm_sequence, unblocked_lstm_sequence):
+            for t in wrt:
+                t.zero_grad()
+            out = run(x, segments)
+            total(ad.mul(out, probe)).backward()
+            results.append((out.values, [t.grad for t in wrt]))
+        (blocked, blocked_grads), (ref, ref_grads) = results
+        assert blocked.tobytes() == ref.tobytes()
+        for got, want in zip(blocked_grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+
     def test_lengths_must_cover_the_sequence(self):
         _, _, x, _, segments = self.build(32, 1, (2, 2))
         with pytest.raises(ValueError, match="do not sum"):
@@ -591,58 +620,14 @@ def composed_attention(attn, query, keys_values, mask=None, training=False, rng=
 
 
 def chain_select_combine(logits, outputs):
-    """The reference for ``ad.select_combine``: softmax, then per-feature
-    narrow, mul and add nodes."""
+    """The reference for the combine in ``ad.variable_selection``: softmax,
+    then per-feature narrow, mul and add nodes."""
     weights = softmax(logits, axis=-1)
     combined = None
     for i, o in enumerate(outputs):
         term = ad.mul(ad.narrow(weights, 1, i, 1), o)
         combined = term if combined is None else ad.add(combined, term)
     return combined, weights.values
-
-
-class TestSelectCombine:
-    @staticmethod
-    def build(seed, rows, n, h=8):
-        """Logits and n outputs that all read one shared input, which also
-        feeds a last op: with that many paths into it, a node whose parents
-        the walk expands in another order sums its gradient in another order."""
-        rng = np.random.default_rng(seed)
-        shared = rand_tensor(rng, rows, h)
-        mixes = [rand_tensor(rng, h, h) for _ in range(n)]
-        select = rand_tensor(rng, h, n)
-        probe = rng.normal(0, 1, (rows, h))
-        return shared, mixes, select, probe
-
-    @pytest.mark.parametrize("rows", [7, 600])  # either side of _sum_rows' gate
-    @pytest.mark.parametrize("n", [1, 3, 8, 9])
-    def test_matches_the_chain(self, rows, n):
-        shared, mixes, select, probe = self.build(70 + n, rows, n)
-        wrt = [shared, select, *mixes]
-        results = []
-        for run in (ad.select_combine, chain_select_combine):
-            for t in wrt:
-                t.zero_grad()
-            logits = ad.matmul(shared, select)
-            outputs = [ad.add(ad.matmul(shared, m), shared) for m in mixes]
-            combined, weights = run(logits, outputs)
-            ad.add(total(ad.mul(combined, probe)), total(ad.mul(shared, shared))).backward()
-            results.append((combined.values, weights, [t.grad for t in wrt]))
-        (fused, fused_w, fused_grads), (ref, ref_w, ref_grads) = results
-        np.testing.assert_array_equal(fused, ref)
-        np.testing.assert_array_equal(fused_w, ref_w)
-        for got, want in zip(fused_grads, ref_grads):
-            assert got.tobytes() == want.tobytes()
-
-    def test_is_one_node_with_the_chains_walk_order(self):
-        shared, mixes, select, _ = self.build(80, 4, 3)
-        logits = ad.matmul(shared, select)
-        outputs = [ad.matmul(shared, m) for m in mixes]
-        combined, weights = ad.select_combine(logits, outputs)
-        assert isinstance(weights, np.ndarray)
-        expected = (outputs[0], outputs[1], logits, outputs[2])
-        assert len(combined._parents) == len(expected)
-        assert all(got is want for got, want in zip(combined._parents, expected))
 
 
 class TestAttention:

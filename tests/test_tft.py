@@ -5,7 +5,7 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +40,7 @@ from latscale.trace_data import (
     WindowSpec,
     make_windows,
 )
-from oracles import chain_batch_loss
+from oracles import chain_batch_loss, total
 
 SMALL = TftConfig(encoder_length=64, decoder_length=16, hidden_size=8,
                   attention_heads=1, max_epochs=15, seed=3)
@@ -547,6 +547,90 @@ def test_fused_selection_trains_like_the_chain(monkeypatch, tmp_path):
                                  chain_vsn, seed=7)
 
 
+class TestVariableSelection:
+    @staticmethod
+    def build(seed, rows, n_features, h=8):
+        from test_nn import perturb
+
+        rng = np.random.default_rng(seed)
+        store = nn.ParamStore(seed=seed)
+        embeds = [nn.Linear(store, f"embed.{i}", 1, h) for i in range(n_features)]
+        select = nn.Grn(store, "select", n_features * h, n_features, hidden=h, dropout=0.3)
+        grns = [nn.Grn(store, f"feat.{i}", h, h, dropout=0.3) for i in range(n_features)]
+        perturb(store, rng)
+        flat = rng.normal(0, 1, (rows, n_features))
+        probe = rng.normal(0, 1, (rows, h))
+        return store, embeds, select, grns, flat, probe
+
+    @pytest.mark.parametrize("rows", [7, 512, 12_800])
+    @pytest.mark.parametrize("n_features", [1, 7, 8, 9])  # 8 and 9: either side of _sum_rows' gate
+    def test_matches_the_chain(self, rows, n_features):
+        store, embeds, select, grns, flat, probe = self.build(n_features, rows, n_features)
+        wrt = list(store.tensors().values())
+        results = []
+        for run in (TemporalFusionTransformer._vsn, chain_vsn):
+            for t in wrt:
+                t.zero_grad()
+            draws = np.random.default_rng(rows)
+            out, weights = run(None, flat, embeds, select, grns, True, draws)
+            total(ad.mul(out, probe)).backward()
+            results.append((out.values, weights, [t.grad for t in wrt], draws.random(4)))
+        (fused, fused_w, fused_grads, fused_next), (ref, ref_w, ref_grads, ref_next) = results
+        assert fused.tobytes() == ref.tobytes()
+        assert fused_w.tobytes() == ref_w.tobytes()
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(fused_next, ref_next)  # same random stream after the call
+
+    def test_is_one_node_over_the_parameters(self):
+        store, embeds, select, grns, flat, _ = self.build(20, 16, 3)
+        out, weights = ad.variable_selection(flat, embeds, select, grns, np.random.default_rng(0),
+                                             training=True)
+        assert weights.shape == (16, 3) and out.values.shape == (16, 8)
+        assert all(parent._backward is None for parent in out._parents)
+        assert [id(t) for t in out._parents] == [id(t) for t in store.tensors().values()]
+
+    def test_feature_grns_read_views_of_the_selector_input(self, monkeypatch):
+        store, embeds, select, grns, flat, _ = self.build(21, 16, 3)
+        inputs = []
+        body = ad._gated_residual
+
+        def record(xv, *args):
+            inputs.append(xv)
+            return body(xv, *args)
+
+        monkeypatch.setattr(ad, "_gated_residual", record)
+        ad.variable_selection(flat, embeds, select, grns)
+        selector_input, *feature_inputs = inputs
+        assert selector_input.shape == (16, 24)
+        assert len(feature_inputs) == 3
+        for i, x in enumerate(feature_inputs):
+            assert x.shape == (16, 8) and np.shares_memory(x, selector_input)
+            np.testing.assert_array_equal(x, selector_input[:, 8 * i : 8 * (i + 1)])
+
+
+@pytest.mark.parametrize("encoder_length,decoder_length", [(64, 16), (400, 50)])
+def test_batch_graph_census(encoder_length, decoder_length):
+    """A training batch of the demo's 6 covariates builds 265 graph nodes,
+    parameters included, at either window shape: each variable selection
+    is one node, and so is the LSTM."""
+    config = replace(SMALL, encoder_length=encoder_length, decoder_length=decoder_length)
+    covariates = [f"c{i}" for i in range(6)]
+    model = TemporalFusionTransformer(config, covariates + ["target"], covariates)
+    rng = np.random.default_rng(0)
+    out = model.forward(rng.random((2, encoder_length, 7)), rng.random((2, decoder_length, 6)),
+                        training=True, rng=rng)
+    seen, stack = {}, [out["quantiles"]]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    assert len(seen) == 265
+    leaves = [node for node in seen.values() if node._backward is None]
+    assert len(leaves) == len(model.store.tensors())
+
+
 def test_fused_attention_trains_like_the_chain(monkeypatch, tmp_path):
     from test_nn import composed_attention
 
@@ -739,6 +823,21 @@ class TestCheckpoint:
         doc = json.loads((tmp_path / "model.json").read_text())
         assert doc["format_version"] == 1
 
+
+    def test_bytes_are_those_of_the_json_round_trip(self, trained_sine, tmp_path):
+        model, _, _ = trained_sine
+        save_checkpoint(model, tmp_path / "model.json")
+        doc = {
+            "format_version": nn.layers.CHECKPOINT_FORMAT_VERSION,
+            "config": json.loads(json.dumps(asdict(model.config))),
+            "encoder_features": list(model.encoder_features),
+            "decoder_features": list(model.decoder_features),
+            "feature_scaling": model.feature_scaling.to_dict(),
+            "params": json.loads(model.store.to_json()),
+        }
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(doc, fh)
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_older_checkpoint_relative_time_key(self, trained_sine, tmp_path):
         model, _, windows = trained_sine

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,21 @@ class TestLoadDataset:
         for a, b in zip(ds.series, back.series):
             assert a.name == b.name and a.kind == b.kind
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_rows_are_the_csv_writers_bytes(self, tmp_path):
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, -1.5e308, 0.1, 3.0]
+        values = np.resize(specials, 23)
+        ds = TraceDataset(time_index=np.arange(100, 123), series=(
+            MetricSeries('cps."odd, name"', SeriesKind.FRONT_END_CALLS, values),
+            MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, values[::-1]),
+        ))
+        save_dataset(ds, tmp_path / "d.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [s.name for s in ds.series])
+            for i, t in enumerate(ds.time_index):
+                writer.writerow([int(t)] + [repr(float(s.values[i])) for s in ds.series])
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestP95:
