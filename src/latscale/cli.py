@@ -304,13 +304,16 @@ def _read_steps(path, key_column: str, value_column: str, key_type):
 
 
 def write_json(doc, path):
+    """Write ``doc`` as strict JSON: a nan or inf raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _fit_scores(fit: krr.PerFeatureFit) -> dict:
-    return {"cv_mse": fit.cv_mse, "pooled_rmse": fit.pooled_rmse, "pooled_r2": fit.pooled_r2}
+    """The fit's scores; ``pooled_r2`` is null where a constant target leaves it undefined."""
+    r2 = None if math.isnan(fit.pooled_r2) else fit.pooled_r2
+    return {"cv_mse": fit.cv_mse, "pooled_rmse": fit.pooled_rmse, "pooled_r2": r2}
 
 
 def write_krr_fit(fit: krr.PerFeatureFit, features, out: Path):

@@ -7,7 +7,6 @@ so finite-difference checks can be tight.
 """
 from __future__ import annotations
 
-import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,18 +86,28 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+def row_sum(columns: Sequence[Array]) -> Array:
+    """What numpy's sum over a last axis holding ``columns`` gives, to the
+    last bit, for 1 to 8 columns of one shape: they are added in numpy's
+    order, from its initial 0.0 (which turns -0.0 into 0.0), in turn below
+    width 8 and pairwise at width 8.  The result is a new array."""
+    c = columns
+    if len(c) == 8:
+        return 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
+    total = 0.0 + c[0]
+    for column in c[1:]:
+        total += column
+    return total
+
+
 def _sum_rows(a: Array) -> Array:
     """``a.sum(axis=-1, keepdims=True)`` to the last bit.  numpy spends a
-    loop step per row; from 512 rows up to 8 wide, whole columns are added
-    in numpy's order instead: from its initial 0.0 (which turns -0.0 into
-    0.0), in turn below width 8 and pairwise at width 8."""
+    loop step per row; from 512 rows up to 8 wide, ``row_sum`` adds whole
+    columns in numpy's order instead."""
     width = a.shape[-1]
     if width > 8 or a.size < 512 * width:
         return a.sum(axis=-1, keepdims=True)
-    c = [a[..., j] for j in range(width)]
-    if width < 8:
-        return functools.reduce(np.add, c, 0.0)[..., None]
-    return (0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))))[..., None]
+    return row_sum([a[..., j] for j in range(width)])[..., None]
 
 
 def _sum_columns(a: Array) -> Array:

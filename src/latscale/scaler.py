@@ -50,13 +50,16 @@ def detect_violation(forecast: "QuantileForecast", sla: SlaSpec) -> ViolationRep
     """Check the median forecast against the SLA bound.
 
     The violation fraction is the worst relative overshoot
-    max(0, (yhat - threshold) / yhat) over the horizon, so subtracting
-    it from the prediction lands the worst step on the threshold.
+    (yhat - threshold) / yhat over the steps above the threshold, and 0
+    without one, so subtracting it from the prediction lands the worst
+    step on the threshold.  The threshold is positive, so a median
+    clipped to 0 ms is never divided by.
     """
     median = np.asarray(forecast.median, dtype=np.float64)
     if median.size == 0:
         raise ValueError("empty forecast")
-    overshoot = np.maximum(0.0, (median - sla.threshold_ms) / median)
+    overshoot = np.zeros_like(median)
+    np.divide(median - sla.threshold_ms, median, out=overshoot, where=median > sla.threshold_ms)
     worst = int(np.argmax(overshoot))
     fraction = float(overshoot[worst])
     return ViolationReport(

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from .nn.autodiff import row_sum
 from .trace_data import MetricSeries, SeriesKind, TraceDataset, nearest_rank
 
 if TYPE_CHECKING:  # avoid a runtime cycle; apply_plan duck-types the plan
@@ -301,7 +302,10 @@ def _noisy_p95(hops: Mapping[str, np.ndarray], cps: Mapping[str, np.ndarray],
 
     The noise comes from ``_request_noise``; steps of a trace with the
     same request count are one matrix, so memory stays that of the
-    noise even when a burst makes one step large.
+    noise even when a burst makes one step large.  A request's latency
+    is the sum over its hops; up to 8 hops ``row_sum`` adds whole
+    per-hop columns in numpy's order of that sum, which is faster than
+    reducing numpy's short last axis, and wider traces keep numpy's sum.
     """
     order = sorted(hops)
     n_req = np.stack([np.maximum(1, np.round(cps[c])).astype(np.int64) for c in order], axis=1)
@@ -310,7 +314,11 @@ def _noisy_p95(hops: Mapping[str, np.ndarray], cps: Mapping[str, np.ndarray],
     for color, blocks in zip(order, noise):
         latency[color] = np.empty(len(n_req))
         for steps, block in blocks:
-            requests = (hops[color][steps, None] * block).sum(axis=2)
+            h = hops[color][steps]
+            if block.shape[2] > 8:
+                requests = (h[:, None] * block).sum(axis=2)
+            else:
+                requests = row_sum([h[:, j, None] * block[:, :, j] for j in range(block.shape[2])])
             rank = nearest_rank(95.0, block.shape[1])
             latency[color][steps] = np.partition(requests, rank - 1, axis=1)[:, rank - 1]
     return latency

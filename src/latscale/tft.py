@@ -14,6 +14,7 @@ import contextlib
 import ctypes
 import ctypes.util
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -169,6 +170,8 @@ class TemporalFusionTransformer:
         ]
         self.feature_scaling: "FeatureScaling | None" = None  # set by train()
         self._run: "_Run | None" = None  # the last training run's end state, set by train()
+        # (digest, outputs) of the last one-window inference, set by _infer()
+        self._last_inference: "tuple[bytes, dict[str, np.ndarray]] | None" = None
 
     def parameter_count(self) -> int:
         return self.store.parameter_count()
@@ -704,9 +707,7 @@ def predict(model: TemporalFusionTransformer, window: Window) -> QuantileForecas
 def predict_many(model: TemporalFusionTransformer, windows: Sequence[Window]) -> list[QuantileForecast]:
     forecasts = []
     for batch in _slices(model, windows):
-        out = model.forward(batch.enc, batch.dec, training=False)
-        raw = np.sort(out["quantiles"].values, axis=2)  # quantile non-crossing
-        del out
+        raw = np.sort(_infer(model, batch)["quantiles"], axis=2)  # quantile non-crossing
         for values, lo, span, start in zip(raw, batch.target_lo, batch.target_range, batch.starts):
             forecasts.append(
                 QuantileForecast(
@@ -724,19 +725,39 @@ def _require_scaling(model: TemporalFusionTransformer) -> FeatureScaling:
     return model.feature_scaling
 
 
+def _infer(model: TemporalFusionTransformer, batch: PreparedBatch) -> dict[str, np.ndarray]:
+    """The inference outputs of ``model`` on ``batch`` (quantiles, encoder
+    and decoder weights, attention), as plain read-only arrays.
+
+    The last one-window inference stays on the model, keyed by a digest of
+    the exact bytes of its prepared inputs and of every parameter, so
+    interpreting the window just forecast costs no second forward pass.
+    An equal key means an equal computation, hence equal bits; a weight
+    write, another window or another feature scaling changes the key."""
+    key = None
+    if len(batch.starts) == 1:
+        arrays = (batch.enc, batch.dec, *(t.values for t in model.store.tensors().values()))
+        key = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).digest()
+        if model._last_inference is not None and model._last_inference[0] == key:
+            return model._last_inference[1]
+    out = {name: t.values for name, t in model.forward(batch.enc, batch.dec, training=False).items()}
+    for values in out.values():
+        values.flags.writeable = False
+    if key is not None:
+        model._last_inference = (key, out)
+    return out
+
+
 def interpret(model: TemporalFusionTransformer, window: Window) -> ImportanceSeries:
     """Export the variable-selection weights and attention profile for
     one window."""
-    batch = prepare_batch([window], model.config, _require_scaling(model))
-    out = model.forward(batch.enc, batch.dec, training=False)
-    enc_features = model.encoder_features
-    dec_features = model.decoder_features
+    out = _infer(model, prepare_batch([window], model.config, _require_scaling(model)))
     return ImportanceSeries(
-        encoder_features=enc_features,
-        decoder_features=dec_features,
-        encoder_variable_importance=out["encoder_weights"].values[0],
-        decoder_variable_importance=out["decoder_weights"].values[0],
-        attention_profile=out["attention"].values[0],
+        encoder_features=model.encoder_features,
+        decoder_features=model.decoder_features,
+        encoder_variable_importance=out["encoder_weights"][0].copy(),
+        decoder_variable_importance=out["decoder_weights"][0].copy(),
+        attention_profile=out["attention"][0].copy(),
     )
 
 

@@ -402,6 +402,29 @@ STAGE_FAULTS = [
 ]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    def test_undefined_pooled_r2_is_written_as_null(self, tmp_path):
+        rng = np.random.default_rng(0)
+        fit = krr.fit_per_feature(rng.uniform(0, 1, (16, 2)), np.full(16, 80.0))
+        assert np.isnan(fit.pooled_r2)
+        cli.write_krr_fit(fit, ["a", "b"], tmp_path)
+        cli.write_json({"krr": cli._fit_scores(fit)}, tmp_path / "summary.json")
+        models = json.loads((tmp_path / "krr_models.json").read_text(),
+                            parse_constant=reject_constant)
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert models["pooled_r2"] is None and summary["krr"]["pooled_r2"] is None
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_is_refused(self, tmp_path, value):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli.write_json({"x": value}, tmp_path / "x.json")
+
+
 class TestE2e:
     def test_no_violation_leaves_everything_unchanged(self, workspace, tmp_path):
         rc = main(["e2e", "--config", str(workspace["ini"]),

@@ -77,6 +77,15 @@ class TestViolation:
         assert report.violation_fraction == 0.0
         assert not report.violated
 
+    @pytest.mark.parametrize("median, violated", [([0.0, 0.0], False), ([0.0, 125.0, 0.0], True)])
+    def test_zero_median_is_never_divided_by(self, median, violated):
+        """``predict`` clips forecasts at 0 ms, so a median can be 0."""
+        with np.errstate(all="raise"):
+            report = detect_violation(FakeForecast(np.array(median)), SlaSpec(100.0))
+        assert report.violated == violated
+        assert report.violation_fraction == (0.2 if violated else 0.0)
+        assert report.worst_step == (1 if violated else 0)
+
 
 class TestDesiredLatency:
     def test_worst_step_lands_on_threshold(self):

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from latscale import simulator
 from latscale.simulator import (
     MEM_PENALTY,
     RHO_CAP,
@@ -29,7 +30,7 @@ from latscale.simulator import (
 )
 from latscale.cli import write_json
 from latscale.scaler import PlanAction, ScalingPlan
-from latscale.trace_data import p95, save_dataset
+from latscale.trace_data import nearest_rank, p95, save_dataset
 
 
 def tiny_graph():
@@ -232,6 +233,19 @@ def reference_latency(graph, workload, configs, duration_steps, seed, noise_sigm
     return ds, latency
 
 
+def chain_scenario(length):
+    """Two traces over a chain of ``length`` services, the longer trace
+    through all of them: a custom graph wider than the bundled ones."""
+    names = tuple(f"svc{i}" for i in range(length))
+    graph = CallGraph.from_paths((TracePath("green", names),
+                                  TracePath("blue", names[: max(2, length // 2)])))
+    configs = {name: ServiceConfig(name, base_service_ms=2.0 + i, per_pod_rate=40.0, pods=2)
+               for i, name in enumerate(names)}
+    workload = {"green": WorkloadProfile(base=20.0, amplitude=8.0, period=13.0),
+                "blue": WorkloadProfile(base=9.0, noise_sigma=2.0)}
+    return graph, workload, configs
+
+
 class TestReferenceLoop:
     """``simulate`` computes whole arrays at once; the per-step loop
     above is the reference it must reproduce exactly."""
@@ -258,6 +272,11 @@ class TestReferenceLoop:
         s = self.bundled(name)
         self.assert_matches(*reference_latency(s.graph, s.workloads, s.configs, 80, seed, noise_sigma))
 
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_custom_graph_chain(self, length):
+        graph, workload, configs = chain_scenario(length)
+        self.assert_matches(*reference_latency(graph, workload, configs, 60, 5, 0.2))
+
     def test_rate_rounding_to_zero_sends_one_request(self):
         workload = {"green": WorkloadProfile(base=0.2, amplitude=0.3, period=7.0)}
         ds, latency = reference_latency(tiny_graph(), workload, tiny_configs(), 40, 1, 0.3)
@@ -282,6 +301,56 @@ class TestReferenceLoop:
         mem = ds.get("mem.cart").values
         assert np.any(mem < cart.mem_bytes) and np.any(mem >= cart.mem_bytes)
         self.assert_matches(ds, latency)
+
+
+def numpy_noisy_p95(hops, cps, noise):
+    """The per-trace p95 with every request summed by numpy over the short
+    last axis of the (steps x requests x hops) product, the form
+    ``_noisy_p95`` must equal; ``noise`` is ``_request_noise``'s output."""
+    order = sorted(hops)
+    latency = {}
+    for color, blocks in zip(order, noise):
+        latency[color] = np.empty(len(cps[color]))
+        for steps, block in blocks:
+            requests = (hops[color][steps, None] * block).sum(axis=2)
+            rank = nearest_rank(95.0, block.shape[1])
+            latency[color][steps] = np.partition(requests, rank - 1, axis=1)[:, rank - 1]
+    return latency
+
+
+class TestNoisyP95:
+    """``_noisy_p95`` adds whole per-hop columns in numpy's order up to 8
+    hops and keeps numpy's sum beyond; either way it equals numpy's sum
+    over the hops to the last bit, inf and nan noise included."""
+
+    @staticmethod
+    def spiked(noise, rng, special):
+        """``noise`` with about 10% of its entries set to ``special``."""
+        out = []
+        for blocks in noise:
+            spiked_blocks = []
+            for steps, block in blocks:
+                block = block.copy()
+                block[rng.random(block.shape) < 0.1] = special
+                spiked_blocks.append((steps, block))
+            out.append(tuple(spiked_blocks))
+        return tuple(out)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_equals_numpy_sum_over_hops(self, width, monkeypatch):
+        rng = np.random.default_rng(width)
+        steps = 80
+        hops = {"a": rng.uniform(1.0, 50.0, (steps, width)),
+                "b": rng.uniform(1.0, 50.0, (steps, width))}
+        cps = {"a": rng.uniform(0.0, 30.0, steps), "b": rng.uniform(0.0, 12.0, steps)}
+        counts = np.stack([np.maximum(1, np.round(cps[c])).astype(np.int64) for c in "ab"], axis=1)
+        for special, check in ((np.inf, np.isinf), (np.nan, np.isnan)):
+            noise = self.spiked(_request_noise(7, 0.2, counts.tobytes(), (width, width)), rng, special)
+            monkeypatch.setattr(simulator, "_request_noise", lambda *args: noise)
+            got = simulator._noisy_p95(hops, cps, 7, 0.2)
+            want = numpy_noisy_p95(hops, cps, noise)
+            assert all(got[c].tobytes() == want[c].tobytes() for c in "ab")
+            assert any(check(got[c]).any() for c in "ab")
 
 
 def dataset_bytes(ds):

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import threading
 import time
+import types
 import weakref
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -773,6 +774,110 @@ class TestInterpret:
                 decoder_variable_importance=np.array([[1.0]]),
                 attention_profile=np.array([[1.0]]),
             )
+
+
+class TestInferenceMemo:
+    """``interpret`` after ``predict`` on the same window reuses the one
+    forward pass, keyed by the bytes of the inputs and of every weight."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """A scaled, untrained model, its windows and its forward-call count."""
+        windows = sine_windows(200)
+        model = small_model()
+        model.feature_scaling = fit_feature_scaling(windows)
+        calls = []
+        forward = TemporalFusionTransformer.forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemporalFusionTransformer, "forward", counting)
+        return model, windows, calls
+
+    @staticmethod
+    def cold(model, window):
+        """``predict`` and ``interpret`` with no memo, as bytes."""
+        model._last_inference = None
+        values = predict(model, window).values.tobytes()
+        model._last_inference = None
+        return values, importance_bytes(interpret(model, window))
+
+    def test_interpret_after_predict_runs_one_forward(self, counted):
+        model, windows, calls = counted
+        forecast = predict(model, windows[-1])
+        imp = interpret(model, windows[-1])
+        assert calls == [1]
+        assert (forecast.values.tobytes(), importance_bytes(imp)) == self.cold(model, windows[-1])
+
+    def test_batches_of_several_windows_are_not_kept(self, counted):
+        model, windows, calls = counted
+        predict_many(model, windows[:3])
+        assert model._last_inference is None
+        predict_many(model, windows[:3])
+        assert calls == [3, 3]
+
+    def test_weight_write_other_inputs_and_scaling_each_recompute(self, counted):
+        model, windows, calls = counted
+        window = windows[-1]
+        before = importance_bytes(interpret(model, window))
+        model.store.tensors()["vsn.dec.select.skip.w"].values[0, 0] += 0.5  # in place
+        after = importance_bytes(interpret(model, window))
+        assert len(calls) == 2 and after != before
+        assert after == self.cold(model, window)[1]
+
+        history = replace(window, encoder=replace(window.encoder,
+                                                  values=window.encoder.values[::-1]))
+        future = replace(window, decoder=replace(window.decoder,
+                                                 values=window.decoder.values[::-1]))
+        for other in (windows[-2], history, future):  # each differs in the encoder, decoder or both
+            calls.clear()
+            forecast = predict(model, other)
+            assert calls == [1] and forecast.values.tobytes() == self.cold(model, other)[0]
+
+        calls.clear()
+        predict(model, window)
+        model.feature_scaling = replace(model.feature_scaling, params={
+            name: (lo - 1.0, span) for name, (lo, span) in model.feature_scaling.params.items()})
+        rescaled = interpret(model, window)
+        assert calls == [1, 1]
+        assert importance_bytes(rescaled) == self.cold(model, window)[1]
+
+    def test_writing_into_results_changes_no_later_result(self, counted):
+        model, windows, _ = counted
+        window = windows[-1]
+        forecast, imp = predict(model, window), interpret(model, window)
+        want = (forecast.values.tobytes(), importance_bytes(imp))
+        forecast.values[:] = -1.0
+        for array in (imp.encoder_variable_importance, imp.decoder_variable_importance,
+                      imp.attention_profile):
+            array[:] = -1.0
+        assert (predict(model, window).values.tobytes(),
+                importance_bytes(interpret(model, window))) == want
+
+    def test_memo_holds_plain_arrays_and_no_graph(self, counted):
+        model, windows, _ = counted
+        predict(model, windows[-1])
+        key, outputs = model._last_inference
+        assert isinstance(key, bytes)
+        assert set(outputs) == {"quantiles", "encoder_weights", "decoder_weights", "attention"}
+        assert not any(values.flags.writeable for values in outputs.values())
+        seen, stack = set(), [model._last_inference]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (ad.Tensor, types.FunctionType)), type(obj)
+            if isinstance(obj, np.ndarray) and obj.base is not None:
+                stack.append(obj.base)
+            stack.extend(gc.get_referents(obj))
+
+
+def importance_bytes(imp: ImportanceSeries) -> bytes:
+    return b"".join(a.tobytes() for a in (imp.encoder_variable_importance,
+                                          imp.decoder_variable_importance, imp.attention_profile))
 
 
 class TestEvaluate:
