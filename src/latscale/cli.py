@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -72,6 +73,9 @@ class RunConfig:
     def __post_init__(self):
         if self.resources not in ("horizontal", "vertical", "both"):
             raise ValueError(f"unknown resource mode {self.resources!r}")
+        repeated = [f for i, f in enumerate(self.features or ()) if f in self.features[:i]]
+        if repeated:
+            raise ValueError(f"feature {repeated[0]!r} listed twice")
         for name in ("steady_window", "restarts", "sla_factor", "sla_ms"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -202,17 +206,15 @@ def _say(cfg: RunConfig, message: str):
         print(message, file=sys.stderr)
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, (UsageError, StageError)):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _StageContext()
+    """Report a failure inside the block as stage ``name``'s; an interrupt passes through."""
+    try:
+        yield
+    except (UsageError, StageError):
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 # ---------------------------------------------------------------------------

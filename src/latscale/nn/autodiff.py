@@ -424,11 +424,12 @@ def lstm_sequence(x: Tensor, segments: Sequence[tuple[Tensor, Tensor, Tensor, in
     return out
 
 
-def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta: Tensor,
-                   p: float, rng: np.random.Generator | None, training: bool):
+def _gate_add_norm(eta: Array, residual: Array, layer, rng: np.random.Generator | None,
+                   training: bool):
     """LayerNorm(residual + sigmoid(gate(eta')) * value(eta')) * gamma + beta
     over plain arrays, with eta' = dropout(eta): the gated skip that ends
-    every GRN and joins the blocks.
+    every GRN and joins the blocks, read from a ``layers.GateAddNorm`` or
+    ``layers.Grn`` ``layer``: both hold its members.
 
     Returns the output and a backward function.  That function takes the
     output's gradient, accumulates into the gate, value, gamma and beta
@@ -436,6 +437,8 @@ def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta
     mask, the dropped-out eta, the gate and value activations, x-hat and
     1/sigma.  Neither function writes to the arrays it is given.
     """
+    gate, value, gamma, beta = layer.gate, layer.value, layer.ln_gamma, layer.ln_beta
+    p = layer.dropout
     keep = _keep_mask(eta.shape, p, rng, training)
     if keep is not None:
         eta = eta * (keep / (1.0 - p))
@@ -458,9 +461,9 @@ def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta
         g_value = g_res * act
         g_eta = _matmul_grad_left(g_gate, eta, gate.w.values)
         g_eta += _matmul_grad_left(g_value, eta, value.w.values)
-        for layer, g_layer in ((gate, g_gate), (value, g_value)):
-            _accumulate(layer.w, _matmul_grad_right(g_layer, eta, layer.w.values))
-            _accumulate(layer.b, g_layer)
+        for dense, g_dense in ((gate, g_gate), (value, g_value)):
+            _accumulate(dense.w, _matmul_grad_right(g_dense, eta, dense.w.values))
+            _accumulate(dense.b, g_dense)
         if keep is not None:
             g_eta *= keep / (1.0 - p)
         return g_res, g_eta
@@ -470,18 +473,18 @@ def _gate_add_norm(eta: Array, residual: Array, gate, value, gamma: Tensor, beta
     return y, backward
 
 
-def gate_add_norm(x: Tensor, residual: Tensor, gate, value, gamma: Tensor, beta: Tensor,
-                  p: float = 0.0, rng: np.random.Generator | None = None,
+def gate_add_norm(x: Tensor, residual: Tensor, layer, rng: np.random.Generator | None = None,
                   training: bool = False) -> Tensor:
-    """Run ``layers.GateAddNorm`` as one graph node: LayerNorm(residual +
-    GLU(dropout(x))) * gamma + beta, to the last bit of its chain of per-op
-    nodes.  At inference ``x`` gets the GLU's two terms as one sum, which
-    is the chain's result when nothing else reads ``x``, as in the model.
+    """Run ``layer`` (a ``layers.GateAddNorm``) as one graph node:
+    LayerNorm(residual + GLU(dropout(x))) * gamma + beta, to the last bit
+    of its chain of per-op nodes.  At inference ``x`` gets the GLU's two
+    terms as one sum, which is the chain's result when nothing else reads
+    ``x``, as in the model.
     """
-    y, tail = _gate_add_norm(x.values, residual.values, gate, value, gamma, beta, p, rng, training)
+    y, tail = _gate_add_norm(x.values, residual.values, layer, rng, training)
     # residual first: the stack pops parents last first, so x's subgraph is
     # expanded before the residual's, as the chain expands them
-    out = Tensor(y, (residual, x, gate.w, gate.b, value.w, value.b, gamma, beta))
+    out = Tensor(y, (residual, x) + layer.parameters())
 
     def backward(g):
         g_res, g_x = tail(g)
@@ -492,10 +495,9 @@ def gate_add_norm(x: Tensor, residual: Tensor, gate, value, gamma: Tensor, beta:
     return out
 
 
-def _gated_residual(xv: Array, dense_in, dense_out, gate, value, skip, gamma: Tensor,
-                    beta: Tensor, p: float, rng: np.random.Generator | None, training: bool):
-    """A gated residual network over a plain array ``xv``: the body of
-    ``gated_residual``, which documents the arguments.
+def _gated_residual(xv: Array, grn, rng: np.random.Generator | None, training: bool):
+    """The ``layers.Grn`` ``grn`` over a plain array ``xv``: the body of
+    ``gated_residual``, which documents it.
 
     Returns the output and a backward function.  That function takes the
     output's gradient, accumulates into every parameter and returns
@@ -503,6 +505,7 @@ def _gated_residual(xv: Array, dense_in, dense_out, gate, value, skip, gamma: Te
     ``xv``.  Besides the tail's arrays (``_gate_add_norm``) it keeps only
     ``xv`` and the ELU output, from which the ELU's slope is read.
     """
+    dense_in, dense_out, skip = grn.dense_in, grn.dense_out, grn.skip
     hidden = xv @ dense_in.w.values
     hidden += dense_in.b.values
     _elu(hidden)
@@ -513,7 +516,7 @@ def _gated_residual(xv: Array, dense_in, dense_out, gate, value, skip, gamma: Te
     else:
         residual = xv @ skip.w.values
         residual += skip.b.values
-    y, tail = _gate_add_norm(eta1, residual, gate, value, gamma, beta, p, rng, training)
+    y, tail = _gate_add_norm(eta1, residual, grn, rng, training)
 
     def backward(g):
         g_res, g_eta = tail(g)
@@ -531,18 +534,17 @@ def _gated_residual(xv: Array, dense_in, dense_out, gate, value, skip, gamma: Te
     return y, backward
 
 
-def _grn_input_grad(g_res: Array, g_pre: Array, skip, dense_in, cols: slice = slice(None)):
-    """The two terms of a GRN's input gradient over the columns ``cols`` of
-    its input, in the order the chain of per-op nodes adds them: the skip
-    term, then the dense_in term."""
-    skip_term = g_res[..., cols] if skip is None else g_res @ skip.w.values[cols].T
-    return skip_term, g_pre @ dense_in.w.values[cols].T
+def _grn_input_grad(g_res: Array, g_pre: Array, grn, cols: slice = slice(None)):
+    """The two terms of the input gradient of ``grn`` over the columns
+    ``cols`` of its input, in the order the chain of per-op nodes adds
+    them: the skip term, then the dense_in term."""
+    skip_term = g_res[..., cols] if grn.skip is None else g_res @ grn.skip.w.values[cols].T
+    return skip_term, g_pre @ grn.dense_in.w.values[cols].T
 
 
-def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Tensor, beta: Tensor,
-                   p: float = 0.0, rng: np.random.Generator | None = None,
+def gated_residual(x: Tensor, grn, rng: np.random.Generator | None = None,
                    training: bool = False) -> Tensor:
-    """Run a gated residual network (``layers.Grn``) as one graph node.
+    """Run the gated residual network ``grn`` (a ``layers.Grn``) as one graph node.
 
     The output is LayerNorm(skip(x) + sigmoid(gate(eta1)) * value(eta1))
     * gamma + beta with eta1 = dropout(dense_out(ELU(dense_in(x)))).
@@ -553,23 +555,15 @@ def gated_residual(x: Tensor, dense_in, dense_out, gate, value, skip, gamma: Ten
     backward order gives them, so results and training match it to the
     last bit.
     """
-    y, body = _gated_residual(x.values, dense_in, dense_out, gate, value, skip, gamma, beta,
-                              p, rng, training)
-    layers = [dense_in, dense_out, gate, value] + ([skip] if skip is not None else [])
-    out = Tensor(y, (x,) + tuple(t for layer in layers for t in (layer.w, layer.b)) + (gamma, beta))
+    y, body = _gated_residual(x.values, grn, rng, training)
+    out = Tensor(y, (x,) + grn.parameters())
 
     def backward(g):
-        for term in _grn_input_grad(*body(g), skip, dense_in):
+        for term in _grn_input_grad(*body(g), grn):
             _accumulate(x, term)
 
     out._backward = backward
     return out
-
-
-def _grn_parameters(grn) -> tuple[Tensor, ...]:
-    layers = [grn.dense_in, grn.dense_out, grn.gate, grn.value]
-    layers += [grn.skip] if grn.skip is not None else []
-    return tuple(t for layer in layers for t in (layer.w, layer.b)) + (grn.ln_gamma, grn.ln_beta)
 
 
 def variable_selection(flat: Array, embeds, select, feature_grns,
@@ -583,7 +577,7 @@ def variable_selection(flat: Array, embeds, select, feature_grns,
     matrix.  The selector GRN ``select`` reads the whole matrix, and its
     softmax gives the weights w; GRN ``feature_grns[i]`` reads a view of
     feature i's columns.  The output is the sum of w[:, i:i+1] times GRN
-    i's output, in feature order.  GRNs hold ``layers.Grn``'s members.
+    i's output, in feature order.  GRNs are ``layers.Grn``s.
 
     This is the chain of per-feature ``Linear`` nodes, a concat, the GRN
     nodes and the combine, to the last bit: the dropout masks are drawn
@@ -600,18 +594,15 @@ def variable_selection(flat: Array, embeds, select, feature_grns,
     for i, (embed, cols) in enumerate(zip(embeds, blocks)):
         np.add(flat[:, i : i + 1] @ embed.w.values, embed.b.values, out=embedded[:, cols])
 
-    def grn_body(grn, xv):
-        return _gated_residual(xv, grn.dense_in, grn.dense_out, grn.gate, grn.value, grn.skip,
-                               grn.ln_gamma, grn.ln_beta, grn.dropout, rng, training)
-
-    logits, select_backward = grn_body(select, embedded)
-    features = [grn_body(grn, embedded[:, cols]) for grn, cols in zip(feature_grns, blocks)]
+    logits, select_backward = _gated_residual(embedded, select, rng, training)
+    features = [_gated_residual(embedded[:, cols], grn, rng, training)
+                for grn, cols in zip(feature_grns, blocks)]
     w = _softmax(logits)
     combined = w[:, 0:1] * features[0][0]
     for i in range(1, n_features):
         combined += w[:, i : i + 1] * features[i][0]
     params = [t for embed in embeds for t in (embed.w, embed.b)]
-    params += [t for grn in (select, *feature_grns) for t in _grn_parameters(grn)]
+    params += [t for grn in (select, *feature_grns) for t in grn.parameters()]
     out = Tensor(combined, tuple(params))
 
     def backward(g):
@@ -624,9 +615,9 @@ def variable_selection(flat: Array, embeds, select, feature_grns,
         last = n_features - 1
         for i, (embed, grn, cols, (_, grn_backward)) in enumerate(
                 zip(embeds, feature_grns, blocks, features)):
-            skip_term, in_term = _grn_input_grad(*select_terms, select.skip, select.dense_in, cols)
+            skip_term, in_term = _grn_input_grad(*select_terms, select, cols)
             from_select = skip_term + in_term
-            own = _grn_input_grad(*grn_backward(g * w[:, i : i + 1]), grn.skip, grn.dense_in)
+            own = _grn_input_grad(*grn_backward(g * w[:, i : i + 1]), grn)
             if i == last:
                 g_embed = from_select + own[0]
                 g_embed += own[1]

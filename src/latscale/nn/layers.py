@@ -74,7 +74,10 @@ class ParamStore:
         return json.dumps(self.to_dict())
 
     def load_json(self, text: str):
-        doc = json.loads(text)
+        self.load_dict(json.loads(text))
+
+    def load_dict(self, doc: dict):
+        """Load ``to_dict`` output; another version, name or shape raises ValueError."""
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {doc.get('format_version')!r}")
         state = {
@@ -160,6 +163,7 @@ class Grn:
 
     def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int,
                  hidden: int | None = None, dropout: float = 0.0):
+        first = len(store.tensors())
         hidden = n_out if hidden is None else hidden
         self.dense_in = Linear(store, f"{name}.dense_in", n_in, hidden)
         self.dense_out = Linear(store, f"{name}.dense_out", hidden, n_out)
@@ -169,11 +173,15 @@ class Grn:
         self.ln_gamma = store.parameter(f"{name}.ln.gamma", (n_out,), "ones")
         self.ln_beta = store.parameter(f"{name}.ln.beta", (n_out,), "zeros")
         self.dropout = dropout
+        self._parameters = tuple(store.tensors().values())[first:]
+
+    def parameters(self) -> tuple[Tensor, ...]:
+        """The tensors this network registered, in registration order."""
+        return self._parameters
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        return ad.gated_residual(x, self.dense_in, self.dense_out, self.gate, self.value, self.skip,
-                                 self.ln_gamma, self.ln_beta, self.dropout, rng, training)
+        return ad.gated_residual(x, self, rng, training)
 
 
 class GateAddNorm:
@@ -181,16 +189,21 @@ class GateAddNorm:
     run as one graph node (``autodiff.gate_add_norm``)."""
 
     def __init__(self, store: ParamStore, name: str, width: int, dropout: float = 0.0):
+        first = len(store.tensors())
         self.gate = Linear(store, f"{name}.glu.gate", width, width)
         self.value = Linear(store, f"{name}.glu.value", width, width)
         self.ln_gamma = store.parameter(f"{name}.ln.gamma", (width,), "ones")
         self.ln_beta = store.parameter(f"{name}.ln.beta", (width,), "zeros")
         self.dropout = dropout
+        self._parameters = tuple(store.tensors().values())[first:]
+
+    def parameters(self) -> tuple[Tensor, ...]:
+        """The tensors this block registered, in registration order."""
+        return self._parameters
 
     def __call__(self, x: Tensor, residual: Tensor,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        return ad.gate_add_norm(x, residual, self.gate, self.value, self.ln_gamma, self.ln_beta,
-                                self.dropout, rng, training)
+        return ad.gate_add_norm(x, residual, self, rng, training)
 
 
 class LstmCell:

@@ -9,6 +9,7 @@ second) and records the p95 latency per trace.
 from __future__ import annotations
 
 import functools
+import graphlib
 import json
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -34,11 +35,11 @@ CPU_MAX_CORES = 32.0
 MEM_MAX_BYTES = 64e9
 
 
-class UnconfiguredServiceError(KeyError):
+class UnconfiguredServiceError(ValueError):
     """A path references a service with no ServiceConfig."""
 
 
-class UnknownServiceError(KeyError):
+class UnknownServiceError(ValueError):
     """A scaling plan references a service not present in the configs."""
 
 
@@ -57,49 +58,32 @@ class TracePath:
 
 @dataclass(frozen=True)
 class CallGraph:
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    """The call graph the trace paths walk.  A graph is its paths: the
+    services and calls are those the paths use, in first-seen order."""
+
     paths: tuple[TracePath, ...]
 
     def __post_init__(self):
-        edge_set = set(self.edges)
-        for path in self.paths:
-            for parent, child in zip(path.hops, path.hops[1:]):
-                if (parent, child) not in edge_set:
-                    raise ValueError(f"path {path.color!r} uses missing edge {parent}->{child}")
-        self._check_acyclic()
+        object.__setattr__(self, "paths", tuple(self.paths))
+        sorter = graphlib.TopologicalSorter()
+        for parent, child in self.edges:
+            sorter.add(child, parent)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError:
+            raise ValueError("call graph contains a cycle") from None
 
-    @classmethod
-    def from_paths(cls, paths) -> "CallGraph":
-        """The graph whose nodes and edges are exactly those the paths use."""
-        paths = tuple(paths)
-        nodes = {hop: None for p in paths for hop in p.hops}
-        edges = {pair: None for p in paths for pair in zip(p.hops, p.hops[1:])}
-        return cls(nodes=tuple(nodes), edges=tuple(edges), paths=paths)
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return tuple({hop: None for p in self.paths for hop in p.hops})
 
-    def _check_acyclic(self):
-        indeg = {n: 0 for n in self.nodes}
-        for _, child in self.edges:
-            indeg[child] += 1
-        frontier = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while frontier:
-            node = frontier.pop()
-            seen += 1
-            for parent, child in self.edges:
-                if parent == node:
-                    indeg[child] -= 1
-                    if indeg[child] == 0:
-                        frontier.append(child)
-        if seen != len(self.nodes):
-            raise ValueError("call graph contains a cycle")
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple({pair: None for p in self.paths for pair in zip(p.hops, p.hops[1:])})
 
     @property
     def colors(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self.paths:
-            seen.setdefault(p.color)
-        return list(seen)
+        return list({p.color: None for p in self.paths})
 
     def services_for(self, color: str) -> list[str]:
         """Services a request of this trace touches, in first-visit order.
@@ -107,11 +91,7 @@ class CallGraph:
         A color may own several chains (the green trace fans out from
         cart to catalogue); shared hops are counted once.
         """
-        seen: dict[str, None] = {}
-        for p in self.paths:
-            if p.color == color:
-                for hop in p.hops:
-                    seen.setdefault(hop)
+        seen = {hop: None for p in self.paths if p.color == color for hop in p.hops}
         if not seen:
             raise KeyError(f"no path with color {color!r}")
         return list(seen)
@@ -119,7 +99,7 @@ class CallGraph:
 
 def build_robotshop_graph() -> CallGraph:
     """The Robot Shop topology with its five colored trace paths."""
-    return CallGraph.from_paths((
+    return CallGraph((
         TracePath("purple", ("front-end", "shipping", "cart", "cart-db")),
         TracePath("green", ("front-end", "cart", "cart-db")),
         TracePath("green", ("cart", "catalogue", "catalogue-db")),
@@ -448,10 +428,7 @@ class Scenario:
             raise ValueError("duration_steps must be >= 1")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        try:
-            check_references(self.graph, self.workloads, self.configs)
-        except UnconfiguredServiceError as exc:  # a KeyError, which readers take for a missing key
-            raise ValueError(*exc.args) from None
+        check_references(self.graph, self.workloads, self.configs)
         for color, profile in self.workloads.items():
             for start, duration, _ in profile.bursts:
                 if start + duration > self.duration_steps:
@@ -518,7 +495,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             paths = graph.pop("paths")
             if graph:
                 raise ValueError(f"graph: unknown key(s) {', '.join(map(repr, graph))}")
-            given["graph"] = CallGraph.from_paths(
+            given["graph"] = CallGraph(
                 _from_doc(TracePath, p, f"graph path {i}") for i, p in enumerate(paths)
             )
         return _from_doc(Scenario, doc, "top level", **given)
@@ -533,7 +510,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     doc["services"] = doc.pop("configs")
     for service in doc["services"].values():
         del service["name"]  # the service's key in the document
-    doc["graph"] = {"paths": doc["graph"]["paths"]}
     return doc
 
 

@@ -414,6 +414,7 @@ def train(
     config = model.config
     if not windows:
         raise ValueError("empty window set")
+    _check_features(model, windows)
     train_windows, val_windows = split_windows(windows, config.validation_fraction)
     model.feature_scaling = fit_feature_scaling(train_windows)
     model._run = _Run(
@@ -673,10 +674,22 @@ def _scout_worker(sender, scout: Callable, share: Sequence[TftConfig]):
     sender.send(results)
 
 
+def _check_features(model: TemporalFusionTransformer, windows: Sequence[Window]):
+    """Raise ValueError unless every window carries the model's encoder and
+    decoder features, by name and in order: an embedding reads its column
+    by position.  Windows cut by one ``make_windows`` call share their names."""
+    expected = (model.encoder_features, model.decoder_features)
+    for names in {(w.encoder.feature_names, w.decoder.feature_names) for w in windows}:
+        if names != expected:
+            raise ValueError(f"windows carry encoder and decoder features {names}, "
+                             f"but the model reads {expected}")
+
+
 def _slices(model: TemporalFusionTransformer, windows: Sequence[Window]):
     """Each ``batch_size`` slice of ``windows``, prepared on its own, as
     training batches are: the scaling is elementwise and per window, so a
     slice equals those rows of the whole set."""
+    _check_features(model, windows)
     scaling = _require_scaling(model)
     bs = model.config.batch_size
     for lo in range(0, len(windows), bs):
@@ -751,7 +764,7 @@ def _infer(model: TemporalFusionTransformer, batch: PreparedBatch) -> dict[str, 
 def interpret(model: TemporalFusionTransformer, window: Window) -> ImportanceSeries:
     """Export the variable-selection weights and attention profile for
     one window."""
-    out = _infer(model, prepare_batch([window], model.config, _require_scaling(model)))
+    out = _infer(model, next(_slices(model, [window])))
     return ImportanceSeries(
         encoder_features=model.encoder_features,
         decoder_features=model.decoder_features,
@@ -834,7 +847,7 @@ def load_checkpoint(path) -> TemporalFusionTransformer:
     cfg_doc["quantiles"] = tuple(cfg_doc["quantiles"])
     config = TftConfig(**cfg_doc)
     model = TemporalFusionTransformer(config, doc["encoder_features"], doc["decoder_features"])
-    model.store.load_json(json.dumps(doc["params"]))
+    model.store.load_dict(doc["params"])
     if doc["feature_scaling"] is not None:
         model.feature_scaling = FeatureScaling.from_dict(doc["feature_scaling"],
                                                          model.decoder_features)

@@ -315,6 +315,9 @@ def make_windows(
     target = dataset.target(target_trace)
     if target.name in feature_names:
         raise ValueError(f"target series {target.name!r} listed among the features")
+    repeated = [name for i, name in enumerate(feature_names) if name in feature_names[:i]]
+    if repeated:
+        raise ValueError(f"feature {repeated[0]!r} listed twice")
     k, tau = spec.encoder_length, spec.decoder_length
     n = dataset.n_steps
     if n < k + tau:

@@ -485,6 +485,24 @@ class TestE2e:
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: stage {stage}: injected")
 
+    def test_interrupt_in_a_stage_propagates(self, workspace, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Scenario, "run", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--scenario", str(workspace["scenario"]),
+                  "--out", str(tmp_path), "--quiet"])
+
+    def test_repeated_feature_is_rejected_before_simulating(self, workspace, tmp_path, capsys):
+        ini = tmp_path / "repeated.ini"
+        ini.write_text(TINY_INI.replace("features = cps.green,", "features = cps.green, cps.green,"))
+        rc = main(["e2e", "--config", str(ini), "--scenario", str(workspace["scenario"]),
+                   "--sla-ms", "30", "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [run] features: feature 'cps.green' listed twice\n"
+        assert not (tmp_path / "out").exists()
+
     def test_scout_failing_in_a_worker_names_the_train_stage(self, workspace, tmp_path, capsys,
                                                              monkeypatch):
         real = tft.train
@@ -583,10 +601,12 @@ class TestConfigFile:
         ("[run]\nsla_factor = 0\n", "[run] sla_factor: sla_factor must be positive"),
         ("[run]\nsla_ms = -5\n", "[run] sla_ms: sla_ms must be positive"),
         ("[run]\nresources = diagonal\n", "[run] resources: unknown resource mode"),
+        ("[run]\nfeatures = cps.green, pods.cart, cps.green\n",
+         "[run] features: feature 'cps.green' listed twice"),
     ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
             "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section",
             "no-median", "learning-rate-nan", "learning-rate-zero", "patience", "steady-window",
-            "restarts", "sla-factor", "sla-ms", "resources"])
+            "restarts", "sla-factor", "sla-ms", "resources", "repeated-feature"])
     def test_rejects_with_section_and_key(self, tmp_path, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)

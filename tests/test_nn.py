@@ -331,6 +331,20 @@ class TestGrn:
         Grn(store_diff, "b", 6, 4)
         assert "b.skip.w" in store_diff.tensors()
 
+    @pytest.mark.parametrize("build", [
+        lambda store: Grn(store, "layer", 6, 4),  # with a skip projection
+        lambda store: Grn(store, "layer", 4, 4),
+        lambda store: GateAddNorm(store, "layer", 4),
+    ])
+    def test_parameters_are_the_registered_tensors_in_order(self, build):
+        store = ParamStore(seed=12)
+        store.parameter("before", (2,))
+        layer = build(store)
+        store.parameter("after", (2,))
+        registered = [t for name, t in store.tensors().items() if name.startswith("layer.")]
+        assert len(layer.parameters()) == len(registered)
+        assert all(got is want for got, want in zip(layer.parameters(), registered))
+
 
 def composed_grn(grn, x, training=False, rng=None):
     """The reference for ``ad.gated_residual``: ``Grn`` as a chain of
@@ -883,6 +897,20 @@ class TestParamStoreAndAdam:
         store = ParamStore(seed=0)
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             store.load_json('{"format_version": 99, "params": {}}')
+
+    def test_load_dict_reads_what_to_dict_writes(self):
+        store = ParamStore(seed=22)
+        layer = Linear(store, "lin", 3, 2)
+        other = ParamStore(seed=98)
+        loaded = Linear(other, "lin", 3, 2)
+        other.load_dict(store.to_dict())
+        np.testing.assert_array_equal(loaded.w.values, layer.w.values)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 99"):
+            other.load_dict({"format_version": 99, "params": {}})
+        narrow_store = ParamStore(seed=0)
+        Linear(narrow_store, "lin", 2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            other.load_dict(narrow_store.to_dict())
 
     def test_adam_descends_quadratic(self):
         store = ParamStore(seed=21)

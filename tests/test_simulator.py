@@ -34,12 +34,7 @@ from latscale.trace_data import nearest_rank, p95, save_dataset
 
 
 def tiny_graph():
-    paths = (TracePath("green", ("front-end", "cart")),)
-    return CallGraph(
-        nodes=("front-end", "cart"),
-        edges=(("front-end", "cart"),),
-        paths=paths,
-    )
+    return CallGraph((TracePath("green", ("front-end", "cart")),))
 
 
 def tiny_configs(pods_cart=1, rate_cart=10.0):
@@ -79,11 +74,28 @@ class TestRobotshopGraph:
     def test_acyclic(self):
         build_robotshop_graph()  # construction runs the topological check
         with pytest.raises(ValueError, match="cycle"):
-            CallGraph(
-                nodes=("a", "b"),
-                edges=(("a", "b"), ("b", "a")),
-                paths=(TracePath("x", ("a", "b")),),
-            )
+            CallGraph((TracePath("x", ("a", "b")), TracePath("y", ("b", "a"))))
+
+    def test_self_loop_is_a_cycle(self):
+        with pytest.raises(ValueError, match="cycle"):
+            CallGraph((TracePath("x", ("a", "b", "b")),))
+
+    def test_nodes_and_edges_in_first_seen_order(self):
+        graph = build_robotshop_graph()
+        assert graph.nodes == ("front-end", "shipping", "cart", "cart-db", "catalogue",
+                               "catalogue-db", "user", "user-db", "payment")
+        assert graph.edges == (
+            ("front-end", "shipping"), ("shipping", "cart"), ("cart", "cart-db"),
+            ("front-end", "cart"), ("cart", "catalogue"), ("catalogue", "catalogue-db"),
+            ("front-end", "catalogue"), ("front-end", "user"), ("user", "user-db"),
+            ("front-end", "payment"), ("payment", "user"),
+        )
+
+    def test_a_graph_is_its_paths(self):
+        paths = (TracePath("x", ("a", "b")), TracePath("y", ("a", "b")))
+        graph = CallGraph(iter(paths))
+        assert graph.paths == paths and graph == CallGraph(paths)
+        assert graph.edges == (("a", "b"),)
 
 
 class TestSimulate:
@@ -115,7 +127,7 @@ class TestSimulate:
         assert utilization(8.0, 2, 10.0, 1.0) == pytest.approx(utilization(8.0, 1, 10.0, 1.0) / 2)
 
     def test_unconfigured_service(self):
-        with pytest.raises(UnconfiguredServiceError):
+        with pytest.raises(UnconfiguredServiceError) as exc:
             simulate(
                 tiny_graph(),
                 {"green": WorkloadProfile(base=1.0)},
@@ -123,6 +135,7 @@ class TestSimulate:
                 duration_steps=2,
                 seed=0,
             )
+        assert isinstance(exc.value, ValueError)
 
     def test_determinism_hash_equal(self):
         scenario = demo_scenario()
@@ -237,8 +250,8 @@ def chain_scenario(length):
     """Two traces over a chain of ``length`` services, the longer trace
     through all of them: a custom graph wider than the bundled ones."""
     names = tuple(f"svc{i}" for i in range(length))
-    graph = CallGraph.from_paths((TracePath("green", names),
-                                  TracePath("blue", names[: max(2, length // 2)])))
+    graph = CallGraph((TracePath("green", names),
+                       TracePath("blue", names[: max(2, length // 2)])))
     configs = {name: ServiceConfig(name, base_service_ms=2.0 + i, per_pod_rate=40.0, pods=2)
                for i, name in enumerate(names)}
     workload = {"green": WorkloadProfile(base=20.0, amplitude=8.0, period=13.0),
@@ -587,6 +600,14 @@ class TestScenarioChecks:
             self.load(edit=lambda doc: doc["services"].pop("cart"))
         assert "service 'cart' on trace 'purple' has no configuration" in str(exc.value)
         assert "missing key" not in str(exc.value)
+
+    def test_unconfigured_service_is_a_value_error(self):
+        scenario = demo_scenario()
+        del scenario.configs["cart"]
+        with pytest.raises(UnconfiguredServiceError) as exc:
+            Scenario(scenario.configs, scenario.workloads, scenario.duration_steps)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == "service 'cart' on trace 'purple' has no configuration"
 
 
 class TestWorkloadShapes:

@@ -2,6 +2,7 @@ import gc
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
 import types
@@ -21,6 +22,7 @@ from latscale.tft import (
     TftConfig,
     band_coverage,
     evaluate,
+    evaluate_loss,
     fit_feature_scaling,
     interpret,
     load_checkpoint,
@@ -735,6 +737,20 @@ class TestPredict:
         with pytest.raises(ValueError, match="do not match"):
             predict(model, bad[0])
 
+    @pytest.mark.parametrize("features", [["pods.cart", "cps.green"], ["cps.green"]],
+                             ids=["reordered", "fewer"])
+    def test_windows_cut_for_other_features(self, trained_sine, features):
+        model, _, _ = trained_sine
+        other = make_windows(sine_dataset(200), WindowSpec(64, 16), "green", features)
+        named = (f"encoder and decoder features {(*features, 'latency_p95.green'), tuple(features)}, "
+                 f"but the model reads {model.encoder_features, model.decoder_features}")
+        for run in (train, evaluate_loss, predict_many):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                run(model, other)
+        for run in (predict, interpret):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                run(model, other[0])
+
     def test_forecast_type_validates(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             QuantileForecast((0.1, 0.5, 0.9), np.array([[3.0, 2.0, 1.0]]))
@@ -943,6 +959,15 @@ class TestCheckpoint:
         with open(tmp_path / "ref.json", "w") as fh:
             json.dump(doc, fh)
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_inner_format_version_checked(self, trained_sine, tmp_path):
+        model, _, _ = trained_sine
+        save_checkpoint(model, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["params"]["format_version"] = 99
+        (tmp_path / "inner.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 99"):
+            load_checkpoint(tmp_path / "inner.json")
 
     def test_older_checkpoint_relative_time_key(self, trained_sine, tmp_path):
         model, _, windows = trained_sine

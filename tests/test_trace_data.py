@@ -204,6 +204,11 @@ class TestWindows:
             make_windows(ds, WindowSpec(64, 16), "green",
                          ["cps.green", "latency_p95.green"])
 
+    def test_feature_cannot_repeat(self):
+        ds = small_dataset(200)
+        with pytest.raises(ValueError, match="feature 'cps.green' listed twice"):
+            make_windows(ds, WindowSpec(64, 16), "green", ["cps.green", "cps.green"])
+
     def test_no_target_leakage_in_any_decoder(self):
         ds = small_dataset(480)
         for w in make_windows(ds, WindowSpec(400, 50), "green"):
