@@ -78,6 +78,8 @@ class RunConfig:
             raise ValueError(f"feature {repeated[0]!r} listed twice")
         for name in ("steady_window", "restarts", "sla_factor", "sla_ms"):
             value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -87,6 +89,8 @@ def _parse_pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"expected 'lo, hi', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"a bound is not a number in {text!r}")
     if lo > hi:
         raise ValueError(f"expected lo <= hi, got {text!r}")
     return lo, hi
@@ -306,10 +310,10 @@ def _read_steps(path, key_column: str, value_column: str, key_type):
 
 
 def write_json(doc, path):
-    """Write ``doc`` as strict JSON: a nan or inf raises ValueError."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write ``doc`` as strict JSON: a nan or inf raises ValueError, and
+    then no file is written."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _fit_scores(fit: krr.PerFeatureFit) -> dict:
@@ -407,20 +411,20 @@ def _build_catalog(features, dataset, scenario: Scenario | None):
     catalog = []
     bounds = {}
     for name in features:
-        prefix, _, owner = name.partition(".")
-        actionable = prefix in ("pods", "cpu", "mem")
-        current = float(dataset.get(name).values[-1])
+        series = dataset.get(name)
+        prefix = name.partition(".")[0]
+        actionable = prefix in scaler.ACTIONABLE_RESOURCES
         catalog.append(
             scaler.FeatureSpec(
                 name=name,
                 actionable=actionable,
-                microservice=owner if actionable else None,
+                microservice=series.microservice,
                 resource=prefix if actionable else None,
-                current=current,
+                current=float(series.values[-1]),
             )
         )
         if actionable:
-            svc = scenario.configs.get(owner) if scenario else None
+            svc = scenario.configs.get(series.microservice) if scenario else None
             bounds[name] = resource_bounds(svc)[prefix]
     return catalog, bounds
 

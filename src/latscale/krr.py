@@ -7,6 +7,7 @@ with chronological 3-fold cross-validation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,8 +127,8 @@ class GridSearchSpec:
     def __post_init__(self):
         if not self.alpha_grid or not self.beta_grid:
             raise ValueError("grids must be non-empty")
-        if min(self.alpha_grid) <= 0 or min(self.beta_grid) <= 0:
-            raise ValueError("grid values must be positive")
+        if not all(0 < v < math.inf for v in (*self.alpha_grid, *self.beta_grid)):
+            raise ValueError("grid values must be positive and finite")
         if self.folds < 2:
             raise ValueError("need at least two folds")
 

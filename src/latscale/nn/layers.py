@@ -73,9 +73,6 @@ class ParamStore:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    def load_json(self, text: str):
-        self.load_dict(json.loads(text))
-
     def load_dict(self, doc: dict):
         """Load ``to_dict`` output; another version, name or shape raises ValueError."""
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:

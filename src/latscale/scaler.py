@@ -8,6 +8,7 @@ multiplicative scaling factors, bounded by the optimizer boxes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -34,8 +35,8 @@ class SlaSpec:
     threshold_ms: float
 
     def __post_init__(self):
-        if self.threshold_ms <= 0:
-            raise ValueError("SLA threshold must be positive")
+        if not 0 < self.threshold_ms < math.inf:
+            raise ValueError(f"SLA threshold must be positive and finite, got {self.threshold_ms}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .nn.autodiff import row_sum
-from .trace_data import MetricSeries, SeriesKind, TraceDataset, nearest_rank
+from .trace_data import MetricSeries, TraceDataset, nearest_rank
 
 if TYPE_CHECKING:  # avoid a runtime cycle; apply_plan duck-types the plan
     from .scaler import ScalingPlan
@@ -366,15 +366,10 @@ def simulate(
     else:
         latency = {color: hops[color].sum(axis=1) for color in colors}
 
-    series: list[MetricSeries] = []
-    for color in colors:
-        series.append(MetricSeries(f"cps.{color}", SeriesKind.FRONT_END_CALLS, cps[color]))
-    for svc in services:
-        series.append(MetricSeries(f"pods.{svc}", SeriesKind.HORIZONTAL_RESOURCE, pods_t[svc], svc))
-        series.append(MetricSeries(f"cpu.{svc}", SeriesKind.VERTICAL_RESOURCE, cpu_t[svc], svc))
-        series.append(MetricSeries(f"mem.{svc}", SeriesKind.VERTICAL_RESOURCE, mem_t[svc], svc))
-    for color in colors:
-        series.append(MetricSeries(f"latency_p95.{color}", SeriesKind.TARGET_LATENCY, latency[color]))
+    series = [MetricSeries(f"cps.{color}", cps[color]) for color in colors]
+    series += [MetricSeries(f"{resource}.{svc}", timeline[svc]) for svc in services
+               for resource, timeline in (("pods", pods_t), ("cpu", cpu_t), ("mem", mem_t))]
+    series += [MetricSeries(f"latency_p95.{color}", latency[color]) for color in colors]
     return TraceDataset(time_index=np.arange(duration_steps), series=tuple(series))
 
 
@@ -447,8 +442,10 @@ def _from_doc(cls, doc, where: str, **given):
 
     Every key must name a field of ``cls`` that ``given`` does not
     supply.  Values of int and float fields are coerced (a JSON 5 in a
-    float field reads as 5.0), and an object in a dataclass-typed field
-    is built the same way.  Errors name ``where``.
+    float field reads as 5.0); an object in a field typed ``X`` or
+    ``X | None``, for a dataclass ``X``, is built the same way, and so
+    is each element of a list in a ``tuple[X, ...]`` field.  Errors
+    name ``where``, the key and an element's index.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {doc!r}")
@@ -459,8 +456,12 @@ def _from_doc(cls, doc, where: str, **given):
     kwargs = dict(given)
     for key, value in doc.items():
         hint = hints[key]
-        nested = [t for t in typing.get_args(hint) if is_dataclass(t)]
-        if nested and value is not None:
+        nested = [t for t in (hint, *typing.get_args(hint)) if is_dataclass(t)]
+        if nested and typing.get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{where} {key}: expected a list, got {value!r}")
+            value = tuple(_from_doc(nested[0], v, f"{where} {key} {i}") for i, v in enumerate(value))
+        elif nested and (value is not None or hint is nested[0]):  # null stays only in X | None
             value = _from_doc(nested[0], value, f"{where} {key}")
         elif hint in (int, float):
             try:
@@ -490,14 +491,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 for color, profile in doc.pop("workloads").items()
             },
         }
-        if "graph" in doc:
-            graph = dict(doc.pop("graph"))
-            paths = graph.pop("paths")
-            if graph:
-                raise ValueError(f"graph: unknown key(s) {', '.join(map(repr, graph))}")
-            given["graph"] = CallGraph(
-                _from_doc(TracePath, p, f"graph path {i}") for i, p in enumerate(paths)
-            )
         return _from_doc(Scenario, doc, "top level", **given)
     except KeyError as exc:
         raise ValueError(f"bad scenario document: missing key {exc}") from exc

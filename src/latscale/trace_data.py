@@ -55,24 +55,29 @@ class DatasetTooShortError(ValueError):
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """One named series, one value per time step.
+    """One series named ``<kind>.<owner>``, one value per time step.
 
-    Units by kind: calls/s for front-end calls, pod count (stored as
-    float) for horizontal resources, cores or bytes for vertical
-    resources, milliseconds for latency targets.
+    The name is the only record of what a series is: its prefix gives
+    the kind (``KIND_BY_PREFIX``), and a resource series' owner is its
+    microservice.  Units by kind: calls/s for front-end calls, pod
+    count (stored as float) for horizontal resources, cores or bytes
+    for vertical resources, milliseconds for latency targets.
     """
 
     name: str
-    kind: SeriesKind
     values: np.ndarray
-    microservice: str | None = None
 
     def __post_init__(self):
+        prefix, _, owner = self.name.partition(".")
+        if not owner or prefix not in KIND_BY_PREFIX:
+            raise DataFormatError(
+                f"cannot classify column {self.name!r}; expected '<kind>.<owner>' with kind in "
+                f"{sorted(KIND_BY_PREFIX)}",
+                column=self.name,
+            )
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 1:
             raise ValueError(f"series {self.name!r}: values must be 1-D")
-        if self.kind in RESOURCE_KINDS and not self.microservice:
-            raise ValueError(f"series {self.name!r}: resource series need a microservice")
         if self.kind is SeriesKind.TARGET_LATENCY and np.any(self.values < 0):
             raise ValueError(f"series {self.name!r}: latencies must be >= 0")
         if self.kind is SeriesKind.HORIZONTAL_RESOURCE and (
@@ -81,8 +86,17 @@ class MetricSeries:
             raise ValueError(f"series {self.name!r}: pod counts must be positive integers")
 
     @property
+    def kind(self) -> SeriesKind:
+        return KIND_BY_PREFIX[self.name.partition(".")[0]]
+
+    @property
     def owner(self) -> str:
-        return self.name.split(".", 1)[1] if "." in self.name else self.name
+        return self.name.partition(".")[2]
+
+    @property
+    def microservice(self) -> str | None:
+        """The service a resource series measures; None for other kinds."""
+        return self.owner if self.kind in RESOURCE_KINDS else None
 
 
 @dataclass(frozen=True)
@@ -111,10 +125,6 @@ class TraceDataset:
         names = [s.name for s in self.series]
         if len(set(names)) != len(names):
             raise ValueError("duplicate series names")
-        targets = [s for s in self.series if s.kind is SeriesKind.TARGET_LATENCY]
-        owners = [t.owner for t in targets]
-        if len(set(owners)) != len(owners):
-            raise ValueError("more than one target series for a trace")
 
     @property
     def n_steps(self) -> int:
@@ -151,19 +161,6 @@ class TraceDataset:
                 continue
             names.append(s.name)
         return names
-
-
-def _classify_column(column: str) -> tuple[SeriesKind, str | None]:
-    prefix, _, owner = column.partition(".")
-    if not owner or prefix not in KIND_BY_PREFIX:
-        raise DataFormatError(
-            f"cannot classify column {column!r}; expected '<kind>.<owner>' with kind in "
-            f"{sorted(KIND_BY_PREFIX)}",
-            column=column,
-        )
-    kind = KIND_BY_PREFIX[prefix]
-    service = owner if kind in RESOURCE_KINDS else None
-    return kind, service
 
 
 def load_dataset(path) -> TraceDataset:
@@ -216,11 +213,8 @@ def load_dataset(path) -> TraceDataset:
         if t[i] < t[i - 1]:
             raise DataFormatError(f"time index out of order at {t[i]}", row=i + 2, column="t")
 
-    series = []
-    for name, values in zip(header[1:], data[1:]):
-        kind, service = _classify_column(name)
-        series.append(MetricSeries(name=name, kind=kind, values=values, microservice=service))
-    return TraceDataset(time_index=t, series=tuple(series))
+    series = tuple(MetricSeries(name, values) for name, values in zip(header[1:], data[1:]))
+    return TraceDataset(time_index=t, series=series)
 
 
 def save_dataset(dataset: TraceDataset, path) -> None:

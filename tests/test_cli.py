@@ -422,7 +422,16 @@ class TestStrictJson:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_is_refused(self, tmp_path, value):
         with pytest.raises(ValueError, match="JSON compliant"):
-            cli.write_json({"x": value}, tmp_path / "x.json")
+            cli.write_json({"a": 1.0, "x": value}, tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()  # no partial file is left behind
+
+    def test_bytes_are_those_of_json_dump(self, tmp_path):
+        doc = {"b": [1.5, None, {"z": 0.1, "a": True}], "a": "x"}
+        cli.write_json(doc, tmp_path / "x.json")
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        assert (tmp_path / "x.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestE2e:
@@ -600,18 +609,35 @@ class TestConfigFile:
         ("[run]\nrestarts = 0\n", "[run] restarts: restarts must be positive"),
         ("[run]\nsla_factor = 0\n", "[run] sla_factor: sla_factor must be positive"),
         ("[run]\nsla_ms = -5\n", "[run] sla_ms: sla_ms must be positive"),
+        ("[run]\nsla_ms = nan\n", "[run] sla_ms: sla_ms must be finite"),
+        ("[run]\nsla_ms = inf\n", "[run] sla_ms: sla_ms must be finite"),
+        ("[run]\nsla_factor = nan\n", "[run] sla_factor: sla_factor must be finite"),
+        ("[run]\nsla_factor = inf\n", "[run] sla_factor: sla_factor must be finite"),
+        ("[grid]\nalpha_grid = 1, nan\n",
+         "[grid] alpha_grid: grid values must be positive and finite"),
+        ("[grid]\nbeta_grid = inf\n", "[grid] beta_grid: grid values must be positive and finite"),
+        ("[boxes]\npods = nan, 2\n", "[boxes] pods: a bound is not a number"),
+        ("[boxes]\nintercept = -inf, nan\n", "[boxes] intercept: a bound is not a number"),
         ("[run]\nresources = diagonal\n", "[run] resources: unknown resource mode"),
         ("[run]\nfeatures = cps.green, pods.cart, cps.green\n",
          "[run] features: feature 'cps.green' listed twice"),
     ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
             "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section",
             "no-median", "learning-rate-nan", "learning-rate-zero", "patience", "steady-window",
-            "restarts", "sla-factor", "sla-ms", "resources", "repeated-feature"])
+            "restarts", "sla-factor", "sla-ms", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
+            "sla-factor-inf", "alpha-nan", "beta-inf", "box-nan", "intercept-nan", "resources",
+            "repeated-feature"])
     def test_rejects_with_section_and_key(self, tmp_path, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
         with pytest.raises(UsageError, match=re.escape(named)):
             load_run_config(str(path))
+
+    def test_box_bound_may_be_infinite(self, tmp_path):
+        path = tmp_path / "boxes.ini"
+        path.write_text("[boxes]\nintercept = -inf, inf\ncps = 0.5, inf\n")
+        cfg = load_run_config(str(path))
+        assert cfg.intercept_box == (-np.inf, np.inf) and cfg.factor_boxes["cps"] == (0.5, np.inf)
 
     def test_cli_exits_2_on_unknown_key(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -625,8 +651,15 @@ class TestConfigFile:
         (["e2e", "--restarts", "0"], "--restarts 0: restarts must be positive"),
         (["e2e", "--sla-factor", "-1"], "--sla-factor -1.0: sla_factor must be positive"),
         (["e2e", "--sla-ms", "0"], "--sla-ms 0.0: sla_ms must be positive"),
+        (["e2e", "--scenario", "sla_demo", "--sla-ms", "nan"],
+         "--sla-ms nan: sla_ms must be finite, got nan"),
+        (["e2e", "--scenario", "sla_demo", "--sla-ms", "inf"],
+         "--sla-ms inf: sla_ms must be finite, got inf"),
+        (["e2e", "--scenario", "sla_demo", "--sla-factor", "nan"],
+         "--sla-factor nan: sla_factor must be finite, got nan"),
         (["train", "--epochs", "0"], "--epochs 0: all size and count settings must be positive"),
-    ], ids=["restarts", "sla-factor", "sla-ms", "epochs"])
+    ], ids=["restarts", "sla-factor", "sla-ms", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
+            "epochs"])
     def test_flags_get_the_same_checks(self, tmp_path, capsys, args, named):
         assert main([*args, "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -890,13 +892,13 @@ class TestParamStoreAndAdam:
         text = store.to_json()
         other = ParamStore(seed=99)
         loaded = Linear(other, "lin", 3, 2)
-        other.load_json(text)
+        other.load_dict(json.loads(text))
         np.testing.assert_array_equal(loaded.w.values, layer.w.values)
 
     def test_checkpoint_version_checked(self):
         store = ParamStore(seed=0)
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
-            store.load_json('{"format_version": 99, "params": {}}')
+            store.load_dict(json.loads('{"format_version": 99, "params": {}}'))
 
     def test_load_dict_reads_what_to_dict_writes(self):
         store = ParamStore(seed=22)

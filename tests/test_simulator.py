@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -534,6 +535,20 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="unknown key.*'surplus'"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("graph, says", [
+        (None, "top level graph: expected an object, got None"),
+        ({"paths": {"color": "green"}}, "top level graph paths: expected a list"),
+        ({"paths": [{"color": "green", "hops": ["a", "b"]}, {"color": "red", "hops": ["a"]}]},
+         "top level graph paths 1: path 'red' needs at least two hops"),
+        ({"paths": [{"color": "g", "hops": ["a", "b"]}, {"color": "g", "hops": ["b", "a"]}]},
+         "top level graph: call graph contains a cycle"),
+    ], ids=["null", "not-a-list", "short-path", "cycle"])
+    def test_graph_errors_name_where(self, graph, says):
+        doc = scenario_to_dict(demo_scenario())
+        doc["graph"] = graph
+        with pytest.raises(ValueError, match=re.escape(f"bad scenario document: {says}")):
+            scenario_from_dict(doc)
+
     def test_missing_seed_reads_as_zero(self):
         doc = scenario_to_dict(demo_scenario())
         del doc["seed"]
@@ -546,6 +561,19 @@ class TestScenarioFiles:
 
         back = load_dataset(tmp_path / "d.csv")
         np.testing.assert_array_equal(back.target("green").values, ds.target("green").values)
+
+    @pytest.mark.parametrize("name", ["cart_importance", "robotshop_green", "sla_demo"])
+    def test_bundled_dataset_round_trips(self, tmp_path, name):
+        from latscale.trace_data import load_dataset
+
+        ds = TestReferenceLoop.bundled(name).run()
+        save_dataset(ds, tmp_path / "d.csv")
+        back = load_dataset(tmp_path / "d.csv")
+        describe = lambda d: [(s.name, s.kind, s.microservice) for s in d.series]  # noqa: E731
+        assert describe(back) == describe(ds)
+        np.testing.assert_array_equal(back.time_index, ds.time_index)
+        for a, b in zip(ds.series, back.series):
+            assert a.values.tobytes() == b.values.tobytes(), a.name
 
 
 class TestScenarioChecks:

@@ -38,7 +38,6 @@ from latscale.tft import (
 )
 from latscale.trace_data import (
     MetricSeries,
-    SeriesKind,
     TraceDataset,
     WindowSpec,
     make_windows,
@@ -62,9 +61,9 @@ def sine_dataset(n=600, seed=0, noise=0.0):
     return TraceDataset(
         time_index=t,
         series=(
-            MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, calls),
-            MetricSeries("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, pods.astype(float), "cart"),
-            MetricSeries("latency_p95.green", SeriesKind.TARGET_LATENCY, latency),
+            MetricSeries("cps.green", calls),
+            MetricSeries("pods.cart", pods.astype(float)),
+            MetricSeries("latency_p95.green", latency),
         ),
     )
 
@@ -685,9 +684,9 @@ def test_scaling_fit_per_window_equals_the_concatenation(pick):
     rng = np.random.default_rng(17)
     n = 300
     ds = TraceDataset(time_index=np.arange(n), series=(
-        MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, rng.normal(30, 5, n)),
-        MetricSeries("cpu.cart", SeriesKind.VERTICAL_RESOURCE, rng.uniform(0.5, 2.0, n), "cart"),
-        MetricSeries("latency_p95.green", SeriesKind.TARGET_LATENCY, rng.uniform(40, 90, n)),
+        MetricSeries("cps.green", rng.normal(30, 5, n)),
+        MetricSeries("cpu.cart", rng.uniform(0.5, 2.0, n)),
+        MetricSeries("latency_p95.green", rng.uniform(40, 90, n)),
     ))
     windows = make_windows(ds, WindowSpec(SMALL.encoder_length, SMALL.decoder_length), "green")
     if pick == "contiguous":
@@ -715,8 +714,8 @@ class TestPredict:
         ds = TraceDataset(
             time_index=t,
             series=(
-                MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, 10 + np.sin(t / 9.0)),
-                MetricSeries("latency_p95.green", SeriesKind.TARGET_LATENCY, np.full(n, 75.0)),
+                MetricSeries("cps.green", 10 + np.sin(t / 9.0)),
+                MetricSeries("latency_p95.green", np.full(n, 75.0)),
             ),
         )
         cfg = TftConfig(encoder_length=64, decoder_length=16, max_epochs=2, seed=2)
@@ -770,8 +769,8 @@ class TestInterpret:
         ds = TraceDataset(
             time_index=t,
             series=(
-                MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, 5 + np.cos(t / 7.0)),
-                MetricSeries("latency_p95.green", SeriesKind.TARGET_LATENCY, 50 + 10 * np.sin(t / 11.0)),
+                MetricSeries("cps.green", 5 + np.cos(t / 7.0)),
+                MetricSeries("latency_p95.green", 50 + 10 * np.sin(t / 11.0)),
             ),
         )
         cfg = TftConfig(encoder_length=64, decoder_length=16, max_epochs=1, seed=4)

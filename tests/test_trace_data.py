@@ -34,9 +34,9 @@ def small_dataset(n=500):
     return TraceDataset(
         time_index=t,
         series=(
-            MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, np.linspace(1, 50, n)),
-            MetricSeries("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, np.full(n, 3.0), "cart"),
-            MetricSeries("latency_p95.green", SeriesKind.TARGET_LATENCY, np.linspace(10, 90, n)),
+            MetricSeries("cps.green", np.linspace(1, 50, n)),
+            MetricSeries("pods.cart", np.full(n, 3.0)),
+            MetricSeries("latency_p95.green", np.linspace(10, 90, n)),
         ),
     )
 
@@ -147,8 +147,8 @@ class TestLoadDataset:
         specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, -1.5e308, 0.1, 3.0]
         values = np.resize(specials, 23)
         ds = TraceDataset(time_index=np.arange(100, 123), series=(
-            MetricSeries('cps."odd, name"', SeriesKind.FRONT_END_CALLS, values),
-            MetricSeries("cps.green", SeriesKind.FRONT_END_CALLS, values[::-1]),
+            MetricSeries('cps."odd, name"', values),
+            MetricSeries("cps.green", values[::-1]),
         ))
         save_dataset(ds, tmp_path / "d.csv")
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
@@ -287,25 +287,35 @@ class TestInvariants:
         with pytest.raises(ValueError, match="uniform step"):
             TraceDataset(
                 time_index=np.array([0, 1, 3]),
-                series=(MetricSeries("latency_p95.g", SeriesKind.TARGET_LATENCY, np.ones(3)),),
+                series=(MetricSeries("latency_p95.g", np.ones(3)),),
             )
 
     def test_one_target_per_trace(self):
-        with pytest.raises(ValueError, match="more than one target"):
+        # a trace's target is named latency_p95.<trace>, so a second one repeats that name
+        with pytest.raises(ValueError, match="duplicate series names"):
             TraceDataset(
                 time_index=np.arange(3),
                 series=(
-                    MetricSeries("latency_p95.g", SeriesKind.TARGET_LATENCY, np.ones(3)),
-                    MetricSeries("lat_alt.g", SeriesKind.TARGET_LATENCY, np.ones(3)),
+                    MetricSeries("latency_p95.g", np.ones(3)),
+                    MetricSeries("latency_p95.g", np.ones(3)),
                 ),
             )
 
-    def test_resource_series_needs_microservice(self):
-        with pytest.raises(ValueError, match="microservice"):
-            MetricSeries("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, np.ones(3))
+    @pytest.mark.parametrize("name", ["lat_alt.g", "pods", ".cart"])
+    def test_name_decides_kind_and_service(self, tmp_path, name):
+        with pytest.raises(DataFormatError) as in_memory:
+            MetricSeries(name, np.ones(2))
+        path = write_csv(tmp_path / "d.csv", f"t,{name}\n0,1\n1,1\n")
+        with pytest.raises(DataFormatError) as on_disk:
+            load_dataset(path)
+        assert str(in_memory.value) == str(on_disk.value)
+        assert in_memory.value.column == on_disk.value.column == name
+        pods = MetricSeries("pods.cart", np.ones(2))
+        assert (pods.kind, pods.microservice, pods.owner) == (
+            SeriesKind.HORIZONTAL_RESOURCE, "cart", "cart")
 
     def test_pod_counts_must_be_positive_integers(self):
         with pytest.raises(ValueError, match="positive integers"):
-            MetricSeries("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, np.array([1.0, 2.5, 3.0]), "cart")
+            MetricSeries("pods.cart", np.array([1.0, 2.5, 3.0]))
         with pytest.raises(ValueError, match="positive integers"):
-            MetricSeries("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, np.array([0.0, 1.0, 2.0]), "cart")
+            MetricSeries("pods.cart", np.array([0.0, 1.0, 2.0]))
