@@ -25,15 +25,12 @@ import numpy as np
 from . import krr, scaler, tft
 from .simulator import Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict
 from .trace_data import (
-    DataFormatError, WindowSpec, load_dataset, make_windows, p95, save_dataset,
+    KINDS, RESOURCE_MODES, DataFormatError, WindowSpec, load_dataset, make_windows, p95,
+    save_dataset,
 )
 
-DEFAULT_FACTOR_BOXES = {
-    "pods": scaler.DEFAULT_FACTOR_BOX,
-    "cpu": scaler.DEFAULT_FACTOR_BOX,
-    "mem": scaler.DEFAULT_FACTOR_BOX,
-    "cps": scaler.DEFAULT_FACTOR_BOX,
-}
+# A factor box for each kind of feature, by its column's prefix
+DEFAULT_FACTOR_BOXES = {kind: scaler.DEFAULT_FACTOR_BOX for kind in KINDS if kind != "latency_p95"}
 
 
 class UsageError(Exception):
@@ -71,7 +68,7 @@ class RunConfig:
     )
 
     def __post_init__(self):
-        if self.resources not in ("horizontal", "vertical", "both"):
+        if self.resources not in RESOURCE_MODES:
             raise ValueError(f"unknown resource mode {self.resources!r}")
         repeated = [f for i, f in enumerate(self.features or ()) if f in self.features[:i]]
         if repeated:
@@ -132,10 +129,8 @@ def _read_section(name: str, section, settings):
             raise UsageError(f"[{name}] {key}: unknown key")
         if not text:
             continue
-        try:
+        with _usage(f"[{name}] {key}"):
             settings = replace(settings, **{key: _PARSERS[hint](text)})
-        except ValueError as exc:
-            raise UsageError(f"[{name}] {key}: {exc}") from exc
     return settings
 
 
@@ -145,10 +140,8 @@ def _read_boxes(section, cfg: RunConfig):
             raise UsageError(f"[boxes] {key}: unknown key")
         if not text:
             continue
-        try:
+        with _usage(f"[boxes] {key}"):
             box = _parse_pair(text)
-        except ValueError as exc:
-            raise UsageError(f"[boxes] {key}: {exc}") from exc
         if key == "intercept":
             cfg.intercept_box = box
         else:
@@ -164,10 +157,8 @@ def load_run_config(path: str | None) -> RunConfig:
     if not Path(path).exists():
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
-    try:
+    with _usage(f"config file {path}", configparser.Error):
         parser.read(path)
-    except configparser.Error as exc:
-        raise UsageError(f"config file {path}: {exc}") from exc
     if parser.defaults():
         raise UsageError("[DEFAULT]: unknown section")
     for name in parser.sections():
@@ -198,16 +189,24 @@ def resolve_scenario(name_or_path: str) -> Scenario:
                 f"scenario {name_or_path!r} is neither a file nor a bundled name "
                 f"(bundled: {', '.join(bundled_names('scenarios'))})"
             )
-    try:
-        with importlib_resources.as_file(path) as real:
-            return load_scenario(real)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"scenario {name_or_path}: {exc}") from exc
+    with _usage(f"scenario {name_or_path}", (OSError, ValueError)), \
+            importlib_resources.as_file(path) as real:
+        return load_scenario(real)
 
 
 def _say(cfg: RunConfig, message: str):
     if not cfg.quiet:
         print(message, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _usage(where: str | None, errors=ValueError):
+    """Report an ``errors`` exception inside the block as a usage error
+    (exit 2), its message prefixed by ``where`` when one is given."""
+    try:
+        yield
+    except errors as exc:
+        raise UsageError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -345,10 +344,8 @@ def _load_dataset_or_fail(cfg: RunConfig, flag: str = "--dataset"):
         raise UsageError(f"{flag} (or the config's dataset entry) is required")
     if not Path(cfg.dataset).exists():
         raise UsageError(f"dataset file not found: {cfg.dataset}")
-    try:
+    with _usage(f"dataset {cfg.dataset}"):
         return load_dataset(cfg.dataset)
-    except ValueError as exc:
-        raise UsageError(f"dataset {cfg.dataset}: {exc}") from exc
 
 
 def _checkpoint_inputs(cfg: RunConfig):
@@ -358,10 +355,8 @@ def _checkpoint_inputs(cfg: RunConfig):
     features, raises UsageError."""
     if not cfg.checkpoint:
         raise UsageError("--checkpoint is required")
-    try:
+    with _usage(f"checkpoint {cfg.checkpoint}", (OSError, ValueError, KeyError, TypeError)):
         model = tft.load_checkpoint(cfg.checkpoint)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"checkpoint {cfg.checkpoint}: {exc}") from exc
     dataset = _load_dataset_or_fail(cfg)
     features = list(model.decoder_features)
     missing = [f for f in features if not _has_series(dataset, f)]
@@ -392,10 +387,8 @@ def _has_series(dataset, name: str) -> bool:
 
 def _dataset_windows(cfg: RunConfig, dataset, features, tft_config):
     spec = WindowSpec(tft_config.encoder_length, tft_config.decoder_length)
-    try:
+    with _usage(None, Exception):
         return make_windows(dataset, spec, cfg.trace, features)
-    except Exception as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _pick_window(cfg: RunConfig, windows):
@@ -412,29 +405,27 @@ def _build_catalog(features, dataset, scenario: Scenario | None):
     bounds = {}
     for name in features:
         series = dataset.get(name)
-        prefix = name.partition(".")[0]
-        actionable = prefix in scaler.ACTIONABLE_RESOURCES
+        actionable = series.kind in scaler.ACTIONABLE_RESOURCES
         catalog.append(
             scaler.FeatureSpec(
                 name=name,
                 actionable=actionable,
                 microservice=series.microservice,
-                resource=prefix if actionable else None,
+                resource=series.kind if actionable else None,
                 current=float(series.values[-1]),
             )
         )
         if actionable:
             svc = scenario.configs.get(series.microservice) if scenario else None
-            bounds[name] = resource_bounds(svc)[prefix]
+            bounds[name] = resource_bounds(svc)[series.kind]
     return catalog, bounds
 
 
 def _theta_boxes(cfg: RunConfig, features):
-    boxes = []
-    for name in features:
-        prefix = name.partition(".")[0]
-        kind = prefix if prefix in ("pods", "cpu", "mem", "cps") else "cps"
-        boxes.append(tuple(cfg.factor_boxes[kind]))
+    """The intercept box and each feature's factor box, by its kind; a
+    kind without a box (another trace's latency) takes the cps box."""
+    boxes = [tuple(cfg.factor_boxes.get(name.partition(".")[0], cfg.factor_boxes["cps"]))
+             for name in features]
     return tuple(cfg.intercept_box), boxes
 
 
@@ -450,10 +441,8 @@ def _simulate(cfg: RunConfig, out: Path):
         raise UsageError("--scenario is required")
     scenario = resolve_scenario(cfg.scenario)
     if cfg.duration is not None:
-        try:
+        with _usage(f"--duration {cfg.duration}"):
             scenario = replace(scenario, duration_steps=cfg.duration)
-        except ValueError as exc:
-            raise UsageError(f"--duration {cfg.duration}: {exc}") from exc
     if cfg.seed is not None:
         scenario.seed = cfg.seed
     out.mkdir(parents=True, exist_ok=True)
@@ -609,14 +598,10 @@ def cmd_plan(cfg: RunConfig) -> int:
         raise UsageError("--sla-ms is required")
     dataset = _load_dataset_or_fail(cfg)
     scenario = resolve_scenario(cfg.scenario) if cfg.scenario else None
-    try:
+    with _usage(str(forecast_path)):
         forecast = read_forecast_csv(forecast_path)
-    except ValueError as exc:
-        raise UsageError(f"{forecast_path}: {exc}") from exc
-    try:
+    with _usage(str(importance_path)):
         features, importance = read_importance_csv(importance_path)
-    except ValueError as exc:
-        raise UsageError(f"{importance_path}: {exc}") from exc
     for row_no, row in _csv_rows(importance_path, ()):
         if not _has_series(dataset, row["feature"]):
             raise UsageError(f"{importance_path}: feature {row['feature']!r} is not in "
@@ -691,43 +676,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, desc):
+        """The parser of command ``name`` with the flags every command
+        takes; a flag left out stays unset, so the config's value stands."""
+        p = sub.add_parser(name, help=desc, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--out", default=None, help="output directory (default '.')")
+        p.add_argument("--out", help="output directory (default '.')")
         p.add_argument("--trace", help="target trace color")
-        p.add_argument("--resources", choices=["horizontal", "vertical", "both"],
+        p.add_argument("--resources", choices=list(RESOURCE_MODES),
                        help="which resource series feed the model")
         p.add_argument("--sla-ms", type=float, dest="sla_ms", help="SLA bound on p95 latency")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        return p
 
-    p = sub.add_parser("simulate", help="run a scenario and write its dataset")
-    common(p)
+    p = command("simulate", "run a scenario and write its dataset")
     p.add_argument("--scenario", help="scenario file or bundled name")
     p.add_argument("--duration", type=int, help="override scenario duration")
 
-    p = sub.add_parser("train", help="fit the forecaster on a dataset")
-    common(p)
+    p = command("train", "fit the forecaster on a dataset")
     p.add_argument("--dataset", help="input dataset CSV")
     p.add_argument("--epochs", type=int, help="override max epochs")
 
     for name, desc in (("predict", "forecast one window"),
                        ("interpret", "export importance weights"),
                        ("evaluate", "score held-out windows")):
-        p = sub.add_parser(name, help=desc)
-        common(p)
+        p = command(name, desc)
         p.add_argument("--dataset", help="input dataset CSV")
         p.add_argument("--checkpoint", help="model checkpoint JSON")
         p.add_argument("--window-start", type=int, dest="window_start",
                        help="window start step (default: last window)")
 
-    p = sub.add_parser("plan", help="turn forecast + importance into a scaling plan")
-    common(p)
+    p = command("plan", "turn forecast + importance into a scaling plan")
     p.add_argument("--dataset", help="dataset CSV for current resource values")
     p.add_argument("--scenario", help="scenario for resource bounds (optional)")
 
-    p = sub.add_parser("e2e", help="full loop: simulate, train, plan, re-simulate")
-    common(p)
+    p = command("e2e", "full loop: simulate, train, plan, re-simulate")
     p.add_argument("--scenario", help="scenario file or bundled name")
     p.add_argument("--sla-factor", type=float, dest="sla_factor",
                    help="SLA = factor * steady-state p95 (when --sla-ms absent)")
@@ -736,23 +720,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """``cfg`` with each flag given applied, one at a time so an error
+    """``cfg`` with each flag given applied to the field of its name
+    (``--epochs`` to ``tft.max_epochs``), one at a time so an error
     names its flag; a value the settings reject raises UsageError."""
-    names = ("scenario", "dataset", "checkpoint", "trace", "resources", "seed", "duration",
-             "sla_ms", "sla_factor", "window_start", "restarts", "out", "epochs")
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
+    for name, value in vars(args).items():
+        if name in ("command", "config"):
             continue
-        try:
+        with _usage(f"--{name.replace('_', '-')} {value}"):
             if name == "epochs":
                 cfg = replace(cfg, tft=replace(cfg.tft, max_epochs=value))
             else:
                 cfg = replace(cfg, **{name: value})
-        except ValueError as exc:
-            raise UsageError(f"--{name.replace('_', '-')} {value}: {exc}") from exc
-    if getattr(args, "quiet", False):
-        cfg = replace(cfg, quiet=True)
     return cfg
 
 
@@ -770,7 +748,7 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config)
+        cfg = load_run_config(getattr(args, "config", None))
         cfg = apply_cli_overrides(cfg, args)
         return COMMANDS[args.command](cfg)
     except UsageError as exc:

@@ -17,11 +17,12 @@ from scipy.optimize import minimize
 
 from . import simulator
 from .krr import KrrModel, predict as krr_predict
+from .trace_data import RESOURCE_MODES
 
 if TYPE_CHECKING:
     from .tft import QuantileForecast
 
-ACTIONABLE_RESOURCES = ("pods", "cpu", "mem")
+ACTIONABLE_RESOURCES = RESOURCE_MODES["both"]
 DEFAULT_FACTOR_BOX = (0.25, 4.0)
 DEFAULT_INTERCEPT_BOX = (-1e4, 1e4)
 MAX_ITER = 500  # L-BFGS-B iteration cap for the theta solve
@@ -266,8 +267,8 @@ def make_plan(
 
     Actionable features get factor = theta_k applied multiplicatively
     to their current value, clamped to the resource bounds (looked up
-    by feature name, then by resource kind, then the simulator's
-    default box).  Calls-per-second features become advisory notes only.
+    by feature name, else the simulator's default box for the
+    resource).  Calls-per-second features become advisory notes only.
     """
     factors = theta.factors
     if len(feature_catalog) != factors.size:
@@ -281,8 +282,7 @@ def make_plan(
         if spec.actionable:
             if spec.resource not in ACTIONABLE_RESOURCES:
                 raise ValueError(f"feature {spec.name!r}: unknown resource {spec.resource!r}")
-            lo, hi = resource_bounds.get(spec.name, resource_bounds.get(
-                spec.resource, simulator.resource_bounds()[spec.resource]))
+            lo, hi = resource_bounds.get(spec.name, simulator.resource_bounds()[spec.resource])
             raw = factor * spec.current
             recommended = float(np.clip(round(raw) if spec.resource == "pods" else raw, lo, hi))
             actions.append(

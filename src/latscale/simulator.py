@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import graphlib
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import TYPE_CHECKING, Mapping
@@ -65,6 +66,8 @@ class CallGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
+        if not self.paths:
+            raise ValueError("call graph has no paths")
         sorter = graphlib.TopologicalSorter()
         for parent, child in self.edges:
             sorter.add(child, parent)
@@ -441,11 +444,12 @@ def _from_doc(cls, doc, where: str, **given):
     """Build the dataclass ``cls`` from the JSON object ``doc``.
 
     Every key must name a field of ``cls`` that ``given`` does not
-    supply.  Values of int and float fields are coerced (a JSON 5 in a
-    float field reads as 5.0); an object in a field typed ``X`` or
-    ``X | None``, for a dataclass ``X``, is built the same way, and so
-    is each element of a list in a ``tuple[X, ...]`` field.  Errors
-    name ``where``, the key and an element's index.
+    supply.  A NaN or infinity anywhere in a value, a list's elements
+    included, is refused.  Values of int and float fields are coerced
+    (a JSON 5 in a float field reads as 5.0); an object in a field
+    typed ``X`` or ``X | None``, for a dataclass ``X``, is built the
+    same way, and so is each element of a list in a ``tuple[X, ...]``
+    field.  Errors name ``where``, the key and an element's index.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {doc!r}")
@@ -455,6 +459,7 @@ def _from_doc(cls, doc, where: str, **given):
         raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
     kwargs = dict(given)
     for key, value in doc.items():
+        _check_finite(value, f"{where} {key}")
         hint = hints[key]
         nested = [t for t in (hint, *typing.get_args(hint)) if is_dataclass(t)]
         if nested and typing.get_origin(hint) is tuple:
@@ -475,6 +480,15 @@ def _from_doc(cls, doc, where: str, **given):
         if str(exc).startswith(where):  # the class already named itself
             raise
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _check_finite(value, where: str) -> None:
+    """Raise ValueError naming ``where`` if ``value``, or any element of
+    it as a (nested) list, is a NaN or infinite number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: {value} is not a finite number")
+    for element in value if isinstance(value, list) else ():
+        _check_finite(element, where)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

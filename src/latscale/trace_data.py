@@ -9,30 +9,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-
-class SeriesKind(str, Enum):
-    FRONT_END_CALLS = "front_end_calls"
-    HORIZONTAL_RESOURCE = "horizontal_resource"
-    VERTICAL_RESOURCE = "vertical_resource"
-    TARGET_LATENCY = "target_latency"
-
-
-# Column-name prefix -> series kind.  Columns are "<prefix>.<owner>",
-# e.g. "cps.green", "pods.cart", "latency_p95.green".
-KIND_BY_PREFIX: dict[str, SeriesKind] = {
-    "cps": SeriesKind.FRONT_END_CALLS,
-    "pods": SeriesKind.HORIZONTAL_RESOURCE,
-    "cpu": SeriesKind.VERTICAL_RESOURCE,
-    "mem": SeriesKind.VERTICAL_RESOURCE,
-    "latency_p95": SeriesKind.TARGET_LATENCY,
-}
-
-RESOURCE_KINDS = (SeriesKind.HORIZONTAL_RESOURCE, SeriesKind.VERTICAL_RESOURCE)
+# A column is named "<kind>.<owner>", e.g. "cps.green", "pods.cart",
+# "latency_p95.green": a trace's front-end calls or p95 latency, or one
+# resource of a service.  A resource mode names the resources it feeds
+# the model.
+RESOURCE_MODES = {"horizontal": ("pods",), "vertical": ("cpu", "mem")}
+RESOURCE_MODES["both"] = RESOURCE_MODES["horizontal"] + RESOURCE_MODES["vertical"]
+KINDS = ("cps", *RESOURCE_MODES["both"], "latency_p95")
 
 
 class DataFormatError(ValueError):
@@ -57,11 +44,11 @@ class DatasetTooShortError(ValueError):
 class MetricSeries:
     """One series named ``<kind>.<owner>``, one value per time step.
 
-    The name is the only record of what a series is: its prefix gives
-    the kind (``KIND_BY_PREFIX``), and a resource series' owner is its
-    microservice.  Units by kind: calls/s for front-end calls, pod
-    count (stored as float) for horizontal resources, cores or bytes
-    for vertical resources, milliseconds for latency targets.
+    The name is the only record of what a series is: its prefix is the
+    kind, one of ``KINDS``, and a resource series' owner is its
+    microservice.  Units by kind: calls/s for ``cps``, pod count
+    (stored as float) for ``pods``, cores for ``cpu``, bytes for
+    ``mem``, milliseconds for ``latency_p95``.
     """
 
     name: str
@@ -69,25 +56,25 @@ class MetricSeries:
 
     def __post_init__(self):
         prefix, _, owner = self.name.partition(".")
-        if not owner or prefix not in KIND_BY_PREFIX:
+        if not owner or prefix not in KINDS:
             raise DataFormatError(
                 f"cannot classify column {self.name!r}; expected '<kind>.<owner>' with kind in "
-                f"{sorted(KIND_BY_PREFIX)}",
+                f"{sorted(KINDS)}",
                 column=self.name,
             )
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 1:
             raise ValueError(f"series {self.name!r}: values must be 1-D")
-        if self.kind is SeriesKind.TARGET_LATENCY and np.any(self.values < 0):
+        if self.kind == "latency_p95" and np.any(self.values < 0):
             raise ValueError(f"series {self.name!r}: latencies must be >= 0")
-        if self.kind is SeriesKind.HORIZONTAL_RESOURCE and (
+        if self.kind == "pods" and (
             np.any(self.values < 1) or np.any(self.values != np.round(self.values))
         ):
             raise ValueError(f"series {self.name!r}: pod counts must be positive integers")
 
     @property
-    def kind(self) -> SeriesKind:
-        return KIND_BY_PREFIX[self.name.partition(".")[0]]
+    def kind(self) -> str:
+        return self.name.partition(".")[0]
 
     @property
     def owner(self) -> str:
@@ -96,7 +83,7 @@ class MetricSeries:
     @property
     def microservice(self) -> str | None:
         """The service a resource series measures; None for other kinds."""
-        return self.owner if self.kind in RESOURCE_KINDS else None
+        return self.owner if self.kind in RESOURCE_MODES["both"] else None
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,7 @@ class TraceDataset:
 
     @property
     def traces(self) -> list[str]:
-        return [s.owner for s in self.series if s.kind is SeriesKind.TARGET_LATENCY]
+        return [s.owner for s in self.series if s.kind == "latency_p95"]
 
     def get(self, name: str) -> MetricSeries:
         for s in self.series:
@@ -142,25 +129,17 @@ class TraceDataset:
 
     def target(self, trace: str) -> MetricSeries:
         for s in self.series:
-            if s.kind is SeriesKind.TARGET_LATENCY and s.owner == trace:
+            if s.kind == "latency_p95" and s.owner == trace:
                 return s
         raise KeyError(f"no target series for trace {trace!r}")
 
     def feature_names(self, resource_mode: str = "both") -> list[str]:
-        """Non-target columns, optionally restricted to horizontal
-        (pods) or vertical (cpu/mem) resources."""
-        if resource_mode not in ("horizontal", "vertical", "both"):
+        """The ``cps`` columns and the resource columns of ``resource_mode``
+        (a key of ``RESOURCE_MODES``), in column order."""
+        if resource_mode not in RESOURCE_MODES:
             raise ValueError(f"unknown resource mode {resource_mode!r}")
-        names = []
-        for s in self.series:
-            if s.kind is SeriesKind.TARGET_LATENCY:
-                continue
-            if s.kind is SeriesKind.HORIZONTAL_RESOURCE and resource_mode == "vertical":
-                continue
-            if s.kind is SeriesKind.VERTICAL_RESOURCE and resource_mode == "horizontal":
-                continue
-            names.append(s.name)
-        return names
+        kinds = ("cps", *RESOURCE_MODES[resource_mode])
+        return [s.name for s in self.series if s.kind in kinds]
 
 
 def load_dataset(path) -> TraceDataset:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import re
@@ -98,6 +99,22 @@ class TestSimulate:
     def test_unknown_scenario_name(self, tmp_path):
         rc = main(["simulate", "--scenario", "no-such-thing", "--out", str(tmp_path), "--quiet"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "e2e"])
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d["workloads"]["green"].update(base=float("nan")),
+         "workload 'green' base: nan is not a finite number"),
+        (lambda d: d.update(graph={"paths": []}), "top level graph: call graph has no paths"),
+    ], ids=["non-finite", "empty-graph"])
+    def test_bad_scenario_exits_2_at_load(self, tmp_path, capsys, command, edit, says):
+        doc = json.loads(bundled("scenarios", "sla_demo.json").read_text())
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))  # a nan is written as NaN
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: scenario {path}: bad scenario document: {says}\n"
+        assert not (tmp_path / "out").exists()  # so no dataset.csv either
 
 
 class TestTrain:
@@ -664,6 +681,20 @@ class TestConfigFile:
         assert main([*args, "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_every_flag_names_a_setting(self):
+        # flags are applied by name, so another dest would escape as a TypeError
+        settings = {f.name for f in dataclasses.fields(RunConfig)} | {"config", "epochs"}
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for command, parser in commands.items():
+            dests = {a.dest for a in parser._actions if a.dest != "help"}
+            assert dests <= settings, command
+
+    def test_only_given_flags_override_the_config(self):
+        cfg = RunConfig(trace="blue", out="runs/a", seed=4)
+        args = cli.build_parser().parse_args(["train", "--epochs", "3", "--quiet", "--seed", "5"])
+        assert cli.apply_cli_overrides(cfg, args) == dataclasses.replace(
+            cfg, seed=5, quiet=True, tft=dataclasses.replace(cfg.tft, max_epochs=3))
 
     def test_run_section_sets_every_scalar_field(self, tmp_path):
         path = tmp_path / "run.ini"

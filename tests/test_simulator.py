@@ -1,5 +1,7 @@
 import hashlib
 import io
+import json
+import math
 import re
 from dataclasses import replace
 from importlib import resources
@@ -24,6 +26,7 @@ from latscale.simulator import (
     apply_plan,
     build_robotshop_graph,
     load_scenario,
+    resource_bounds,
     scenario_from_dict,
     scenario_to_dict,
     simulate,
@@ -31,7 +34,7 @@ from latscale.simulator import (
 )
 from latscale.cli import write_json
 from latscale.scaler import PlanAction, ScalingPlan
-from latscale.trace_data import nearest_rank, p95, save_dataset
+from latscale.trace_data import RESOURCE_MODES, nearest_rank, p95, save_dataset
 
 
 def tiny_graph():
@@ -542,7 +545,8 @@ class TestScenarioFiles:
          "top level graph paths 1: path 'red' needs at least two hops"),
         ({"paths": [{"color": "g", "hops": ["a", "b"]}, {"color": "g", "hops": ["b", "a"]}]},
          "top level graph: call graph contains a cycle"),
-    ], ids=["null", "not-a-list", "short-path", "cycle"])
+        ({"paths": []}, "top level graph: call graph has no paths"),
+    ], ids=["null", "not-a-list", "short-path", "cycle", "no-paths"])
     def test_graph_errors_name_where(self, graph, says):
         doc = scenario_to_dict(demo_scenario())
         doc["graph"] = graph
@@ -629,6 +633,32 @@ class TestScenarioChecks:
         assert "service 'cart' on trace 'purple' has no configuration" in str(exc.value)
         assert "missing key" not in str(exc.value)
 
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d["workloads"]["green"].update(bursts=[[100, 50, math.nan]]),
+         "workload 'green' bursts: nan is not a finite number"),
+        (lambda d: d["services"]["cart"].update(pods_walk={"period": 20, "low": math.nan,
+                                                           "high": 1.5}),
+         "service 'cart' pods_walk low: nan is not a finite number"),
+        (lambda d: d["workloads"]["green"].update(base=math.nan),
+         "workload 'green' base: nan is not a finite number"),
+        (lambda d: d.update(noise_sigma=math.inf), "top level noise_sigma: inf is not a finite number"),
+        (lambda d: d["services"]["cart"].update(cpu_cores=math.nan),
+         "service 'cart' cpu_cores: nan is not a finite number"),
+        (lambda d: d["services"]["cart"].update(mem_bytes=math.inf),
+         "service 'cart' mem_bytes: inf is not a finite number"),
+        (lambda d: d["services"]["cart"].update(pods=-math.inf),
+         "service 'cart' pods: -inf is not a finite number"),
+    ], ids=["burst", "walk", "base", "noise", "cpu", "mem", "pods"])
+    def test_non_finite_numbers_rejected_at_load(self, edit, says):
+        doc = json.loads((resources.files("latscale") / "scenarios" / "sla_demo.json").read_text())
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(f"bad scenario document: {says}")):
+            scenario_from_dict(doc)
+
+    def test_graph_needs_a_path(self):
+        with pytest.raises(ValueError, match="call graph has no paths"):
+            CallGraph(())
+
     def test_unconfigured_service_is_a_value_error(self):
         scenario = demo_scenario()
         del scenario.configs["cart"]
@@ -673,3 +703,8 @@ class TestVerticalResources:
         scenario.step_seconds = 5.0
         write_json(scenario_to_dict(scenario), tmp_path / "s.json")
         assert load_scenario(tmp_path / "s.json").step_seconds == 5.0
+
+
+def test_resource_kinds_are_trace_datas():
+    written = {s.kind: None for s in demo_scenario(duration=5).run().series if s.microservice}
+    assert tuple(resource_bounds()) == tuple(written) == RESOURCE_MODES["both"]

@@ -13,7 +13,6 @@ from latscale.trace_data import (
     DataFormatError,
     DatasetTooShortError,
     MetricSeries,
-    SeriesKind,
     TraceDataset,
     Window,
     WindowSpec,
@@ -51,7 +50,7 @@ class TestLoadDataset:
         assert ds.n_steps == 500
         assert ds.time_index[-1] == 499
         assert ds.traces == ["green"]
-        horizontal = [s for s in ds.series if s.kind is SeriesKind.HORIZONTAL_RESOURCE]
+        horizontal = [s for s in ds.series if s.kind == "pods"]
         assert len(horizontal) == 1
         assert horizontal[0].microservice == "cart"
 
@@ -116,11 +115,11 @@ class TestLoadDataset:
         ds = load_dataset(path)
         got = [(s.name, s.kind, s.microservice) for s in ds.series]
         assert got == [
-            ("cps.x", SeriesKind.FRONT_END_CALLS, None),
-            ("pods.cart", SeriesKind.HORIZONTAL_RESOURCE, "cart"),
-            ("cpu.cart", SeriesKind.VERTICAL_RESOURCE, "cart"),
-            ("mem.db", SeriesKind.VERTICAL_RESOURCE, "db"),
-            ("latency_p95.x", SeriesKind.TARGET_LATENCY, None),
+            ("cps.x", "cps", None),
+            ("pods.cart", "pods", "cart"),
+            ("cpu.cart", "cpu", "cart"),
+            ("mem.db", "mem", "db"),
+            ("latency_p95.x", "latency_p95", None),
         ]
         assert ds.traces == ["x"]
 
@@ -311,11 +310,42 @@ class TestInvariants:
         assert str(in_memory.value) == str(on_disk.value)
         assert in_memory.value.column == on_disk.value.column == name
         pods = MetricSeries("pods.cart", np.ones(2))
-        assert (pods.kind, pods.microservice, pods.owner) == (
-            SeriesKind.HORIZONTAL_RESOURCE, "cart", "cart")
+        assert (pods.kind, pods.microservice, pods.owner) == ("pods", "cart", "cart")
+
+    def test_unclassifiable_message(self):
+        with pytest.raises(DataFormatError) as exc:
+            MetricSeries("lat_alt.g", np.ones(2))
+        assert str(exc.value) == (
+            "cannot classify column 'lat_alt.g'; expected '<kind>.<owner>' with kind in "
+            "['cps', 'cpu', 'latency_p95', 'mem', 'pods'] (column 'lat_alt.g')"
+        )
 
     def test_pod_counts_must_be_positive_integers(self):
         with pytest.raises(ValueError, match="positive integers"):
             MetricSeries("pods.cart", np.array([1.0, 2.5, 3.0]))
         with pytest.raises(ValueError, match="positive integers"):
             MetricSeries("pods.cart", np.array([0.0, 1.0, 2.0]))
+
+
+class TestFeatureNames:
+    """A resource mode picks the cps columns and its resources, in column order."""
+
+    def dataset(self):
+        names = ["latency_p95.green", "mem.cart", "cps.green", "pods.cart", "cpu.cart",
+                 "latency_p95.blue", "cps.blue", "pods.db"]
+        return TraceDataset(np.arange(2), tuple(MetricSeries(n, np.ones(2)) for n in names))
+
+    @pytest.mark.parametrize("mode, expected", [
+        ("horizontal", ["cps.green", "pods.cart", "cps.blue", "pods.db"]),
+        ("vertical", ["mem.cart", "cps.green", "cpu.cart", "cps.blue"]),
+        ("both", ["mem.cart", "cps.green", "pods.cart", "cpu.cart", "cps.blue", "pods.db"]),
+    ])
+    def test_cps_and_the_modes_resources(self, mode, expected):
+        assert self.dataset().feature_names(mode) == expected
+
+    def test_default_mode_is_both(self):
+        assert self.dataset().feature_names() == self.dataset().feature_names("both")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown resource mode 'diagonal'"):
+            self.dataset().feature_names("diagonal")
