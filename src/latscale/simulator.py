@@ -187,13 +187,15 @@ class WorkloadProfile:
             raise ValueError(f"period must be > 0, got {self.period}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        self.bursts = tuple(tuple(b) for b in self.bursts)
-        for start, duration, _ in self.bursts:
+        bursts = []
+        for start, duration, magnitude in self.bursts:
             if start != int(start) or duration != int(duration) or start < 0 or duration < 1:
                 raise ValueError(
                     f"burst at step {start}: start must be an integer >= 0 "
                     f"and duration an integer >= 1"
                 )
+            bursts.append((int(start), int(duration), float(magnitude)))
+        self.bursts = tuple(bursts)
 
     def rates(self, steps: int, rng: np.random.Generator) -> np.ndarray:
         t = np.arange(steps)

@@ -612,6 +612,11 @@ class TestScenarioChecks:
         bursts = self.load(bursts=[(110, 10, 5.0)]).workloads["green"].bursts
         assert bursts == ((110, 10, 5.0),)
 
+    def test_burst_numbers_are_coerced(self):
+        # a JSON 10.0 start would otherwise reach simulate as a slice index
+        (burst,) = self.load(bursts=[(10.0, 3.0, 5)]).workloads["green"].bursts
+        assert burst == (10, 3, 5.0) and list(map(type, burst)) == [int, int, float]
+
     @pytest.mark.parametrize("period", [0.0, -60.0])
     def test_non_positive_period(self, period):
         with pytest.raises(ValueError, match="workload 'green': period must be > 0"):
