@@ -49,13 +49,13 @@ fit = fit_per_feature(importance.decoder_variable_importance, desired,
                       feature_names=FEATURES)
 print("\nper-feature kernel regressors (alpha, beta, CV MSE):")
 for m, mse in zip(fit.models, fit.cv_mse):
-    print(f"  {m.feature:16s} alpha={m.alpha:<5g} beta={m.kernel.beta:<5g} cv_mse={mse:.3g}")
+    print(f"  {m.feature:16s} alpha={m.alpha:<5g} beta={m.beta:<5g} cv_mse={mse:.3g}")
 
 # policy boxes: pods may only scale up, calls may only be shaped down
 boxes = [(0.25, 1.0)] * 4 + [(2.0, 4.0)] * 2
 theta, result = solve_theta(fit.models, importance.decoder_variable_importance,
                             desired, factor_bounds=boxes)
-print(f"\ntheta: {np.round(theta.values, 3)} (converged={result.converged})")
+print(f"\ntheta: {np.round(theta, 3)} (converged={result.converged})")
 
 catalog = [FeatureSpec(n, actionable=n.startswith("pods"),
                        microservice=n.split(".")[1] if n.startswith("pods") else None,

@@ -29,8 +29,16 @@ from .trace_data import (
     save_dataset,
 )
 
-# A factor box for each kind of feature, by its column's prefix
+# A factor box for each kind a feature can be, by its column's prefix:
+# front-end calls and resources, never a latency
 DEFAULT_FACTOR_BOXES = {kind: scaler.DEFAULT_FACTOR_BOX for kind in KINDS if kind != "latency_p95"}
+
+
+def _not_a_feature(name: str) -> str | None:
+    """Why the column ``name`` cannot be a feature, or None if it can."""
+    kind = name.partition(".")[0]
+    return None if kind in DEFAULT_FACTOR_BOXES else (
+        f"feature {name!r}: kind {kind!r} is not one of {', '.join(DEFAULT_FACTOR_BOXES)}")
 
 
 class UsageError(Exception):
@@ -73,6 +81,9 @@ class RunConfig:
         repeated = [f for i, f in enumerate(self.features or ()) if f in self.features[:i]]
         if repeated:
             raise ValueError(f"feature {repeated[0]!r} listed twice")
+        for name in self.features or ():
+            if reason := _not_a_feature(name):
+                raise ValueError(reason)
         for name in ("steady_window", "restarts", "sla_factor", "sla_ms"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -422,10 +433,8 @@ def _build_catalog(features, dataset, scenario: Scenario | None):
 
 
 def _theta_boxes(cfg: RunConfig, features):
-    """The intercept box and each feature's factor box, by its kind; a
-    kind without a box (another trace's latency) takes the cps box."""
-    boxes = [tuple(cfg.factor_boxes.get(name.partition(".")[0], cfg.factor_boxes["cps"]))
-             for name in features]
+    """The intercept box and each feature's factor box, by its kind."""
+    boxes = [tuple(cfg.factor_boxes[name.partition(".")[0]]) for name in features]
     return tuple(cfg.intercept_box), boxes
 
 
@@ -606,6 +615,8 @@ def cmd_plan(cfg: RunConfig) -> int:
         if not _has_series(dataset, row["feature"]):
             raise UsageError(f"{importance_path}: feature {row['feature']!r} is not in "
                              f"{cfg.dataset} (row {row_no}, column 'feature')")
+        if reason := _not_a_feature(row["feature"]):
+            raise UsageError(f"{importance_path}: {reason} (row {row_no}, column 'feature')")
     if len(importance) != forecast.horizon:
         raise UsageError(f"{importance_path} has {len(importance)} steps but "
                          f"{forecast_path} has {forecast.horizon}")

@@ -17,20 +17,9 @@ from scipy.linalg import cho_factor, cho_solve
 DEFAULT_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
-@dataclass(frozen=True)
-class RbfKernel:
-    """k(x, x') = exp(-beta * ||x - x'||^2)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("kernel parameter beta must be positive")
-
-
 def _kernel_matrix(x: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
-    """exp(-beta * (x_i - y_j)^2); an array ``beta`` of shape (B, 1, 1)
-    gives B stacked matrices."""
+    """The RBF kernel exp(-beta * (x_i - y_j)^2); an array ``beta`` of
+    shape (B, 1, 1) gives B stacked matrices."""
     d2 = (x[:, None] - y[None, :]) ** 2
     return np.exp(-beta * d2)
 
@@ -52,10 +41,11 @@ _NOT_POSITIVE_DEFINITE = "kernel system not positive definite (alpha={} too smal
 
 @dataclass
 class KrrModel:
-    """Fitted dual-form ridge regressor over one scalar feature."""
+    """Fitted dual-form ridge regressor over one scalar feature, with
+    the RBF kernel exp(-beta * (x - x')^2)."""
 
     alpha: float
-    kernel: RbfKernel
+    beta: float
     support_inputs: np.ndarray
     dual_coefficients: np.ndarray
     target_center: float
@@ -65,7 +55,7 @@ class KrrModel:
         return json.dumps(
             {
                 "alpha": self.alpha,
-                "beta": self.kernel.beta,
+                "beta": self.beta,
                 "center": self.target_center,
                 "support_inputs": self.support_inputs.tolist(),
                 "dual_coefficients": self.dual_coefficients.tolist(),
@@ -79,7 +69,7 @@ class KrrModel:
         doc = json.loads(text)
         return cls(
             alpha=doc["alpha"],
-            kernel=RbfKernel(doc["beta"]),
+            beta=doc["beta"],
             support_inputs=np.asarray(doc["support_inputs"], dtype=np.float64),
             dual_coefficients=np.asarray(doc["dual_coefficients"], dtype=np.float64),
             target_center=doc["center"],
@@ -93,6 +83,8 @@ def fit(feature_values: Sequence[float], y: Sequence[float], alpha: float, beta:
     x, t = _training_arrays(feature_values, y)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if beta <= 0:
+        raise ValueError("kernel parameter beta must be positive")
     center = float(t.mean())
     gram = _kernel_matrix(x, x, beta)
     gram[np.diag_indices_from(gram)] += alpha
@@ -102,7 +94,7 @@ def fit(feature_values: Sequence[float], y: Sequence[float], alpha: float, beta:
         raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(alpha)) from exc
     return KrrModel(
         alpha=float(alpha),
-        kernel=RbfKernel(float(beta)),
+        beta=float(beta),
         support_inputs=x.copy(),
         dual_coefficients=np.asarray(coefs, dtype=np.float64),
         target_center=center,
@@ -113,7 +105,7 @@ def fit(feature_values: Sequence[float], y: Sequence[float], alpha: float, beta:
 def predict(model: KrrModel, x) -> float | np.ndarray:
     """center + sum_i a_i * k(support_i, x); vectorized over query points."""
     queries = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    k = _kernel_matrix(queries, model.support_inputs, model.kernel.beta)
+    k = _kernel_matrix(queries, model.support_inputs, model.beta)
     out = model.target_center + k @ model.dual_coefficients
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 

@@ -149,40 +149,16 @@ def lbfgsb_minimize(
                         converged=bool(np.max(np.abs(projected_grad)) < PG_TOL))
 
 
-@dataclass
-class ThetaVector:
-    """Optimized coefficients with the boxes they were solved under."""
-
-    values: np.ndarray
-    bounds: list[tuple[float, float]]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if len(self.bounds) != self.values.size:
-            raise ValueError("one (lo, hi) box per component required")
-        for v, (lo, hi) in zip(self.values, self.bounds):
-            if not lo - 1e-12 <= v <= hi + 1e-12:
-                raise ValueError(f"theta component {v} outside its box [{lo}, {hi}]")
-
-    @property
-    def intercept(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def factors(self) -> np.ndarray:
-        return self.values[1:]
-
-
 def solve_theta(
     models: Sequence[KrrModel],
     importance_matrix: np.ndarray,
     target: Sequence[float],
     factor_bounds: Sequence[tuple[float, float]] | None = None,
     intercept_bounds: tuple[float, float] = DEFAULT_INTERCEPT_BOX,
-) -> tuple[ThetaVector, LbfgsbResult]:
-    """Fit theta on the combined-regressor least squares problem, starting
-    from the no-change point (all factors one, intercept at the target
-    mean)."""
+) -> tuple[np.ndarray, LbfgsbResult]:
+    """Fit theta (the intercept, then one factor per model, each in its
+    box) on the combined-regressor least squares problem, starting from
+    the no-change point (all factors one, intercept at the target mean)."""
     k = len(models)
     if factor_bounds is None:
         factor_bounds = [DEFAULT_FACTOR_BOX] * k
@@ -196,7 +172,7 @@ def solve_theta(
     scaled_fun = _squared_residual(design / scale, t / scale)
     result = lbfgsb_minimize(scaled_fun, np.concatenate([[t.mean()], np.ones(k)]), bounds)
     result.objective_value = fun_and_grad(result.theta)[0]
-    return ThetaVector(values=result.theta, bounds=bounds), result
+    return result.theta, result
 
 
 @dataclass(frozen=True)
@@ -254,7 +230,7 @@ class ScalingPlan:
 
 
 def make_plan(
-    theta: ThetaVector,
+    theta: Sequence[float],
     feature_catalog: Sequence[FeatureSpec],
     resource_bounds: Mapping[str, tuple[float, float]] | None = None,
     trace: str = "",
@@ -263,14 +239,16 @@ def make_plan(
     converged: bool = True,
     objective_value: float = 0.0,
 ) -> ScalingPlan:
-    """Turn optimized coefficients into per-resource recommendations.
+    """Turn theta (the intercept, then one factor per feature) into
+    per-resource recommendations.
 
-    Actionable features get factor = theta_k applied multiplicatively
-    to their current value, clamped to the resource bounds (looked up
-    by feature name, else the simulator's default box for the
-    resource).  Calls-per-second features become advisory notes only.
+    An actionable feature's ``recommended`` is the
+    ``simulator.resource_level`` of theta_k times its current value in
+    the box looked up by feature name, else the simulator's default box
+    for the resource; ``simulator.apply_plan`` configures exactly that
+    level.  Calls-per-second features become advisory notes only.
     """
-    factors = theta.factors
+    factors = np.asarray(theta, dtype=np.float64)[1:]
     if len(feature_catalog) != factors.size:
         raise ValueError(
             f"catalog covers {len(feature_catalog)} features, theta has {factors.size}"
@@ -283,31 +261,18 @@ def make_plan(
             if spec.resource not in ACTIONABLE_RESOURCES:
                 raise ValueError(f"feature {spec.name!r}: unknown resource {spec.resource!r}")
             lo, hi = resource_bounds.get(spec.name, simulator.resource_bounds()[spec.resource])
-            raw = factor * spec.current
-            recommended = float(np.clip(round(raw) if spec.resource == "pods" else raw, lo, hi))
-            actions.append(
-                PlanAction(
-                    service=spec.microservice or "",
-                    resource=spec.resource,
-                    current=spec.current,
-                    factor=factor,
-                    recommended=recommended,
-                )
-            )
+            level = simulator.resource_level(spec.resource, factor * spec.current, lo, hi)
+            actions.append(PlanAction(service=spec.microservice or "", resource=spec.resource,
+                                      current=spec.current, factor=factor, recommended=float(level)))
         else:
             verb = "reduce" if factor < 1.0 else "shape"
-            advisories.append(
-                Advisory(
-                    feature=spec.name,
-                    factor=factor,
-                    note=f"{verb} front-end calls for {spec.name} by factor {factor:.3f} (not enforced)",
-                )
-            )
+            note = f"{verb} front-end calls for {spec.name} by factor {factor:.3f} (not enforced)"
+            advisories.append(Advisory(feature=spec.name, factor=factor, note=note))
     return ScalingPlan(
         trace=trace,
         sla_ms=sla_ms,
         violation_fraction=violation_fraction,
-        theta=[float(v) for v in theta.values],
+        theta=[float(v) for v in theta],
         converged=converged,
         objective_value=objective_value,
         actions=actions,

@@ -218,16 +218,20 @@ def service_latency_ms(base_ms, rho, mem_low=False):
     return np.where(mem_low, latency * MEM_PENALTY, latency)
 
 
-def _resource_timeline(base: float, walk: Walk | None, steps: int, rng: np.random.Generator) -> np.ndarray:
-    if walk is None:
-        return np.full(steps, float(base))
-    return base * walk.factors(steps, rng)
+# The ServiceConfig field that holds each resource's configured level;
+# a resource's walk is the field ``<resource>_walk``.
+RESOURCE_FIELDS = {"pods": "pods", "cpu": "cpu_cores", "mem": "mem_bytes"}
+
+
+def resource_level(resource: str, value, lo: float, hi: float):
+    """The level a resource runs at for the raw ``value``, elementwise:
+    pods rounded to whole pods, then clamped into the box [lo, hi]."""
+    return np.clip(np.round(value) if resource == "pods" else value, lo, hi)
 
 
 def resource_bounds(cfg: ServiceConfig | None = None) -> dict[str, tuple[float, float]]:
-    """The (lo, hi) box ``simulate`` and ``apply_plan`` clamp each resource
-    of ``cfg`` into; without ``cfg``, the box of a service with the
-    default maxima."""
+    """The (lo, hi) box each resource of ``cfg`` runs in; without
+    ``cfg``, the box of a service with the default maxima."""
     pods_max, cpu_max, mem_max = (PODS_MAX, CPU_MAX_CORES, MEM_MAX_BYTES) if cfg is None else (
         cfg.pods_max, cfg.cpu_max_cores, cfg.mem_max_bytes)
     return {"pods": (1.0, float(pods_max)), "cpu": (CPU_MIN_CORES, float(cpu_max)),
@@ -346,23 +350,23 @@ def simulate(
             else np.random.default_rng([seed, 1, idx])
         )
         cps[color] = profile.rates(duration_steps, stream)
-    pods_t, cpu_t, mem_t, det = {}, {}, {}, {}
+    levels, det = {}, {}  # levels[svc][resource] is a timeline
     for idx, svc in enumerate(services):
         cfg = configs[svc]
         walk_rng = np.random.default_rng([seed, 2, idx])
-        bounds = resource_bounds(cfg)
-        raw_pods = _resource_timeline(cfg.pods, cfg.pods_walk, duration_steps, walk_rng)
-        pods_t[svc] = np.clip(np.round(raw_pods), *bounds["pods"])
-        raw_cpu = _resource_timeline(cfg.cpu_cores, cfg.cpu_walk, duration_steps, walk_rng)
-        cpu_t[svc] = np.clip(raw_cpu, *bounds["cpu"])
-        raw_mem = _resource_timeline(cfg.mem_bytes, cfg.mem_walk, duration_steps, walk_rng)
-        mem_t[svc] = np.clip(raw_mem, *bounds["mem"])
+        level = levels[svc] = {}
+        for resource, (lo, hi) in resource_bounds(cfg).items():
+            base = getattr(cfg, RESOURCE_FIELDS[resource])
+            walk = getattr(cfg, f"{resource}_walk")
+            raw = np.full(duration_steps, float(base)) if walk is None else (
+                base * walk.factors(duration_steps, walk_rng))
+            level[resource] = resource_level(resource, raw, lo, hi)
         rate = np.zeros(duration_steps)
         for color in colors:
             if svc in trace_services[color]:
                 rate = rate + cps[color]
-        rho = utilization(rate, pods_t[svc], cfg.per_pod_rate, cpu_t[svc])
-        det[svc] = service_latency_ms(cfg.base_service_ms, rho, mem_t[svc] < cfg.mem_floor_bytes)
+        rho = utilization(rate, level["pods"], cfg.per_pod_rate, level["cpu"])
+        det[svc] = service_latency_ms(cfg.base_service_ms, rho, level["mem"] < cfg.mem_floor_bytes)
 
     # noise-free per-hop latency, (steps, hops) per trace
     hops = {color: np.column_stack([det[svc] for svc in trace_services[color]]) for color in colors}
@@ -372,34 +376,29 @@ def simulate(
         latency = {color: hops[color].sum(axis=1) for color in colors}
 
     series = [MetricSeries(f"cps.{color}", cps[color]) for color in colors]
-    series += [MetricSeries(f"{resource}.{svc}", timeline[svc]) for svc in services
-               for resource, timeline in (("pods", pods_t), ("cpu", cpu_t), ("mem", mem_t))]
+    series += [MetricSeries(f"{resource}.{svc}", timeline) for svc in services
+               for resource, timeline in levels[svc].items()]
     series += [MetricSeries(f"latency_p95.{color}", latency[color]) for color in colors]
     return TraceDataset(time_index=np.arange(duration_steps), series=tuple(series))
 
 
 def apply_plan(configs: Mapping[str, ServiceConfig], plan: "ScalingPlan") -> dict[str, ServiceConfig]:
-    """Return new service configs with the plan's scaling factors applied.
-
-    Pod counts are rounded; every resource is clamped into its
-    ``resource_bounds``.  Advisory (calls-per-second) entries are left
-    untouched.
+    """Return new service configs with each action's resource configured
+    at the action's ``recommended`` level, which ``make_plan`` rounded
+    and clamped; a walk still moves the resource around that level.  A
+    pod count that is not whole raises ValueError.  Advisory
+    (calls-per-second) entries are left untouched.
     """
     out = {name: replace(cfg) for name, cfg in configs.items()}
     for action in plan.actions:
         if action.service not in out:
             raise UnknownServiceError(f"plan references unknown service {action.service!r}")
-        cfg = out[action.service]
-        bounds = resource_bounds(cfg)
-        if action.resource not in bounds:
+        if action.resource not in RESOURCE_FIELDS:
             raise ValueError(f"unknown resource {action.resource!r} in plan")
-        lo, hi = bounds[action.resource]
-        if action.resource == "pods":
-            cfg.pods = int(np.clip(round(action.factor * cfg.pods), lo, hi))
-        elif action.resource == "cpu":
-            cfg.cpu_cores = float(np.clip(action.factor * cfg.cpu_cores, lo, hi))
-        else:
-            cfg.mem_bytes = float(np.clip(action.factor * cfg.mem_bytes, lo, hi))
+        level = action.recommended
+        if action.resource == "pods" and float(level).is_integer():
+            level = int(level)  # ServiceConfig refuses a count that is not whole
+        out[action.service] = replace(out[action.service], **{RESOURCE_FIELDS[action.resource]: level})
     return out
 
 

@@ -8,11 +8,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from latscale import cli, krr, tft
+from latscale import cli, krr, scaler, tft
 from latscale.cli import RunConfig, UsageError, load_run_config, main
-from latscale.scaler import PlanAction, ScalingPlan
 from latscale.simulator import (
-    Scenario, ServiceConfig, apply_plan, load_scenario, scenario_from_dict, scenario_to_dict,
+    RESOURCE_FIELDS, Scenario, ServiceConfig, apply_plan, load_scenario, scenario_from_dict,
+    scenario_to_dict,
 )
 
 TINY_SCENARIO = {
@@ -274,6 +274,9 @@ PLAN_INPUT_EDITS = [
     ("lacking-row", "importance.csv", "step 1 lacks feature 'cps.green'"),
     ("no-median", "forecast.csv", "no 0.5 quantile"),
     ("step-mismatch", "importance.csv", "has 3 steps but"),
+    ("latency-feature", "importance.csv",
+     "feature 'latency_p95.blue': kind 'latency_p95' is not one of cps, pods, cpu, mem "
+     "(row 3, column 'feature')"),
 ]
 
 
@@ -320,6 +323,8 @@ class TestPlan:
             rows = list(csv.reader(fh))
         if edit == "unknown-feature":
             rows = [[c.replace("pods.cart", "pods.carts") for c in row] for row in rows]
+        elif edit == "latency-feature":
+            rows = [[c.replace("pods.cart", "latency_p95.blue") for c in row] for row in rows]
         elif edit.startswith("no-") and edit.endswith("-column"):
             rows = [row[:2] for row in rows]
         elif edit == "nan-weight":
@@ -377,11 +382,16 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: stage plan: injected")
 
 
+def plan_at(factors, catalog, bounds):
+    """``make_plan`` of the catalog with the given factor per feature."""
+    return scaler.make_plan(np.array([0.0, *factors]), catalog, bounds)
+
+
 class TestResourceBounds:
     @pytest.mark.parametrize("known", [True, False], ids=["sla_demo", "no-scenario"])
-    def test_catalog_bounds_are_the_clamps_apply_plan_applies(self, known):
-        """``plan`` clamps each recommendation into the box that the
-        re-simulation's ``apply_plan`` clamps the resource into."""
+    def test_extreme_factors_plan_the_catalog_bounds(self, known):
+        """A plan's ``recommended`` is clamped into the box the catalog
+        gives each resource, and ``apply_plan`` configures exactly it."""
         scenario = cli.resolve_scenario("sla_demo")
         dataset = scenario.run()
         catalog, bounds = cli._build_catalog(dataset.feature_names("both"), dataset,
@@ -390,19 +400,42 @@ class TestResourceBounds:
             name: ServiceConfig(name, base_service_ms=1.0, per_pod_rate=1.0)
             for name in scenario.configs
         }
-        attribute = {"pods": "pods", "cpu": "cpu_cores", "mem": "mem_bytes"}
-        actionable = [spec for spec in catalog if spec.actionable]
-        assert {spec.resource for spec in actionable} == set(attribute)
-        for spec in actionable:
-            clamped = []
-            for factor in (1e-12, 1e12):
-                action = PlanAction(spec.microservice, spec.resource, spec.current, factor, 0.0)
-                plan = ScalingPlan(trace="green", sla_ms=1.0, violation_fraction=0.0, theta=[],
-                                   converged=True, objective_value=0.0, actions=[action],
-                                   advisories=[])
-                after = apply_plan(configs, plan)[spec.microservice]
-                clamped.append(float(getattr(after, attribute[spec.resource])))
-            assert tuple(clamped) == bounds[spec.name], spec.name
+        assert {spec.resource for spec in catalog if spec.actionable} == set(RESOURCE_FIELDS)
+        for end, factor in enumerate((1e-12, 1e12)):
+            plan = plan_at([factor] * len(catalog), catalog, bounds)
+            after = apply_plan(configs, plan)
+            assert len(plan.actions) == len(bounds)
+            for spec, action in zip([s for s in catalog if s.actionable], plan.actions):
+                assert action.recommended == bounds[spec.name][end], spec.name
+                configured = getattr(after[action.service], RESOURCE_FIELDS[action.resource])
+                assert configured == action.recommended, spec.name
+
+    def test_sla_demo_resimulates_at_the_plan(self):
+        """Without walks, every step of a re-simulated resource runs at
+        the level the plan recommends."""
+        scenario = dataclasses.replace(cli.resolve_scenario("sla_demo"), duration_steps=60)
+        dataset = scenario.run()
+        features = dataset.feature_names("both")
+        catalog, bounds = cli._build_catalog(features, dataset, scenario)
+        factors = [2.0 if name.startswith("pods.") else 0.5 for name in features]
+        plan = plan_at(factors, catalog, bounds)
+        after = dataclasses.replace(scenario, configs=apply_plan(scenario.configs, plan)).run()
+        assert {a.resource for a in plan.actions} == set(RESOURCE_FIELDS)
+        for action in plan.actions:
+            values = after.get(f"{action.resource}.{action.service}").values
+            assert np.all(values == action.recommended), (action, values)
+
+    def test_cart_importance_configures_the_recommended_pods(self):
+        """Cart walks around its configured 4 pods and runs 5 at the last
+        step; a factor of 2 recommends, and configures, 10."""
+        scenario = cli.resolve_scenario("cart_importance")
+        dataset = scenario.run()
+        catalog, bounds = cli._build_catalog(["pods.cart"], dataset, scenario)
+        plan = plan_at([2.0], catalog, bounds)
+        (action,) = plan.actions
+        assert (scenario.configs["cart"].pods, action.current, action.recommended) == (4, 5.0, 10.0)
+        configured = apply_plan(scenario.configs, plan)["cart"].pods
+        assert configured == 10 and isinstance(configured, int)
 
 
 # (stage, owner of a call the stage makes, name of that call)
@@ -638,12 +671,15 @@ class TestConfigFile:
         ("[run]\nresources = diagonal\n", "[run] resources: unknown resource mode"),
         ("[run]\nfeatures = cps.green, pods.cart, cps.green\n",
          "[run] features: feature 'cps.green' listed twice"),
+        ("[run]\nfeatures = cps.green, latency_p95.blue\n",
+         "[run] features: feature 'latency_p95.blue': kind 'latency_p95' is not one of "
+         "cps, pods, cpu, mem"),
     ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
             "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section",
             "no-median", "learning-rate-nan", "learning-rate-zero", "patience", "steady-window",
             "restarts", "sla-factor", "sla-ms", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
             "sla-factor-inf", "alpha-nan", "beta-inf", "box-nan", "intercept-nan", "resources",
-            "repeated-feature"])
+            "repeated-feature", "latency-feature"])
     def test_rejects_with_section_and_key(self, tmp_path, text, named):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -655,6 +691,17 @@ class TestConfigFile:
         path.write_text("[boxes]\nintercept = -inf, inf\ncps = 0.5, inf\n")
         cfg = load_run_config(str(path))
         assert cfg.intercept_box == (-np.inf, np.inf) and cfg.factor_boxes["cps"] == (0.5, np.inf)
+
+    def test_latency_feature_exits_2_before_simulating(self, tmp_path, capsys):
+        path = tmp_path / "latency.ini"
+        path.write_text(TINY_INI.replace("features = cps.green,", "features = latency_p95.blue,"))
+        rc = main(["e2e", "--scenario", "sla_demo", "--config", str(path),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: [run] features: feature 'latency_p95.blue': kind 'latency_p95' is not one of "
+            "cps, pods, cpu, mem\n")
+        assert not (tmp_path / "out").exists()
 
     def test_cli_exits_2_on_unknown_key(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.ini"

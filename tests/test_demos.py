@@ -1,10 +1,12 @@
 """The demos are scripts that no other test runs, so an API change could
 break one silently.  Every name a demo imports from latscale must
-resolve, and the simulator demo, the quickest, must run to the end."""
+resolve, and the simulator demo and the library-level scaling demo
+must run to the end."""
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,11 +42,26 @@ def test_every_latscale_import_resolves(demo):
     assert not missing, f"{demo.name} imports what latscale does not define: {missing}"
 
 
-def test_simulator_demo_runs(tmp_path):
+def run_demo(name, cwd):
+    """Run the demo ``name`` to its end in ``cwd``; returns its stdout."""
     src = str(Path(latscale.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, str(DEMOS / "01_simulate_robotshop.py")], cwd=tmp_path,
+    done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "Dataset:" in done.stdout
+    return done.stdout
+
+
+def test_simulator_demo_runs(tmp_path):
+    assert "Dataset:" in run_demo("01_simulate_robotshop.py", tmp_path)
+
+
+def test_scaling_demo_runs(tmp_path):
+    """The library-level loop reads theta, beta and the plan as the
+    library returns them, and prints one line per planned action."""
+    out = run_demo("03_importance_to_scaling.py", tmp_path)
+    plan = out.split("plan actions:\n")[1].split("\n\n")[0].splitlines()
+    assert plan and all(re.fullmatch(r"  \S+: pods \d+ -> \d+ \(factor \d+\.\d\d\)", line)
+                        for line in plan), plan
+    assert "closed loop: p95" in out

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from latscale.krr import (
     GridSearchSpec,
     KrrModel,
-    RbfKernel,
     fit,
     fit_per_feature,
     grid_search,
@@ -81,8 +80,9 @@ class TestRbf:
         assert rbf(a[:n], b[:n], beta) == rbf(b[:n], a[:n], beta)
 
     def test_beta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RbfKernel(0.0)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                fit([0.0, 1.0], [2.0, 3.0], alpha=0.1, beta=beta)
 
 
 class TestFit:
@@ -123,6 +123,8 @@ class TestFit:
         model = fit([0.0, 1.0], [2.0, 3.0], alpha=0.1, beta=2.0, feature="pods.cart")
         back = KrrModel.from_json(model.to_json())
         assert back.feature == "pods.cart"
+        assert back.beta == model.beta == 2.0
+        assert back.to_json() == model.to_json()
         assert predict(back, 0.4) == predict(model, 0.4)
 
 

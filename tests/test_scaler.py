@@ -7,12 +7,13 @@ from scipy.optimize import lsq_linear
 
 from latscale.krr import fit as krr_fit, fit_per_feature, predict as krr_predict
 from latscale.scaler import (
+    DEFAULT_FACTOR_BOX,
+    DEFAULT_INTERCEPT_BOX,
     Advisory,
     FeatureSpec,
     PlanAction,
     ScalingPlan,
     SlaSpec,
-    ThetaVector,
     desired_latency,
     detect_violation,
     lbfgsb_minimize,
@@ -267,13 +268,9 @@ class TestSolveTheta:
         imp = rng.uniform(0, 1, size=(16, 4))
         target = rng.uniform(30, 150, 16)
         theta, result = solve_theta(models, imp, target)
-        assert theta.values.size == 5
-        for v, (lo, hi) in zip(theta.values, theta.bounds):
-            assert lo - 1e-9 <= v <= hi + 1e-9
-
-    def test_theta_vector_validates_box(self):
-        with pytest.raises(ValueError, match="outside its box"):
-            ThetaVector(np.array([5.0]), [(0.0, 1.0)])
+        assert theta is result.theta and theta.shape == (5,)
+        lo, hi = np.array([DEFAULT_INTERCEPT_BOX] + [DEFAULT_FACTOR_BOX] * 4).T
+        assert np.all((lo <= theta) & (theta <= hi))
 
 
 def bvls_optimum(design, target, lo, hi):
@@ -299,7 +296,7 @@ class TestBvlsOracle:
         models = fit_per_feature(imp, target).models
         theta, result = solve_theta(models, imp, target)
         _, design = least_squares_objective(models, imp, target)
-        lo, hi = np.array(theta.bounds).T
+        lo, hi = np.array([DEFAULT_INTERCEPT_BOX] + [DEFAULT_FACTOR_BOX] * 6).T
         best = bvls_optimum(design, target, lo, hi)
         gap = (result.objective_value - best) / best
         assert gap <= (1e-4 if result.converged else 1e-2)
@@ -312,13 +309,9 @@ class TestMakePlan:
             FeatureSpec("pods.cart", actionable=True, microservice="cart", resource="pods", current=2),
         ]
 
-    def theta(self, values, k):
-        bounds = [(-1e4, 1e4)] + [(0.1, 8.0)] * k
-        return ThetaVector(np.asarray(values, float), bounds)
-
     def test_doubling_factor(self):
         plan = make_plan(
-            self.theta([0.0, 0.9, 2.0], 2),
+            np.array([0.0, 0.9, 2.0]),
             self.catalog(),
             resource_bounds={"pods.cart": (1, 8)},
         )
@@ -326,7 +319,7 @@ class TestMakePlan:
         assert len(plan.advisories) == 1
 
     def test_identity_is_noop(self):
-        plan = make_plan(self.theta([0.0, 1.0, 1.0], 2), self.catalog(),
+        plan = make_plan(np.array([0.0, 1.0, 1.0]), self.catalog(),
                          resource_bounds={"pods.cart": (1, 8)})
         assert plan.actions[0].recommended == plan.actions[0].current
 
@@ -334,16 +327,16 @@ class TestMakePlan:
         catalog = [
             FeatureSpec("pods.cart", actionable=True, microservice="cart", resource="pods", current=3),
         ]
-        plan = make_plan(self.theta([0.0, 3.5], 1), catalog, resource_bounds={"pods.cart": (1, 8)})
+        plan = make_plan(np.array([0.0, 3.5]), catalog, resource_bounds={"pods.cart": (1, 8)})
         assert plan.actions[0].recommended == 8  # round(10.5) clamped
 
     def test_catalog_arity_checked(self):
         with pytest.raises(ValueError, match="catalog covers"):
-            make_plan(self.theta([0.0, 1.0], 1), self.catalog())
+            make_plan(np.array([0.0, 1.0]), self.catalog())
 
     def test_json_roundtrip_and_schema(self):
         plan = make_plan(
-            self.theta([1.5, 0.8, 2.0], 2),
+            np.array([1.5, 0.8, 2.0]),
             self.catalog(),
             resource_bounds={"pods.cart": (1, 8)},
             trace="green",

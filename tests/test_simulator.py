@@ -480,6 +480,15 @@ class TestApplyPlan:
         with pytest.raises(UnknownServiceError):
             apply_plan(tiny_configs(), self.make_plan([PlanAction("nope", "pods", 1, 2.0, 2)]))
 
+    def test_pods_must_be_whole(self):
+        plan = self.make_plan([PlanAction("cart", "pods", 2, 2.25, 4.5)])
+        with pytest.raises(ValueError, match="pods must be a positive integer"):
+            apply_plan(tiny_configs(pods_cart=2), plan)
+
+    def test_unknown_resource(self):
+        with pytest.raises(ValueError, match="unknown resource 'disk'"):
+            apply_plan(tiny_configs(), self.make_plan([PlanAction("cart", "disk", 1, 2.0, 2)]))
+
     def test_vertical_scaling_clamped(self):
         configs = tiny_configs()
         configs["cart"].cpu_cores = 2.0
@@ -713,3 +722,4 @@ class TestVerticalResources:
 def test_resource_kinds_are_trace_datas():
     written = {s.kind: None for s in demo_scenario(duration=5).run().series if s.microservice}
     assert tuple(resource_bounds()) == tuple(written) == RESOURCE_MODES["both"]
+    assert tuple(simulator.RESOURCE_FIELDS) == RESOURCE_MODES["both"]
