@@ -184,8 +184,8 @@ def load_run_config(path: str | None) -> RunConfig:
     return cfg
 
 
-def bundled_names(kind: str) -> list[str]:
-    root = importlib_resources.files("latscale") / kind
+def bundled_names() -> list[str]:
+    root = importlib_resources.files("latscale") / "scenarios"
     return sorted(p.name.rsplit(".", 1)[0] for p in root.iterdir())
 
 
@@ -198,7 +198,7 @@ def resolve_scenario(name_or_path: str) -> Scenario:
         if not path.is_file():
             raise UsageError(
                 f"scenario {name_or_path!r} is neither a file nor a bundled name "
-                f"(bundled: {', '.join(bundled_names('scenarios'))})"
+                f"(bundled: {', '.join(bundled_names())})"
             )
     with _usage(f"scenario {name_or_path}", (OSError, ValueError)), \
             importlib_resources.as_file(path) as real:
@@ -350,9 +350,9 @@ def write_krr_fit(fit: krr.PerFeatureFit, features, out: Path):
 # Shared pipeline pieces
 
 
-def _load_dataset_or_fail(cfg: RunConfig, flag: str = "--dataset"):
+def _load_dataset_or_fail(cfg: RunConfig):
     if not cfg.dataset:
-        raise UsageError(f"{flag} (or the config's dataset entry) is required")
+        raise UsageError("--dataset (or the config's dataset entry) is required")
     if not Path(cfg.dataset).exists():
         raise UsageError(f"dataset file not found: {cfg.dataset}")
     with _usage(f"dataset {cfg.dataset}"):
@@ -680,80 +680,77 @@ def cmd_e2e(cfg: RunConfig) -> int:
 # Argument parsing
 
 
+# Each flag: the RunConfig field it sets (a dotted name sets a field of
+# that section) and its argparse settings
+FLAGS = {
+    "--out": ("out", dict(help="output directory (default '.')")),
+    "--quiet": ("quiet", dict(action="store_true", help="suppress progress output")),
+    "--scenario": ("scenario", dict(help="scenario file or bundled name")),
+    "--dataset": ("dataset", dict(help="dataset CSV")),
+    "--checkpoint": ("checkpoint", dict(help="model checkpoint JSON")),
+    "--seed": ("seed", dict(type=int, help="override the run seed")),
+    "--trace": ("trace", dict(help="target trace color")),
+    "--resources": ("resources", dict(choices=RESOURCE_MODES, help="resource series the model reads")),
+    "--sla-ms": ("sla_ms", dict(type=float, help="SLA bound on p95 latency")),
+    "--sla-factor": ("sla_factor", dict(type=float, help="SLA = factor * steady-state p95")),
+    "--duration": ("duration", dict(type=int, help="override scenario duration")),
+    "--epochs": ("tft.max_epochs", dict(type=int, metavar="EPOCHS", help="override max epochs")),
+    "--restarts": ("restarts", dict(type=int, help="training restarts raced by validation loss")),
+    "--window-start": ("window_start", dict(type=int, help="window start step (default: last)")),
+}
+
+# Each command: its code, its help and the flags it reads besides
+# --config, --out and --quiet
+COMMANDS = {
+    "simulate": (cmd_simulate, "run a scenario and write its dataset",
+                 ("--scenario", "--seed", "--duration")),
+    "train": (cmd_train, "fit the forecaster on a dataset",
+              ("--dataset", "--seed", "--trace", "--resources", "--epochs")),
+    "predict": (cmd_predict, "forecast one window",
+                ("--dataset", "--checkpoint", "--trace", "--window-start")),
+    "interpret": (cmd_interpret, "export importance weights",
+                  ("--dataset", "--checkpoint", "--trace", "--window-start")),
+    "evaluate": (cmd_evaluate, "score held-out windows", ("--dataset", "--checkpoint", "--trace")),
+    "plan": (cmd_plan, "turn forecast + importance into a scaling plan",
+             ("--dataset", "--scenario", "--trace", "--sla-ms")),
+    "e2e": (cmd_e2e, "full loop: simulate, train, plan, re-simulate",
+            ("--scenario", "--seed", "--trace", "--resources", "--sla-ms", "--sla-factor",
+             "--restarts")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command, with the flags its ``COMMANDS`` entry
+    lists; a flag left out stays unset, so the config's value stands."""
     parser = argparse.ArgumentParser(
         prog="latscale",
         description="Interpretable latency forecasting and autoscaling toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, desc):
-        """The parser of command ``name`` with the flags every command
-        takes; a flag left out stays unset, so the config's value stands."""
+    for name, (_, desc, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=desc, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--trace", help="target trace color")
-        p.add_argument("--resources", choices=list(RESOURCE_MODES),
-                       help="which resource series feed the model")
-        p.add_argument("--sla-ms", type=float, dest="sla_ms", help="SLA bound on p95 latency")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        return p
-
-    p = command("simulate", "run a scenario and write its dataset")
-    p.add_argument("--scenario", help="scenario file or bundled name")
-    p.add_argument("--duration", type=int, help="override scenario duration")
-
-    p = command("train", "fit the forecaster on a dataset")
-    p.add_argument("--dataset", help="input dataset CSV")
-    p.add_argument("--epochs", type=int, help="override max epochs")
-
-    for name, desc in (("predict", "forecast one window"),
-                       ("interpret", "export importance weights"),
-                       ("evaluate", "score held-out windows")):
-        p = command(name, desc)
-        p.add_argument("--dataset", help="input dataset CSV")
-        p.add_argument("--checkpoint", help="model checkpoint JSON")
-        p.add_argument("--window-start", type=int, dest="window_start",
-                       help="window start step (default: last window)")
-
-    p = command("plan", "turn forecast + importance into a scaling plan")
-    p.add_argument("--dataset", help="dataset CSV for current resource values")
-    p.add_argument("--scenario", help="scenario for resource bounds (optional)")
-
-    p = command("e2e", "full loop: simulate, train, plan, re-simulate")
-    p.add_argument("--scenario", help="scenario file or bundled name")
-    p.add_argument("--sla-factor", type=float, dest="sla_factor",
-                   help="SLA = factor * steady-state p95 (when --sla-ms absent)")
-    p.add_argument("--restarts", type=int, help="training restarts raced by validation loss")
+        for flag in ("--out", "--quiet", *flags):
+            dest, settings = FLAGS[flag]
+            p.add_argument(flag, dest=dest, **settings)
     return parser
 
 
 def apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """``cfg`` with each flag given applied to the field of its name
-    (``--epochs`` to ``tft.max_epochs``), one at a time so an error
-    names its flag; a value the settings reject raises UsageError."""
-    for name, value in vars(args).items():
-        if name in ("command", "config"):
+    """``cfg`` with each flag given applied to its field, one at a time
+    so an error names its flag; a value the settings reject raises
+    UsageError."""
+    given = vars(args)
+    for flag, (dest, _) in FLAGS.items():
+        if dest not in given:
             continue
-        with _usage(f"--{name.replace('_', '-')} {value}"):
-            if name == "epochs":
-                cfg = replace(cfg, tft=replace(cfg.tft, max_epochs=value))
-            else:
-                cfg = replace(cfg, **{name: value})
+        section, _, name = dest.rpartition(".")
+        value = given[dest]
+        with _usage(f"{flag} {value}"):
+            if section:
+                name, value = section, replace(getattr(cfg, section), **{name: value})
+            cfg = replace(cfg, **{name: value})
     return cfg
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "interpret": cmd_interpret,
-    "evaluate": cmd_evaluate,
-    "plan": cmd_plan,
-    "e2e": cmd_e2e,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -761,7 +758,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(getattr(args, "config", None))
         cfg = apply_cli_overrides(cfg, args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

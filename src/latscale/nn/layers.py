@@ -84,58 +84,47 @@ class ParamStore:
         self.load_state_dict(state)
 
 
+# Adam's published defaults (Kingma & Ba, 2015), and the global gradient
+# norm each step is clipped to (Pascanu, Mikolov & Bengio, 2013)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0
+
+
 class Adam:
-    """Adam with bias correction over one flat buffer of every parameter.
+    """Adam with bias correction over one flat buffer of every parameter,
+    the moments ``m`` and ``v`` in store order.  Every parameter must
+    have a gradient at each step; a global gradient norm above
+    ``CLIP_NORM`` is scaled down to it before the update."""
 
-    The moments ``m`` and ``v`` are flat arrays in store order.  A
-    parameter without a gradient keeps its moments and values.
-    ``clip_norm`` rescales the global gradient norm before the update
-    when it exceeds the threshold.
-    """
-
-    def __init__(self, store: ParamStore, lr: float = 0.03, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = None):
+    def __init__(self, store: ParamStore, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.t = 0
         self.params = list(store.tensors().values())
-        self.sizes = [p.values.size for p in self.params]
-        ends = np.cumsum(self.sizes)
-        self.slices = [slice(end - size, end) for end, size in zip(ends, self.sizes)]
-        self.m = np.zeros(sum(self.sizes))
-        self.v = np.zeros(sum(self.sizes))
+        sizes = [p.values.size for p in self.params]
+        ends = np.cumsum(sizes)
+        self.slices = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
 
     def step(self):
-        has = [p.grad is not None for p in self.params]
-        g = np.concatenate([p.grad.reshape(-1) if h else np.zeros(n)
-                            for p, h, n in zip(self.params, has, self.sizes)])
-        if self.clip_norm is not None:
-            squares = g * g
-            sq = 0.0  # one sum per tensor, added in store order, as a loop over tensors adds
-            for s, h in zip(self.slices, has):
-                if h:
-                    sq += float(squares[s].sum())
-            norm = np.sqrt(sq)
-            if norm > self.clip_norm and norm > 0:
-                g = g * (self.clip_norm / norm)
-                for p, s, h in zip(self.params, self.slices, has):
-                    if h:
-                        p.grad = g[s].reshape(p.values.shape)
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        squares = g * g
+        # one sum per tensor, added in store order, as a loop over tensors adds
+        norm = np.sqrt(sum(float(squares[s].sum()) for s in self.slices))
+        if norm > CLIP_NORM:
+            g *= CLIP_NORM / norm
+            for p, s in zip(self.params, self.slices):
+                p.grad = g[s].reshape(p.values.shape)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        where = True if all(has) else np.repeat(has, self.sizes)
-        np.multiply(self.m, self.beta1, out=self.m, where=where)
-        np.add(self.m, (1 - self.beta1) * g, out=self.m, where=where)
-        np.multiply(self.v, self.beta2, out=self.v, where=where)
-        np.add(self.v, (1 - self.beta2) * g**2, out=self.v, where=where)
-        update = self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
-        for p, s, h in zip(self.params, self.slices, has):
-            if h:
-                p.values -= update[s].reshape(p.values.shape)
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * g**2
+        update = self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        for p, s in zip(self.params, self.slices):
+            p.values -= update[s].reshape(p.values.shape)
 
 
 class Linear:

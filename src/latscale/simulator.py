@@ -140,7 +140,9 @@ class ServiceConfig:
     """Capacity and resource settings for one microservice.
 
     ``per_pod_rate`` is the request rate one pod sustains at 1.0 CPU
-    core; effective capacity scales linearly with cores.
+    core; effective capacity scales linearly with cores.  Each configured
+    level must lie in its box from ``resource_bounds``, so a box whose
+    maximum is below its minimum is refused.
     """
 
     name: str
@@ -160,10 +162,13 @@ class ServiceConfig:
     def __post_init__(self):
         if self.base_service_ms <= 0 or self.per_pod_rate <= 0:
             raise ValueError(f"service {self.name!r}: base time and rate must be positive")
-        if self.pods < 1 or int(self.pods) != self.pods:
+        if int(self.pods) != self.pods:
             raise ValueError(f"service {self.name!r}: pods must be a positive integer")
-        if self.cpu_cores <= 0 or self.mem_bytes <= 0:
-            raise ValueError(f"service {self.name!r}: cpu and memory must be positive")
+        for resource, (lo, hi) in resource_bounds(self).items():
+            level = getattr(self, RESOURCE_FIELDS[resource])
+            if not lo <= level <= hi:
+                raise ValueError(f"service {self.name!r}: {RESOURCE_FIELDS[resource]} {level} "
+                                 f"is outside its box [{lo:g}, {hi:g}]")
 
 
 @dataclass
@@ -447,10 +452,12 @@ def _from_doc(cls, doc, where: str, **given):
     Every key must name a field of ``cls`` that ``given`` does not
     supply.  A NaN or infinity anywhere in a value, a list's elements
     included, is refused.  Values of int and float fields are coerced
-    (a JSON 5 in a float field reads as 5.0); an object in a field
-    typed ``X`` or ``X | None``, for a dataclass ``X``, is built the
-    same way, and so is each element of a list in a ``tuple[X, ...]``
-    field.  Errors name ``where``, the key and an element's index.
+    (a JSON 5 in a float field reads as 5.0, and 5.0 in an int field as
+    5), but a boolean, or a number that is not whole in an int field,
+    is refused.  An object in a field typed ``X`` or ``X | None``, for a
+    dataclass ``X``, is built the same way, and so is each element of a
+    list in a ``tuple[X, ...]`` field.  Errors name ``where``, the key
+    and an element's index.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {doc!r}")
@@ -470,6 +477,10 @@ def _from_doc(cls, doc, where: str, **given):
         elif nested and (value is not None or hint is nested[0]):  # null stays only in X | None
             value = _from_doc(nested[0], value, f"{where} {key}")
         elif hint in (int, float):
+            if isinstance(value, bool) or (
+                    hint is int and isinstance(value, float) and not value.is_integer()):
+                kind = "an integer" if hint is int else "a number"
+                raise ValueError(f"{where} {key}: expected {kind}, got {json.dumps(value)}")
             try:
                 value = hint(value)
             except (TypeError, ValueError) as exc:

@@ -418,7 +418,7 @@ def train(
     train_windows, val_windows = split_windows(windows, config.validation_fraction)
     model.feature_scaling = fit_feature_scaling(train_windows)
     model._run = _Run(
-        optimizer=nn.Adam(model.store, lr=config.learning_rate, clip_norm=1.0),
+        optimizer=nn.Adam(model.store, lr=config.learning_rate),
         rng=np.random.default_rng(config.seed),
         best_state=model.store.state_dict(),
     )
@@ -552,17 +552,19 @@ def _run_epochs(model: TemporalFusionTransformer, train_windows: Sequence[Window
     )
 
 
+SCOUT_EPOCHS = 5  # the epochs each restart scout trains before the race is decided
+
+
 def train_with_restarts(
     config: TftConfig,
     encoder_features: Sequence[str],
     decoder_features: Sequence[str],
     windows: Sequence[Window],
     restarts: int = 3,
-    scout_epochs: int = 5,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> tuple[TemporalFusionTransformer, TrainingReport]:
-    """Race several fresh initializations for a few epochs, then train
-    the one with the best validation loss on to ``config.max_epochs``.
+    """Race several fresh initializations for ``SCOUT_EPOCHS`` epochs, then
+    train the one with the best validation loss on to ``config.max_epochs``.
 
     Small models under an aggressive learning rate occasionally start
     in a poor basin; the short scouting phase screens those out using
@@ -585,7 +587,7 @@ def train_with_restarts(
     candidates = [replace(config, seed=config.seed + 101 * r) for r in range(restarts)]
 
     def scout(candidate: TftConfig):
-        scout_cfg = replace(candidate, max_epochs=min(scout_epochs, candidate.max_epochs))
+        scout_cfg = replace(candidate, max_epochs=min(SCOUT_EPOCHS, candidate.max_epochs))
         model = TemporalFusionTransformer(scout_cfg, encoder_features, decoder_features)
         return model, min(train(model, windows).val_loss)
 

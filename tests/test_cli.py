@@ -367,8 +367,9 @@ class TestPlan:
         path = tmp_path / "bad.csv"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        rc = main([command, "--config", str(workspace["ini"]), "--dataset", str(path),
-                   "--sla-ms", "10", "--out", str(tmp_path), "--quiet"])
+        sla = ["--sla-ms", "10"] if command == "plan" else []
+        rc = main([command, "--config", str(workspace["ini"]), "--dataset", str(path), *sla,
+                   "--out", str(tmp_path), "--quiet"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: dataset {path}: non-numeric cell")
 
@@ -731,11 +732,10 @@ class TestConfigFile:
 
     def test_every_flag_names_a_setting(self):
         # flags are applied by name, so another dest would escape as a TypeError
-        settings = {f.name for f in dataclasses.fields(RunConfig)} | {"config", "epochs"}
-        commands = cli.build_parser()._subparsers._group_actions[0].choices
-        for command, parser in commands.items():
-            dests = {a.dest for a in parser._actions if a.dest != "help"}
-            assert dests <= settings, command
+        for flag, (dest, _) in cli.FLAGS.items():
+            section, _, name = dest.rpartition(".")
+            settings = getattr(RunConfig(), section) if section else RunConfig()
+            assert name in {f.name for f in dataclasses.fields(settings)}, flag
 
     def test_only_given_flags_override_the_config(self):
         cfg = RunConfig(trace="blue", out="runs/a", seed=4)
@@ -771,7 +771,9 @@ class TestInvalidScenario:
     @pytest.mark.parametrize("command", ["simulate", "e2e"])
     @pytest.mark.parametrize("edit", ["bad-json", "unknown-key", "missing-field", "zero-pods",
                                       "no-workload", "no-service", "zero-period",
-                                      "negative-noise", "negative-workload-noise"])
+                                      "negative-noise", "negative-workload-noise",
+                                      "pods-above-max", "cpu-below-min", "empty-pods-box",
+                                      "fractional-int", "boolean-int", "boolean-float"])
     def test_usage_error(self, tmp_path, capsys, command, edit):
         doc = json.loads(json.dumps(TINY_SCENARIO))
         says = ""
@@ -796,6 +798,24 @@ class TestInvalidScenario:
         elif edit == "negative-workload-noise":
             doc["workloads"]["green"]["noise_sigma"] = -0.1
             says = "workload 'green': noise_sigma must be >= 0"
+        elif edit == "pods-above-max":
+            doc["services"]["cart"]["pods"] = 20
+            says = "service 'cart': pods 20 is outside its box [1, 16]"
+        elif edit == "cpu-below-min":
+            doc["services"]["cart"]["cpu_cores"] = 0.01
+            says = "service 'cart': cpu_cores 0.01 is outside its box [0.05, 32]"
+        elif edit == "empty-pods-box":
+            doc["services"]["cart"]["pods_max"] = 0
+            says = "service 'cart': pods 3 is outside its box [1, 0]"
+        elif edit == "fractional-int":
+            doc["duration_steps"] = 150.7
+            says = "top level duration_steps: expected an integer, got 150.7"
+        elif edit == "boolean-int":
+            doc["services"]["cart"]["pods"] = True
+            says = "service 'cart' pods: expected an integer, got true"
+        elif edit == "boolean-float":
+            doc["services"]["cart"]["cpu_cores"] = True
+            says = "service 'cart' cpu_cores: expected a number, got true"
         text = json.dumps(doc)
         path = tmp_path / "scenario.json"
         path.write_text(text[:-1] if edit == "bad-json" else text)
@@ -808,11 +828,41 @@ class TestInvalidScenario:
             assert "missing key" not in err
 
 
+def parser_flags(command):
+    """The flags the parser of ``command`` offers, besides ``--help``."""
+    parser = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+
+
 class TestArgparse:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_offers_exactly_its_flags(self, command):
+        _, _, flags = cli.COMMANDS[command]
+        assert parser_flags(command) == {"--config", "--out", "--quiet", *flags}
+
+    def test_flag_pairs(self):
+        assert sum(len(parser_flags(command)) for command in cli.COMMANDS) == 51
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--trace"), ("simulate", "--resources"), ("simulate", "--sla-ms"),
+        ("train", "--sla-ms"),
+        ("predict", "--seed"), ("predict", "--resources"), ("predict", "--sla-ms"),
+        ("interpret", "--seed"), ("interpret", "--resources"), ("interpret", "--sla-ms"),
+        ("evaluate", "--seed"), ("evaluate", "--resources"), ("evaluate", "--sla-ms"),
+        ("evaluate", "--window-start"),
+        ("plan", "--seed"), ("plan", "--resources"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        value = "both" if flag == "--resources" else "3"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,7 @@ from latscale.nn import (
     autodiff as ad,
     causal_mask,
 )
+from latscale.nn.layers import CLIP_NORM
 from oracles import (
     elu, grad_check, mean, pinball, softmax, sub, swap_last, total, unblocked_lstm_sequence,
 )
@@ -173,6 +174,7 @@ class TestAutodiffPrimitives:
         p1 = store.parameter("p1", (3, 2))
         p2 = store.parameter("p2", (3, 2))
         probe = rng.normal(0, 1, (3, 2))
+        probe *= 2 * CLIP_NORM / np.sqrt(2.0 * np.sum(probe**2))  # twice the clip norm
 
         def loss():
             return total(ad.mul(ad.add(p1, p2), probe))
@@ -182,9 +184,7 @@ class TestAutodiffPrimitives:
         loss().backward()
         np.testing.assert_array_equal(p1.grad, probe)
         np.testing.assert_array_equal(p2.grad, probe)
-        norm = np.sqrt(2.0 * np.sum(probe**2))
-        opt = Adam(store, clip_norm=0.5 * norm)
-        opt.step()
+        Adam(store, lr=0.03).step()
         np.testing.assert_allclose(p1.grad, 0.5 * probe, rtol=1e-15)
         np.testing.assert_allclose(p2.grad, 0.5 * probe, rtol=1e-15)
 
@@ -787,95 +787,83 @@ class TestGrnStackGradient:
 
 
 class LoopAdam:
-    """The reference for ``Adam``: moments per tensor, one tensor at a time."""
+    """The reference for ``Adam``: the global gradient norm clipped at 1,
+    then Adam with the published defaults (beta1 0.9, beta2 0.999, eps
+    1e-8), one tensor at a time."""
 
-    def __init__(self, store, lr=0.03, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=None):
-        self.store, self.lr, self.beta1, self.beta2, self.eps = store, lr, beta1, beta2, eps
-        self.clip_norm = clip_norm
+    def __init__(self, store, lr):
+        self.store, self.lr = store, lr
         self.t = 0
         self.m = {name: np.zeros_like(t.values) for name, t in store.tensors().items()}
         self.v = {name: np.zeros_like(t.values) for name, t in store.tensors().items()}
 
     def step(self):
-        if self.clip_norm is not None:
-            sq = 0.0
+        sq = 0.0
+        for p in self.store.tensors().values():
+            sq += float(np.sum(p.grad**2))
+        norm = np.sqrt(sq)
+        if norm > 1.0:
             for p in self.store.tensors().values():
-                if p.grad is not None:
-                    sq += float(np.sum(p.grad**2))
-            norm = np.sqrt(sq)
-            if norm > self.clip_norm and norm > 0:
-                for p in self.store.tensors().values():
-                    if p.grad is not None:
-                        p.grad = p.grad * (self.clip_norm / norm)
+                p.grad = p.grad * (1.0 / norm)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - 0.9**self.t
+        bc2 = 1.0 - 0.999**self.t
         for name, p in self.store.tensors().items():
-            if p.grad is None:
-                continue
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1 - self.beta2) * p.grad**2
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= 0.9
+            m += (1 - 0.9) * p.grad
+            v *= 0.999
+            v += (1 - 0.999) * p.grad**2
+            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
 class TestParamStoreAndAdam:
-    @pytest.mark.parametrize("clip_norm", [None, 0.5, 1e9])
-    def test_flat_step_equals_the_per_tensor_loop(self, clip_norm):
-        def build():
+    @pytest.mark.parametrize("scale, clipped", [(1e-3, False), (1e3, True)])
+    def test_flat_step_equals_the_per_tensor_loop(self, scale, clipped):
+        """Gradients whose global norm stays below the clip norm at every
+        step, and gradients whose norm is above it at every step."""
+        rng = np.random.default_rng(51)
+        x, ctx = rng.normal(0, 1, (8, 6)), rng.normal(0, 1, (8, 3))
+        probe = rng.normal(0, 3 * scale, (8, 4))
+        sides = []
+        for opt_class in (Adam, LoopAdam):
             store = ParamStore(seed=50)
             grn = Grn(store, "grn", 6, 4)
             side = Linear(store, "side", 3, 4)
-            store.parameter("idle", (3,))  # never a gradient
-            return store, grn, side
-
-        rng = np.random.default_rng(51)
-        x, ctx, probe = rng.normal(0, 1, (8, 6)), rng.normal(0, 1, (8, 3)), rng.normal(0, 3, (8, 4))
-        sides = []
-        for opt_class in (Adam, LoopAdam):
-            store, grn, side = build()
-            opt = opt_class(store, lr=0.05, clip_norm=clip_norm)
-            grads = []
-            for step in range(6):
+            opt = opt_class(store, lr=0.05)
+            grads, norms = [], []
+            for _ in range(6):
                 store.zero_grad()
-                out = grn(Tensor(x))
-                if step % 2 == 0:  # the side layer gets a gradient every other step only
-                    out = ad.add(out, side(Tensor(ctx)))
-                total(ad.mul(out, probe)).backward()
+                total(ad.mul(ad.add(grn(Tensor(x)), side(Tensor(ctx))), probe)).backward()
+                norms.append(np.sqrt(sum(np.sum(t.grad**2) for t in store.tensors().values())))
                 opt.step()
                 grads.append({name: t.grad for name, t in store.tensors().items()})
             sides.append((store.state_dict(), grads))
+            assert all((norm > CLIP_NORM) == clipped for norm in norms)
         (state, grads), (ref_state, ref_grads) = sides
         for name in ref_state:
             np.testing.assert_array_equal(state[name], ref_state[name])
         for step, ref_step in zip(grads, ref_grads):  # the clipped gradients too
             for name, want in ref_step.items():
-                if want is None:
-                    assert step[name] is None
-                else:
-                    np.testing.assert_array_equal(step[name], want)
-        assert ref_grads[1]["idle"] is None and ref_grads[1]["side.w"] is None
-        np.testing.assert_array_equal(state["idle"], build()[0].state_dict()["idle"])
+                np.testing.assert_array_equal(step[name], want)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_clip_norm_is_the_per_tensor_sum(self, seed):
-        """Many tensors of mixed sizes, some without a gradient: a flat sum
-        over all of them would round differently from the per-tensor sums."""
+        """Many tensors of mixed sizes: a flat sum over all of them would
+        round differently from the per-tensor sums."""
         rng = np.random.default_rng(seed)
         shapes = [tuple(rng.integers(1, 40, rng.integers(1, 3))) for _ in range(30)]
         sides = []
         for opt_class in (Adam, LoopAdam):
             store = ParamStore(seed=seed)
             params = [store.parameter(f"p{i}", shape) for i, shape in enumerate(shapes)]
-            opt = opt_class(store, lr=0.01, clip_norm=1.0)
+            opt = opt_class(store, lr=0.01)
             draws = np.random.default_rng(seed + 100)
             for _ in range(3):
                 for p in params:
-                    p.grad = draws.normal(0, 1, p.values.shape) if draws.random() < 0.8 else None
+                    p.grad = draws.normal(0, 1, p.values.shape)
                 opt.step()
-            sides.append([p.values for p in params] + [p.grad for p in params if p.grad is not None])
+            sides.append([p.values for p in params] + [p.grad for p in params])
         for got, want in zip(*sides):
             np.testing.assert_array_equal(got, want)
 

@@ -626,6 +626,12 @@ class TestScenarioChecks:
         (burst,) = self.load(bursts=[(10.0, 3.0, 5)]).workloads["green"].bursts
         assert burst == (10, 3, 5.0) and list(map(type, burst)) == [int, int, float]
 
+    def test_integral_numbers_load_as_ints(self):
+        scenario = self.load(duration_steps=120.0,
+                             edit=lambda doc: doc["services"]["cart"].update(pods=3.0))
+        assert (scenario.duration_steps, scenario.configs["cart"].pods) == (120, 3)
+        assert type(scenario.duration_steps) is int and type(scenario.configs["cart"].pods) is int
+
     @pytest.mark.parametrize("period", [0.0, -60.0])
     def test_non_positive_period(self, period):
         with pytest.raises(ValueError, match="workload 'green': period must be > 0"):

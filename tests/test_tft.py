@@ -258,10 +258,11 @@ class TestRestarts:
     def test_continued_winner_equals_retrained(self, tmp_path, monkeypatch, max_epochs, patience,
                                                 scout_epochs, case, processes):
         race_on(monkeypatch, processes)
+        monkeypatch.setattr(tft, "SCOUT_EPOCHS", scout_epochs)
         windows = sine_windows(n=160)
         config = replace(SMALL, max_epochs=max_epochs, early_stopping_patience=patience)
         model, report, checkpoint, epochs = run_restarts(
-            train_with_restarts, config, windows, tmp_path, "continued", scout_epochs=scout_epochs)
+            train_with_restarts, config, windows, tmp_path, "continued")
         _, oracle_report, oracle_checkpoint, oracle_epochs = run_restarts(
             retrain_with_restarts, config, windows, tmp_path, "retrained",
             scout_epochs=scout_epochs)
@@ -288,9 +289,9 @@ class TestRestarts:
 
         monkeypatch.setattr(tft, "train", counted)
         race_on(monkeypatch, 1)  # the calls are counted in this process
+        monkeypatch.setattr(tft, "SCOUT_EPOCHS", 1)
         config = replace(SMALL, max_epochs=2, seed=5)
-        model, _ = train_with_restarts(config, *FEATURES, sine_windows(n=120),
-                                       restarts=restarts, scout_epochs=1)
+        model, _ = train_with_restarts(config, *FEATURES, sine_windows(n=120), restarts=restarts)
         assert len(calls) == restarts
         assert model in calls
 
@@ -338,13 +339,13 @@ class TestRestarts:
 
         monkeypatch.setattr(tft, "prepare_batch", recording)
         race_on(monkeypatch, 1)  # the batches are recorded in this process
+        monkeypatch.setattr(tft, "SCOUT_EPOCHS", 1)
         config = replace(SMALL, max_epochs=2, seed=5)
         windows = sine_windows(n=120)
         gc.collect()
         gc.disable()
         try:
-            model, report = train_with_restarts(config, *FEATURES, windows,
-                                                restarts=restarts, scout_epochs=1)
+            model, report = train_with_restarts(config, *FEATURES, windows, restarts=restarts)
             epochs = restarts + 1  # one per scout, then on to max_epochs
             train_part, val_part = split_windows(windows, config.validation_fraction)
             batches = -(-len(train_part) // config.batch_size)
@@ -387,9 +388,10 @@ def race_two(monkeypatch, train_by_seed, on_epoch=None):
 
     monkeypatch.setattr(tft, "train", patched)
     race_on(monkeypatch, 2)
+    monkeypatch.setattr(tft, "SCOUT_EPOCHS", 1)
     config = replace(SMALL, max_epochs=2, seed=5)
     return train_with_restarts(config, *FEATURES, sine_windows(n=120),
-                               restarts=2, scout_epochs=1, on_epoch=on_epoch)
+                               restarts=2, on_epoch=on_epoch)
 
 
 class TestScoutWorkers:
@@ -631,6 +633,23 @@ def test_batch_graph_census(encoder_length, decoder_length):
     assert len(seen) == 265
     leaves = [node for node in seen.values() if node._backward is None]
     assert len(leaves) == len(model.store.tensors())
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_training_batch_gives_every_parameter_a_gradient(heads, dropout):
+    """``nn.Adam`` steps every parameter, so one training batch's
+    backward pass must reach each of them."""
+    config = replace(SMALL, attention_heads=heads, dropout=dropout)
+    model = small_model(config)
+    windows = sine_windows(n=200)
+    model.feature_scaling = fit_feature_scaling(windows)
+    batch = prepare_batch(windows[: config.batch_size], config, model.feature_scaling)
+    model.store.zero_grad()
+    out = model.forward(batch.enc, batch.dec, training=True, rng=np.random.default_rng(0))
+    _, grad = tft._batch_loss(config.quantiles, out["quantiles"].values, batch.labels)
+    out["quantiles"].backward(grad)
+    assert [name for name, t in model.store.tensors().items() if t.grad is None] == []
 
 
 def test_fused_attention_trains_like_the_chain(monkeypatch, tmp_path):
