@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import krr, scaler, tft
-from .simulator import Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict
+from .simulator import (
+    Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict, type_hints,
+)
 from .trace_data import (
     KINDS, RESOURCE_MODES, DataFormatError, WindowSpec, load_dataset, make_windows, p95,
     save_dataset,
@@ -131,7 +133,7 @@ def _read_section(name: str, section, settings):
     """``settings`` (a dataclass) with the section's values applied, one
     field at a time so an error names its key.  An empty value leaves
     the field's default."""
-    hints = typing.get_type_hints(type(settings))
+    hints = type_hints(type(settings))
     for key, text in section.items():
         hint = hints.get(key)
         if type(None) in typing.get_args(hint):

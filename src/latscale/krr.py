@@ -12,15 +12,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
 def _kernel_matrix(x: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
-    """The RBF kernel exp(-beta * (x_i - y_j)^2); an array ``beta`` of
-    shape (B, 1, 1) gives B stacked matrices."""
-    d2 = (x[:, None] - y[None, :]) ** 2
+    """The RBF kernel exp(-beta * (x_i - y_j)^2) over the last axis of
+    ``x`` and ``y``; an array ``beta`` of shape (B, 1, 1) gives B
+    stacked matrices, and leading axes of ``x`` and ``y`` stack too."""
+    d2 = (x[..., :, None] - y[..., None, :]) ** 2
     return np.exp(-beta * d2)
 
 
@@ -87,16 +88,16 @@ def fit(feature_values: Sequence[float], y: Sequence[float], alpha: float, beta:
         raise ValueError("kernel parameter beta must be positive")
     center = float(t.mean())
     gram = _kernel_matrix(x, x, beta)
-    gram[np.diag_indices_from(gram)] += alpha
-    try:
-        coefs = cho_solve(cho_factor(gram, lower=True), t - center)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(alpha)) from exc
+    gram.flat[:: x.size + 1] += alpha  # the diagonal
+    factor, info = dpotrf(gram, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(alpha))
+    coefs, _ = dpotrs(factor, t - center, lower=1)
     return KrrModel(
         alpha=float(alpha),
         beta=float(beta),
         support_inputs=x.copy(),
-        dual_coefficients=np.asarray(coefs, dtype=np.float64),
+        dual_coefficients=coefs,
         target_center=center,
         feature=feature,
     )
@@ -139,48 +140,77 @@ class GridSearchResult:
 
 def grid_search(feature_values: Sequence[float], y: Sequence[float],
                 spec: GridSearchSpec = GridSearchSpec()) -> GridSearchResult:
-    """Exhaustive (alpha, beta) search with contiguous chronological folds.
+    """Exhaustive (alpha, beta) search with contiguous chronological
+    folds: the one-column case of ``_grid_searches``."""
+    x, t = _training_arrays(feature_values, y)
+    return next(_grid_searches(x[:, None], t, spec))
 
-    Each fold takes one batched eigendecomposition K = V diag(lam) V^T
-    per beta and solves every alpha from it, since
+
+def _grid_searches(imp: np.ndarray, t: np.ndarray, spec: GridSearchSpec):
+    """Yield the search of each column of ``imp`` (n, F) against the
+    target ``t``, in column order.
+
+    Every column is searched in one batch.  Each fold takes one
+    eigendecomposition K = V diag(lam) V^T of the (F, B, m, m) stack of
+    kernels and solves every alpha from it, since
     (K + alpha*I)^-1 = V diag(1 / (lam + alpha)) V^T (Rifkin & Lippert,
     2007).  Ties are broken toward the larger alpha, then the smaller
-    beta, so the smoother model wins.
+    beta, so the smoother model wins.  A column whose search fails
+    raises when its turn comes, with the error its own search gives:
+    bad inputs, else the first alpha of its first fold that is not
+    positive definite.  Each column's validation predictions are a
+    contraction of fresh arrays, as a one-column search makes them,
+    because einsum's sums can round differently on views into a stack.
     """
-    x, t = _training_arrays(feature_values, y)
-    if x.size < spec.folds:
-        raise ValueError(f"need at least {spec.folds} points for {spec.folds}-fold CV, have {x.size}")
+    n, n_cols = imp.shape
+    finite = np.isfinite(imp).all(axis=0) & np.isfinite(t).all()
+    ready = n_cols if finite.all() else int(np.argmin(finite))  # columns before a non-finite one
+    xs = imp[:, :ready].T[:, None]  # (F, 1, n)
     alphas = np.asarray(spec.alpha_grid, dtype=np.float64)[:, None, None]
     betas = np.asarray(spec.beta_grid, dtype=np.float64)[:, None, None]
 
-    table = np.zeros((alphas.size, betas.size))
-    for val_idx in np.array_split(np.arange(x.size), spec.folds):
-        train_mask = np.ones(x.size, dtype=bool)
+    table = np.zeros((ready, alphas.size, betas.size))
+    failed = np.full(ready, -1)  # per column, the alpha index that fails its first failing fold
+    folds = np.array_split(np.arange(n), spec.folds) if n >= spec.folds and ready else []
+    for val_idx in folds:
+        train_mask = np.ones(n, dtype=bool)
         train_mask[val_idx] = False
-        x_tr, t_tr = x[train_mask], t[train_mask]
+        x_tr, t_tr = xs[..., train_mask], t[train_mask]
         center = t_tr.mean()
-        lam, vecs = np.linalg.eigh(_kernel_matrix(x_tr, x_tr, betas))  # (B, m), (B, m, m)
-        shifted = lam + alphas  # (A, B, m)
-        bad = np.flatnonzero(np.any(shifted <= 0, axis=(1, 2)))
-        if bad.size:
-            raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(spec.alpha_grid[bad[0]]))
-        projected = np.einsum("bji,j->bi", vecs, t_tr - center)
-        coefs = np.einsum("bij,abj->abi", vecs, projected / shifted)
-        pred = center + np.einsum("bvj,abj->abv", _kernel_matrix(x[val_idx], x_tr, betas), coefs)
-        table += np.mean((pred - t[val_idx]) ** 2, axis=2)
+        lam, vecs = np.linalg.eigh(_kernel_matrix(x_tr, x_tr, betas))  # (F, B, m), (F, B, m, m)
+        shifted = lam[:, None] + alphas  # (F, A, B, m)
+        bad = np.any(shifted <= 0, axis=(2, 3))
+        first = (failed < 0) & bad.any(axis=1)
+        failed[first] = bad[first].argmax(axis=1)
+        projected = np.einsum("fbji,j->fbi", vecs, t_tr - center)
+        pred = np.empty((ready, alphas.size, betas.size, val_idx.size))
+        with np.errstate(all="ignore"):  # a failed column's table is never read
+            coefs = np.einsum("fbij,fabj->fabi", vecs, projected[:, None] / shifted)
+            for k in range(ready):
+                k_val = _kernel_matrix(xs[k, 0, val_idx], x_tr[k, 0], betas)
+                pred[k] = np.einsum("bvj,abj->abv", k_val, coefs[k].copy())
+            table += np.mean((center + pred - t[val_idx]) ** 2, axis=3)
     table /= spec.folds
 
-    best = min(
-        ((i, j) for i in range(len(spec.alpha_grid)) for j in range(len(spec.beta_grid))),
-        key=lambda ij: (table[ij], -spec.alpha_grid[ij[0]], spec.beta_grid[ij[1]]),
-    )
-    return GridSearchResult(
-        best_alpha=spec.alpha_grid[best[0]],
-        best_beta=spec.beta_grid[best[1]],
-        table=table,
-        alpha_grid=tuple(spec.alpha_grid),
-        beta_grid=tuple(spec.beta_grid),
-    )
+    # the cells in tie-break order: larger alpha first, then smaller beta
+    cells = sorted(np.ndindex(table.shape[1:]),
+                   key=lambda ij: (-spec.alpha_grid[ij[0]], spec.beta_grid[ij[1]]))
+    rows, cols = np.array(cells).T
+    for k in range(n_cols):
+        if k in (0, ready):
+            _training_arrays(imp[:, k], t)  # raises on no points or a non-finite value
+            if n < spec.folds:
+                raise ValueError(f"need at least {spec.folds} points for {spec.folds}-fold CV, have {n}")
+        if failed[k] >= 0:
+            raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE.format(spec.alpha_grid[failed[k]]))
+        best = cells[int(np.argmin(table[k, rows, cols]))]
+        yield GridSearchResult(
+            best_alpha=spec.alpha_grid[best[0]],
+            best_beta=spec.beta_grid[best[1]],
+            table=table[k],
+            alpha_grid=tuple(spec.alpha_grid),
+            beta_grid=tuple(spec.beta_grid),
+        )
 
 
 @dataclass
@@ -212,11 +242,9 @@ def fit_per_feature(importances: np.ndarray, desired: Sequence[float],
         raise ValueError("feature_names length must match importance columns")
 
     models, searches, cv_mse = [], [], []
-    for k in range(imp.shape[1]):
-        column = imp[:, k]
-        search = grid_search(column, t, spec)
+    for k, search in enumerate(_grid_searches(imp, t, spec)):
         name = feature_names[k] if feature_names is not None else None
-        models.append(fit(column, t, search.best_alpha, search.best_beta, feature=name))
+        models.append(fit(imp[:, k], t, search.best_alpha, search.best_beta, feature=name))
         searches.append(search)
         cv_mse.append(search.cell(search.best_alpha, search.best_beta))
 

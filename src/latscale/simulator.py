@@ -358,13 +358,16 @@ def simulate(
     levels, det = {}, {}  # levels[svc][resource] is a timeline
     for idx, svc in enumerate(services):
         cfg = configs[svc]
-        walk_rng = np.random.default_rng([seed, 2, idx])
+        walk_rng = None  # the service's walk stream, seeded at its first walk
         level = levels[svc] = {}
         for resource, (lo, hi) in resource_bounds(cfg).items():
             base = getattr(cfg, RESOURCE_FIELDS[resource])
             walk = getattr(cfg, f"{resource}_walk")
-            raw = np.full(duration_steps, float(base)) if walk is None else (
-                base * walk.factors(duration_steps, walk_rng))
+            if walk is None:
+                raw = np.full(duration_steps, float(base))
+            else:
+                walk_rng = walk_rng or np.random.default_rng([seed, 2, idx])
+                raw = base * walk.factors(duration_steps, walk_rng)
             level[resource] = resource_level(resource, raw, lo, hi)
         rate = np.zeros(duration_steps)
         for color in colors:
@@ -446,52 +449,78 @@ class Scenario:
                         noise_sigma=self.noise_sigma)
 
 
+@functools.cache
+def type_hints(cls) -> dict:
+    """``typing.get_type_hints(cls)``, resolved once per class: under
+    postponed annotations every call compiles each annotation again.
+    The dict is shared, so callers must not change it."""
+    return typing.get_type_hints(cls)
+
+
 def _from_doc(cls, doc, where: str, **given):
     """Build the dataclass ``cls`` from the JSON object ``doc``.
 
     Every key must name a field of ``cls`` that ``given`` does not
     supply.  A NaN or infinity anywhere in a value, a list's elements
-    included, is refused.  Values of int and float fields are coerced
-    (a JSON 5 in a float field reads as 5.0, and 5.0 in an int field as
-    5), but a boolean, or a number that is not whole in an int field,
-    is refused.  An object in a field typed ``X`` or ``X | None``, for a
-    dataclass ``X``, is built the same way, and so is each element of a
-    list in a ``tuple[X, ...]`` field.  Errors name ``where``, the key
-    and an element's index.
+    included, is refused.  Each value is read as its field's type by
+    ``_read_value``.  Errors name ``where`` and the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {doc!r}")
-    hints = typing.get_type_hints(cls)
+    hints = type_hints(cls)
     unknown = [key for key in doc if key not in hints or key in given]
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
     kwargs = dict(given)
     for key, value in doc.items():
         _check_finite(value, f"{where} {key}")
-        hint = hints[key]
-        nested = [t for t in (hint, *typing.get_args(hint)) if is_dataclass(t)]
-        if nested and typing.get_origin(hint) is tuple:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{where} {key}: expected a list, got {value!r}")
-            value = tuple(_from_doc(nested[0], v, f"{where} {key} {i}") for i, v in enumerate(value))
-        elif nested and (value is not None or hint is nested[0]):  # null stays only in X | None
-            value = _from_doc(nested[0], value, f"{where} {key}")
-        elif hint in (int, float):
-            if isinstance(value, bool) or (
-                    hint is int and isinstance(value, float) and not value.is_integer()):
-                kind = "an integer" if hint is int else "a number"
-                raise ValueError(f"{where} {key}: expected {kind}, got {json.dumps(value)}")
-            try:
-                value = hint(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where} {key}: {exc}") from exc
-        kwargs[key] = value
+        kwargs[key] = _read_value(hints[key], value, f"{where} {key}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         if str(exc).startswith(where):  # the class already named itself
             raise
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _read_value(hint, value, where: str):
+    """``value`` read as the type ``hint``; errors name ``where`` and,
+    inside a list, the element's index.
+
+    A null is kept only in an ``X | None`` field, and any other value is
+    read as ``X``.  An object in a field of dataclass type is built by
+    ``_from_doc``.  A ``tuple[X, ...]`` field takes a list of any
+    length, and a fixed ``tuple[X, Y, Z]`` a list of exactly that many,
+    each element read as its type.  Int and float values are coerced (a
+    JSON 5 in a float field reads as 5.0, and 5.0 in an int field as
+    5), but a boolean, or a number that is not whole in an int field,
+    is refused.  Values of other types are kept as they are.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [t for t in args if t is not type(None)]
+        args = typing.get_args(hint)
+    if is_dataclass(hint):
+        return _from_doc(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ValueError(f"{where}: expected a list of {len(args)}, got {json.dumps(value)}")
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_read_value(t, v, f"{where} {i}") for i, (t, v) in enumerate(zip(types, value)))
+    if hint in (int, float):
+        if isinstance(value, bool) or (
+                hint is int and isinstance(value, float) and not value.is_integer()):
+            kind = "an integer" if hint is int else "a number"
+            raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
+        try:
+            return hint(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    return value
 
 
 def _check_finite(value, where: str) -> None:

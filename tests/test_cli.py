@@ -105,7 +105,11 @@ class TestSimulate:
         (lambda d: d["workloads"]["green"].update(base=float("nan")),
          "workload 'green' base: nan is not a finite number"),
         (lambda d: d.update(graph={"paths": []}), "top level graph: call graph has no paths"),
-    ], ids=["non-finite", "empty-graph"])
+        (lambda d: d["workloads"]["green"].update(seed=1.5),
+         "workload 'green' seed: expected an integer, got 1.5"),
+        (lambda d: d["workloads"]["green"].update(bursts=[[True, True, 5.0]]),
+         "workload 'green' bursts 0 0: expected an integer, got true"),
+    ], ids=["non-finite", "empty-graph", "seed-fraction", "burst-bool"])
     def test_bad_scenario_exits_2_at_load(self, tmp_path, capsys, command, edit, says):
         doc = json.loads(bundled("scenarios", "sla_demo.json").read_text())
         edit(doc)

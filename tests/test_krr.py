@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from latscale.krr import (
     GridSearchSpec,
@@ -30,6 +31,16 @@ def oracle_fit(x, y, alpha, beta):
     gram = np.exp(-beta * (x[:, None] - x[None, :]) ** 2)
     coefs = np.linalg.inv(gram + alpha * np.eye(x.size)) @ (y - center)
     return coefs, center
+
+
+def cho_reference_coefs(x, y, alpha, beta):
+    """The dual coefficients through scipy's ``cho_factor``/``cho_solve``
+    wrappers, on the same kernel system ``fit`` builds."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    gram = np.exp(-beta * (x[:, None] - x[None, :]) ** 2)
+    gram[np.diag_indices_from(gram)] += alpha
+    return cho_solve(cho_factor(gram, lower=True), y - y.mean())
 
 
 def oracle_predict(x_train, coefs, center, beta, query):
@@ -279,6 +290,87 @@ class TestFitPerFeature:
         assert out.pooled_rmse >= 0
         assert out.pooled_r2 <= 1.0
         assert len(out.cv_mse) == 2
+
+
+class TestBatchedSearch:
+    """``fit_per_feature`` searches every column in one batch; each
+    column's search must be bit for bit its own ``grid_search``."""
+
+    @staticmethod
+    def problems():
+        """Tables of 3-40 steps and 1-8 columns: Dirichlet shares and
+        uniform columns of several widths, against a noisy target or a
+        target that is constant up to rounding-level noise."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, n_cols = int(rng.integers(3, 41)), int(rng.integers(1, 9))
+            if seed % 2:
+                imp = rng.dirichlet(np.full(n_cols, rng.uniform(0.3, 3.0)), size=n)
+            else:
+                imp = rng.uniform(0, rng.uniform(0.01, 5.0), size=(n, n_cols))
+            scale = 1e-9 if seed % 5 == 0 else rng.uniform(0.1, 20)
+            yield imp, rng.uniform(40, 120) + rng.normal(0, scale, n)
+
+    def test_tables_and_choices_equal_per_column_search(self):
+        columns = 0
+        for imp, y in self.problems():
+            out = fit_per_feature(imp, y)
+            for k, (search, model) in enumerate(zip(out.searches, out.models)):
+                alone = grid_search(imp[:, k], y)
+                assert np.array_equal(search.table, alone.table)
+                assert (search.best_alpha, search.best_beta) == (alone.best_alpha, alone.best_beta)
+                assert (model.alpha, model.beta) == (alone.best_alpha, alone.best_beta)
+                columns += 1
+        assert columns >= 1000
+
+    def test_fit_equals_cho_reference(self):
+        cases = 0
+        for imp, y in self.problems():
+            for column in imp.T:
+                for alpha in (0.01, 1.0):
+                    for beta in (0.1, 10.0):
+                        model = fit(column, y, alpha, beta)
+                        reference = cho_reference_coefs(column, y, alpha, beta)
+                        assert np.array_equal(model.dual_coefficients, reference)
+                        cases += 1
+        assert cases >= 4000
+
+    def test_error_names_the_first_failing_columns_alpha(self):
+        # the spread columns factor at every alpha; nine duplicate inputs
+        # leave K singular, so a vanishing ridge fails on that column only
+        spec = GridSearchSpec(alpha_grid=(1.0, 1e-300, 1e-301), beta_grid=(10.0, 1.0))
+        spread = np.arange(12.0)
+        dup = np.array([1.0] * 9 + [2.0] * 3)
+        y = np.arange(12.0)
+        for column in (spread, spread[::-1]):
+            grid_search(column, y, spec)
+        with pytest.raises(np.linalg.LinAlgError) as alone:
+            grid_search(dup, y, spec)
+        assert "alpha=1e-300" in str(alone.value)
+        imp = np.column_stack([spread, spread[::-1], dup, dup + 1.0])
+        with pytest.raises(np.linalg.LinAlgError) as batched:
+            fit_per_feature(imp, y, spec)
+        assert str(batched.value) == str(alone.value)
+
+    def test_non_finite_column_is_refused(self):
+        imp = np.random.default_rng(4).uniform(size=(12, 3))
+        imp[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite training inputs"):
+            fit_per_feature(imp, np.linspace(50, 60, 12))
+
+    def test_one_eigendecomposition_per_fold(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(6)
+        spec = GridSearchSpec()
+        fit_per_feature(rng.dirichlet(np.ones(6), size=16), rng.uniform(40, 120, 16), spec)
+        assert 1 <= len(calls) <= spec.folds
 
 
 class TestConditioning:

@@ -27,6 +27,7 @@ from latscale.simulator import (
     build_robotshop_graph,
     load_scenario,
     resource_bounds,
+    resource_level,
     scenario_from_dict,
     scenario_to_dict,
     simulate,
@@ -207,6 +208,27 @@ class TestSimulate:
         pods = ds.get("pods.cart").values
         assert pods.min() >= 1 and pods.max() <= 6
         assert np.all(pods == np.round(pods))
+
+    def test_walk_streams_follow_the_service_index(self):
+        # each walking service draws from the stream seeded with its index
+        # among the sorted services, resources in pods, cpu, mem order,
+        # however many services before it walk
+        s = TestReferenceLoop.bundled()
+        configs = dict(s.configs)
+        configs["cart"] = replace(configs["cart"], pods_walk=Walk(period=7, low=0.5, high=1.5),
+                                  cpu_walk=Walk(period=11, low=0.8, high=2.0))
+        configs["user"] = replace(configs["user"], cpu_walk=Walk(period=5, low=0.6, high=1.2))
+        ds = simulate(s.graph, s.workloads, configs, 60, 4)
+        for idx, svc in enumerate(sorted(s.graph.nodes)):
+            cfg = configs[svc]
+            rng = np.random.default_rng([4, 2, idx])
+            for resource, (lo, hi) in resource_bounds(cfg).items():
+                base = getattr(cfg, simulator.RESOURCE_FIELDS[resource])
+                walk = getattr(cfg, f"{resource}_walk")
+                raw = np.full(60, float(base)) if walk is None else base * walk.factors(60, rng)
+                expected = resource_level(resource, raw, lo, hi)
+                assert ds.get(f"{resource}.{svc}").values.tobytes() == expected.tobytes()
+        assert len(set(ds.get("cpu.cart").values)) > 1 and len(set(ds.get("pods.cart").values)) > 1
 
     def test_dataset_satisfies_invariants(self):
         ds = demo_scenario().run()
@@ -674,6 +696,29 @@ class TestScenarioChecks:
         edit(doc)
         with pytest.raises(ValueError, match=re.escape(f"bad scenario document: {says}")):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d["workloads"]["green"].update(seed=1.5),
+         "workload 'green' seed: expected an integer, got 1.5"),
+        (lambda d: d["workloads"]["green"].update(seed="x"),
+         "workload 'green' seed: invalid literal for int() with base 10: 'x'"),
+        (lambda d: d["workloads"]["green"].update(seed=True),
+         "workload 'green' seed: expected an integer, got true"),
+        (lambda d: d["workloads"]["green"].update(bursts=[[True, True, 5.0]]),
+         "workload 'green' bursts 0 0: expected an integer, got true"),
+        (lambda d: d["workloads"]["green"].update(bursts=[[10, 5.0]]),
+         "workload 'green' bursts 0: expected a list of 3, got [10, 5.0]"),
+    ], ids=["seed-fraction", "seed-string", "seed-bool", "burst-bool", "burst-pair"])
+    def test_optional_and_tuple_numbers_checked_at_load(self, edit, says):
+        doc = json.loads((resources.files("latscale") / "scenarios" / "sla_demo.json").read_text())
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(f"bad scenario document: {says}")):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("seed, reads", [(None, None), (7, 7), (7.0, 7)])
+    def test_optional_seed_reads_as_int_or_none(self, seed, reads):
+        green = self.load(edit=lambda d: d["workloads"]["green"].update(seed=seed)).workloads["green"]
+        assert green.seed == reads and type(green.seed) is type(reads)
 
     def test_graph_needs_a_path(self):
         with pytest.raises(ValueError, match="call graph has no paths"):
