@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import krr, scaler, tft
-from .simulator import (
-    Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict, type_hints,
-)
+from .reader import type_hints
+from .simulator import Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict
 from .trace_data import (
     KINDS, RESOURCE_MODES, DataFormatError, WindowSpec, load_dataset, make_windows, p95,
     save_dataset,
@@ -92,6 +91,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -362,20 +363,26 @@ def _load_dataset_or_fail(cfg: RunConfig):
 
 
 def _checkpoint_inputs(cfg: RunConfig):
-    """Load the inputs of a command that reads a checkpoint; returns the
-    model, its windows of the dataset and the created output directory.
-    A missing or invalid checkpoint, or a dataset without the model's
-    features, raises UsageError."""
+    """The model, its windows of the dataset (the target is the model's,
+    its last encoder feature) and the created output directory of a command
+    that reads a checkpoint; a checkpoint or dataset they cannot come from
+    raises UsageError."""
     if not cfg.checkpoint:
         raise UsageError("--checkpoint is required")
-    with _usage(f"checkpoint {cfg.checkpoint}", (OSError, ValueError, KeyError, TypeError)):
+    with _usage(f"checkpoint {cfg.checkpoint}", (OSError, ValueError)):
         model = tft.load_checkpoint(cfg.checkpoint)
+    kind, _, trace = model.encoder_features[-1].partition(".")
+    if kind != "latency_p95" or model.encoder_features[:-1] != model.decoder_features:
+        raise UsageError(f"checkpoint {cfg.checkpoint}: encoder_features are not the "
+                         f"decoder_features and then a latency_p95 target")
+    if model.feature_scaling is None:
+        raise UsageError(f"checkpoint {cfg.checkpoint}: feature_scaling is null (an untrained model)")
     dataset = _load_dataset_or_fail(cfg)
-    features = list(model.decoder_features)
-    missing = [f for f in features if not _has_series(dataset, f)]
+    missing = [f for f in model.decoder_features if not _has_series(dataset, f)]
     if missing:
         raise UsageError(f"checkpoint/feature mismatch: dataset lacks {', '.join(missing)}")
-    windows = _dataset_windows(cfg, dataset, features, model.config)
+    windows = _dataset_windows(dataset, trace, model.decoder_features, model.config,
+                               f"checkpoint {cfg.checkpoint} config, dataset {cfg.dataset}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return model, windows, out
@@ -398,10 +405,10 @@ def _has_series(dataset, name: str) -> bool:
         return False
 
 
-def _dataset_windows(cfg: RunConfig, dataset, features, tft_config):
+def _dataset_windows(dataset, trace: str, features, tft_config, where: str | None = None):
     spec = WindowSpec(tft_config.encoder_length, tft_config.decoder_length)
-    with _usage(None, Exception):
-        return make_windows(dataset, spec, cfg.trace, features)
+    with _usage(where, Exception):
+        return make_windows(dataset, spec, trace, features)
 
 
 def _pick_window(cfg: RunConfig, windows):
@@ -468,7 +475,7 @@ def _train_model(cfg: RunConfig, dataset, out_dir: Path):
     """Train with restarts; writes checkpoint.json and training_report.json."""
     features = _select_features(cfg, dataset)
     tft_config = cfg.tft if cfg.seed is None else replace(cfg.tft, seed=cfg.seed)
-    windows = _dataset_windows(cfg, dataset, features, tft_config)
+    windows = _dataset_windows(dataset, cfg.trace, features, tft_config)
     epoch_log = None if cfg.quiet else (
         lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}", file=sys.stderr)
     )
@@ -709,10 +716,10 @@ COMMANDS = {
     "train": (cmd_train, "fit the forecaster on a dataset",
               ("--dataset", "--seed", "--trace", "--resources", "--epochs")),
     "predict": (cmd_predict, "forecast one window",
-                ("--dataset", "--checkpoint", "--trace", "--window-start")),
+                ("--dataset", "--checkpoint", "--window-start")),
     "interpret": (cmd_interpret, "export importance weights",
-                  ("--dataset", "--checkpoint", "--trace", "--window-start")),
-    "evaluate": (cmd_evaluate, "score held-out windows", ("--dataset", "--checkpoint", "--trace")),
+                  ("--dataset", "--checkpoint", "--window-start")),
+    "evaluate": (cmd_evaluate, "score held-out windows", ("--dataset", "--checkpoint")),
     "plan": (cmd_plan, "turn forecast + importance into a scaling plan",
              ("--dataset", "--scenario", "--trace", "--sla-ms")),
     "e2e": (cmd_e2e, "full loop: simulate, train, plan, re-simulate",

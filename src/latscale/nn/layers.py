@@ -74,13 +74,19 @@ class ParamStore:
         return json.dumps(self.to_dict())
 
     def load_dict(self, doc: dict):
-        """Load ``to_dict`` output; another version, name or shape raises ValueError."""
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {doc.get('format_version')!r}")
-        state = {
-            name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
+        """Load ``to_dict`` output; another version, name or shape, or a
+        value that is not a finite number, raises ValueError."""
+        version = doc.get("format_version")
+        if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {version!r}")
+        try:
+            state = {name: np.asarray(entry["values"]).reshape(entry["shape"])
+                     for name, entry in doc["params"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"params need a shape and values each: {exc!r}") from exc
+        for name, values in state.items():
+            if values.dtype.kind not in "if" or not np.isfinite(values).all():
+                raise ValueError(f"parameter {name!r}: its values must be finite numbers")
         self.load_state_dict(state)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 
 from . import simulator
 from .krr import KrrModel, predict as krr_predict
+from .reader import read
 from .trace_data import RESOURCE_MODES
 
 if TYPE_CHECKING:
@@ -218,15 +219,7 @@ class ScalingPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ScalingPlan":
-        doc = json.loads(text)
-        unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
-        if unknown:
-            raise ValueError(f"plan has unknown key(s) {', '.join(map(repr, unknown))}")
-        return cls(**{
-            **doc,
-            "actions": [PlanAction(**a) for a in doc["actions"]],
-            "advisories": [Advisory(**a) for a in doc["advisories"]],
-        })
+        return read(cls, json.loads(text))
 
 
 def make_plan(

@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 import graphlib
 import json
-import math
-import typing
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .nn.autodiff import row_sum
+from .reader import read
 from .trace_data import MetricSeries, TraceDataset, nearest_rank
 
 if TYPE_CHECKING:  # avoid a runtime cycle; apply_plan duck-types the plan
@@ -52,7 +51,6 @@ class TracePath:
     hops: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hops", tuple(self.hops))
         if len(self.hops) < 2:
             raise ValueError(f"path {self.color!r} needs at least two hops")
 
@@ -161,14 +159,15 @@ class ServiceConfig:
 
     def __post_init__(self):
         if self.base_service_ms <= 0 or self.per_pod_rate <= 0:
-            raise ValueError(f"service {self.name!r}: base time and rate must be positive")
+            raise ValueError(f"service {self.name!r}: base_service_ms and per_pod_rate must be positive")
         if int(self.pods) != self.pods:
             raise ValueError(f"service {self.name!r}: pods must be a positive integer")
         for resource, (lo, hi) in resource_bounds(self).items():
             level = getattr(self, RESOURCE_FIELDS[resource])
             if not lo <= level <= hi:
                 raise ValueError(f"service {self.name!r}: {RESOURCE_FIELDS[resource]} {level} "
-                                 f"is outside its box [{lo:g}, {hi:g}]")
+                                 f"is outside its box [{lo:g}, {hi:g}] (its maximum is "
+                                 f"{MAX_FIELDS[resource]})")
 
 
 @dataclass
@@ -192,15 +191,12 @@ class WorkloadProfile:
             raise ValueError(f"period must be > 0, got {self.period}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        bursts = []
-        for start, duration, magnitude in self.bursts:
-            if start != int(start) or duration != int(duration) or start < 0 or duration < 1:
-                raise ValueError(
-                    f"burst at step {start}: start must be an integer >= 0 "
-                    f"and duration an integer >= 1"
-                )
-            bursts.append((int(start), int(duration), float(magnitude)))
-        self.bursts = tuple(bursts)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for start, duration, _ in self.bursts:
+            if start < 0 or duration < 1:
+                raise ValueError(f"burst at step {start}: start must be an integer >= 0 "
+                                 f"and duration an integer >= 1")
 
     def rates(self, steps: int, rng: np.random.Generator) -> np.ndarray:
         t = np.arange(steps)
@@ -223,9 +219,10 @@ def service_latency_ms(base_ms, rho, mem_low=False):
     return np.where(mem_low, latency * MEM_PENALTY, latency)
 
 
-# The ServiceConfig field that holds each resource's configured level;
-# a resource's walk is the field ``<resource>_walk``.
+# The ServiceConfig fields that hold each resource's configured level and
+# the maximum of its box; a resource's walk is the field ``<resource>_walk``.
 RESOURCE_FIELDS = {"pods": "pods", "cpu": "cpu_cores", "mem": "mem_bytes"}
+MAX_FIELDS = {"pods": "pods_max", "cpu": "cpu_max_cores", "mem": "mem_max_bytes"}
 
 
 def resource_level(resource: str, value, lo: float, hi: float):
@@ -235,10 +232,11 @@ def resource_level(resource: str, value, lo: float, hi: float):
 
 
 def resource_bounds(cfg: ServiceConfig | None = None) -> dict[str, tuple[float, float]]:
-    """The (lo, hi) box each resource of ``cfg`` runs in; without
-    ``cfg``, the box of a service with the default maxima."""
+    """The (lo, hi) box each resource of ``cfg`` runs in, its maximum the
+    ``MAX_FIELDS`` field; without ``cfg``, the box of a service with the
+    default maxima."""
     pods_max, cpu_max, mem_max = (PODS_MAX, CPU_MAX_CORES, MEM_MAX_BYTES) if cfg is None else (
-        cfg.pods_max, cfg.cpu_max_cores, cfg.mem_max_bytes)
+        getattr(cfg, field_name) for field_name in MAX_FIELDS.values())
     return {"pods": (1.0, float(pods_max)), "cpu": (CPU_MIN_CORES, float(cpu_max)),
             "mem": (float(MEM_MIN_BYTES), float(mem_max))}
 
@@ -349,11 +347,7 @@ def simulate(
     cps = {}
     for idx, color in enumerate(sorted(colors)):
         profile = workload[color]
-        stream = (
-            np.random.default_rng(profile.seed)
-            if profile.seed is not None
-            else np.random.default_rng([seed, 1, idx])
-        )
+        stream = np.random.default_rng([seed, 1, idx] if profile.seed is None else profile.seed)
         cps[color] = profile.rates(duration_steps, stream)
     levels, det = {}, {}  # levels[svc][resource] is a timeline
     for idx, svc in enumerate(services):
@@ -433,123 +427,34 @@ class Scenario:
     def __post_init__(self):
         if self.duration_steps < 1:
             raise ValueError("duration_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         check_references(self.graph, self.workloads, self.configs)
         for color, profile in self.workloads.items():
             for start, duration, _ in profile.bursts:
                 if start + duration > self.duration_steps:
-                    raise ValueError(
-                        f"workload {color!r}: burst at step {start} ends at step "
-                        f"{start + duration}, past duration_steps {self.duration_steps}"
-                    )
+                    raise ValueError(f"workload {color!r}: burst at step {start} ends at step "
+                                     f"{start + duration}, past duration_steps {self.duration_steps}")
 
     def run(self) -> TraceDataset:
         return simulate(self.graph, self.workloads, self.configs, self.duration_steps, self.seed,
                         noise_sigma=self.noise_sigma)
 
 
-@functools.cache
-def type_hints(cls) -> dict:
-    """``typing.get_type_hints(cls)``, resolved once per class: under
-    postponed annotations every call compiles each annotation again.
-    The dict is shared, so callers must not change it."""
-    return typing.get_type_hints(cls)
-
-
-def _from_doc(cls, doc, where: str, **given):
-    """Build the dataclass ``cls`` from the JSON object ``doc``.
-
-    Every key must name a field of ``cls`` that ``given`` does not
-    supply.  A NaN or infinity anywhere in a value, a list's elements
-    included, is refused.  Each value is read as its field's type by
-    ``_read_value``.  Errors name ``where`` and the key.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected an object, got {doc!r}")
-    hints = type_hints(cls)
-    unknown = [key for key in doc if key not in hints or key in given]
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    kwargs = dict(given)
-    for key, value in doc.items():
-        _check_finite(value, f"{where} {key}")
-        kwargs[key] = _read_value(hints[key], value, f"{where} {key}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if str(exc).startswith(where):  # the class already named itself
-            raise
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _read_value(hint, value, where: str):
-    """``value`` read as the type ``hint``; errors name ``where`` and,
-    inside a list, the element's index.
-
-    A null is kept only in an ``X | None`` field, and any other value is
-    read as ``X``.  An object in a field of dataclass type is built by
-    ``_from_doc``.  A ``tuple[X, ...]`` field takes a list of any
-    length, and a fixed ``tuple[X, Y, Z]`` a list of exactly that many,
-    each element read as its type.  Int and float values are coerced (a
-    JSON 5 in a float field reads as 5.0, and 5.0 in an int field as
-    5), but a boolean, or a number that is not whole in an int field,
-    is refused.  Values of other types are kept as they are.
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [t for t in args if t is not type(None)]
-        args = typing.get_args(hint)
-    if is_dataclass(hint):
-        return _from_doc(hint, value, where)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where}: expected a list, got {value!r}")
-        if args[-1] is not Ellipsis and len(value) != len(args):
-            raise ValueError(f"{where}: expected a list of {len(args)}, got {json.dumps(value)}")
-        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
-        return tuple(_read_value(t, v, f"{where} {i}") for i, (t, v) in enumerate(zip(types, value)))
-    if hint in (int, float):
-        if isinstance(value, bool) or (
-                hint is int and isinstance(value, float) and not value.is_integer()):
-            kind = "an integer" if hint is int else "a number"
-            raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
-        try:
-            return hint(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    return value
-
-
-def _check_finite(value, where: str) -> None:
-    """Raise ValueError naming ``where`` if ``value``, or any element of
-    it as a (nested) list, is a NaN or infinite number."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where}: {value} is not a finite number")
-    for element in value if isinstance(value, list) else ():
-        _check_finite(element, where)
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Read a scenario document; unknown keys and bad values raise ValueError."""
+    """Read a scenario document with ``reader``; a missing, unknown or
+    bad value raises ValueError naming where it is."""
     try:
-        doc = dict(doc)
-        given = {
-            "configs": {
-                name: _from_doc(ServiceConfig, svc, f"service {name!r}", name=name)
-                for name, svc in doc.pop("services").items()
-            },
-            "workloads": {
-                color: _from_doc(WorkloadProfile, profile, f"workload {color!r}")
-                for color, profile in doc.pop("workloads").items()
-            },
-        }
-        return _from_doc(Scenario, doc, "top level", **given)
+        doc = dict(read(dict, doc, "top level"))
+        configs = {name: read(ServiceConfig, svc, f"service {name!r}", name=name)
+                   for name, svc in read(dict[str, dict], doc.pop("services"), "service").items()}
+        workloads = read(dict[str, WorkloadProfile], doc.pop("workloads"), "workload")
+        return read(Scenario, doc, "top level", configs=configs, workloads=workloads)
     except KeyError as exc:
         raise ValueError(f"bad scenario document: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad scenario document: {exc}") from exc
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from . import nn
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
+from .reader import read
 from .trace_data import Window
 
 # Normalization constants.  EPSILON shifts normalized values away from
@@ -52,16 +53,10 @@ class TftConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (
-            self.hidden_size,
-            self.attention_heads,
-            self.batch_size,
-            self.max_epochs,
-            self.encoder_length,
-            self.decoder_length,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError("all size and count settings must be positive")
+        for name in ("hidden_size", "attention_heads", "batch_size", "max_epochs",
+                     "encoder_length", "decoder_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         qs = tuple(self.quantiles)
         if not qs or any(not 0 < q < 1 for q in qs) or any(b <= a for a, b in zip(qs, qs[1:])):
             raise ValueError("quantiles must be strictly increasing within (0, 1)")
@@ -70,11 +65,13 @@ class TftConfig:
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning rate must be finite and positive")
+            raise ValueError("learning_rate must be finite and positive")
         if self.early_stopping_patience < 0:
-            raise ValueError("early stopping patience must be >= 0")
+            raise ValueError("early_stopping_patience must be >= 0")
         if not 0 < self.validation_fraction < 1:
-            raise ValueError("validation fraction must be in (0, 1)")
+            raise ValueError("validation_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -135,7 +132,7 @@ class TemporalFusionTransformer:
     def __init__(self, config: TftConfig, encoder_features: Sequence[str],
                  decoder_features: Sequence[str]):
         if len(encoder_features) < 1 or len(decoder_features) < 1:
-            raise ValueError("need at least one encoder and one decoder feature")
+            raise ValueError("encoder_features and decoder_features need one feature or more each")
         self.config = config
         self.encoder_features = tuple(encoder_features)  # includes the target, last
         self.decoder_features = tuple(decoder_features)
@@ -251,23 +248,6 @@ class FeatureScaling:
         lo = np.array([self.params[n][0] for n in names])
         rng = np.array([self.params[n][1] for n in names])
         return (values - lo) / rng + EPSILON
-
-    def to_dict(self) -> dict:
-        return {name: [lo, rng] for name, (lo, rng) in self.params.items()}
-
-    @classmethod
-    def from_dict(cls, doc: dict, names: Sequence[str]) -> "FeatureScaling":
-        """Read ``to_dict`` output, which must cover exactly ``names``
-        with finite lo and finite range > 0."""
-        if set(doc) != set(names):
-            raise ValueError(
-                f"feature scaling covers {sorted(doc)}, expected the features {sorted(names)}"
-            )
-        params = {name: (float(lo), float(rng)) for name, (lo, rng) in doc.items()}
-        for name, (lo, rng) in params.items():
-            if not (np.isfinite(lo) and np.isfinite(rng) and rng > 0):
-                raise ValueError(f"feature scaling of {name!r}: need finite lo and range > 0")
-        return cls(params=params)
 
 
 def fit_feature_scaling(windows: Sequence[Window]) -> FeatureScaling:
@@ -724,13 +704,8 @@ def predict_many(model: TemporalFusionTransformer, windows: Sequence[Window]) ->
     for batch in _slices(model, windows):
         raw = np.sort(_infer(model, batch)["quantiles"], axis=2)  # quantile non-crossing
         for values, lo, span, start in zip(raw, batch.target_lo, batch.target_range, batch.starts):
-            forecasts.append(
-                QuantileForecast(
-                    quantiles=tuple(model.config.quantiles),
-                    values=np.maximum(denormalize_target(values, lo, span), 0.0),
-                    window_start=start,
-                )
-            )
+            ms = np.maximum(denormalize_target(values, lo, span), 0.0)
+            forecasts.append(QuantileForecast(model.config.quantiles, ms, window_start=start))
     return forecasts
 
 
@@ -822,35 +797,50 @@ def band_coverage(forecasts: Sequence[QuantileForecast], windows: Sequence[Windo
 # Checkpoints
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """The document ``save_checkpoint`` writes and ``load_checkpoint``
+    reads with ``reader.read``; its own checks are those across fields."""
+
+    format_version: int
+    config: TftConfig
+    encoder_features: tuple[str, ...]
+    decoder_features: tuple[str, ...]
+    feature_scaling: dict[str, tuple[float, float]] | None  # name -> (lo, range)
+    params: dict  # what ``nn.ParamStore.load_dict`` reads
+
+    def __post_init__(self):
+        if self.format_version != nn.layers.CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"format_version: unsupported checkpoint format {self.format_version}")
+        scaling = self.feature_scaling
+        if scaling is not None and set(scaling) != set(self.decoder_features):
+            raise ValueError(f"feature_scaling covers {sorted(scaling)}, expected the "
+                             f"decoder_features {sorted(self.decoder_features)}")
+        if bad := [name for name, (_, span) in (scaling or {}).items() if span <= 0]:
+            raise ValueError(f"feature_scaling {bad[0]!r}: the range must be > 0")
+
+
 def save_checkpoint(model: TemporalFusionTransformer, path) -> None:
-    doc = {
-        "format_version": nn.layers.CHECKPOINT_FORMAT_VERSION,
-        "config": asdict(model.config),
-        "encoder_features": list(model.encoder_features),
-        "decoder_features": list(model.decoder_features),
-        "feature_scaling": model.feature_scaling.to_dict() if model.feature_scaling else None,
-        "params": model.store.to_dict(),
-    }
-    Path(path).write_text(json.dumps(doc))
+    scaling = model.feature_scaling.params if model.feature_scaling else None
+    saved = Checkpoint(nn.layers.CHECKPOINT_FORMAT_VERSION, model.config, model.encoder_features,
+                       model.decoder_features, scaling, model.store.to_dict())
+    Path(path).write_text(json.dumps({**vars(saved), "config": asdict(saved.config)}))
 
 
 def load_checkpoint(path) -> TemporalFusionTransformer:
-    """Rebuild a saved model.  A checkpoint of another format version,
-    with parameters the model does not have, or with a feature scaling
-    that does not fit its decoder features raises ValueError."""
+    """Rebuild a saved model from its ``Checkpoint``; a bad value, a missing
+    or unknown parameter or a weight that is not finite raises ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != nn.layers.CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format_version')!r}")
-    cfg_doc = dict(doc["config"])
+        doc = read(dict, json.load(fh))
     # older checkpoints carry this removed setting; no model could be trained with it on
-    if cfg_doc.pop("include_relative_time", False):
-        raise ValueError("checkpoint uses include_relative_time, which is not supported")
-    cfg_doc["quantiles"] = tuple(cfg_doc["quantiles"])
-    config = TftConfig(**cfg_doc)
-    model = TemporalFusionTransformer(config, doc["encoder_features"], doc["decoder_features"])
-    model.store.load_dict(doc["params"])
-    if doc["feature_scaling"] is not None:
-        model.feature_scaling = FeatureScaling.from_dict(doc["feature_scaling"],
-                                                         model.decoder_features)
+    if read(dict, doc.get("config", {}), "config").pop("include_relative_time", False):
+        raise ValueError("config include_relative_time: not supported")
+    saved = read(Checkpoint, doc)
+    model = TemporalFusionTransformer(saved.config, saved.encoder_features, saved.decoder_features)
+    try:
+        model.store.load_dict(saved.params)
+    except ValueError as exc:
+        raise ValueError(f"params: {exc}") from exc
+    if saved.feature_scaling is not None:
+        model.feature_scaling = FeatureScaling(saved.feature_scaling)
     return model

@@ -213,6 +213,94 @@ class TestPredictInterpret:
         assert main(args) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d["params"]["params"]["head.q0.w"]["values"].__setitem__(0, float("nan")),
+         "params: parameter 'head.q0.w': its values must be finite numbers"),
+        (lambda d: d.update(feature_scaling=None), "feature_scaling is null"),
+        (lambda d: d.update(params=[1]), "params: expected an object, got [1]"),
+        (lambda d: d["config"].update(hidden_size="8"),
+         "config hidden_size: expected an integer, got \"8\""),
+        (lambda d: d["config"].update(batch_size=True),
+         "config batch_size: expected an integer, got true"),
+        (lambda d: d.update(format_version=True),
+         "format_version: expected an integer, got true"),
+    ], ids=["nan-weight", "null-scaling", "params-list", "string-int", "boolean-int",
+            "boolean-version"])
+    def test_bad_checkpoint_value_names_file_and_key(self, workspace, tmp_path, capsys, edit, says):
+        doc = json.loads((workspace["out"] / "checkpoint.json").read_text())
+        edit(doc)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))  # a nan is written as NaN
+        assert main(["predict", "--dataset", str(workspace["out"] / "dataset.csv"),
+                     "--checkpoint", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: checkpoint {path}: {says}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, written", [
+        ("predict", "forecast.csv"), ("interpret", "importance.csv"), ("evaluate", "metrics.json")])
+    def test_trace_comes_from_the_checkpoint(self, workspace, tmp_path, command, written):
+        # the green checkpoint forecasts green whatever trace the config names
+        runs = {}
+        for trace in ("green", "blue"):
+            ini = tmp_path / f"{trace}.ini"
+            ini.write_text(TINY_INI.replace("trace = green", f"trace = {trace}"))
+            out = tmp_path / trace
+            assert main([command, "--config", str(ini),
+                         "--dataset", str(workspace["out"] / "dataset.csv"),
+                         "--checkpoint", str(workspace["out"] / "checkpoint.json"),
+                         "--out", str(out), "--quiet"]) == 0
+            runs[trace] = (out / written).read_bytes()
+        assert runs["blue"] == runs["green"]
+
+    def test_checkpoint_target_must_be_a_latency(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace["out"] / "checkpoint.json").read_text())
+        doc["encoder_features"][-1] = "cps.blue"
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--dataset", str(workspace["out"] / "dataset.csv"),
+                     "--checkpoint", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "encoder_features" in capsys.readouterr().err
+
+
+class TestNegativeSeeds:
+    """A negative seed, which numpy refuses, exits 2 before any stage runs."""
+
+    def test_simulate_flag(self, workspace, tmp_path, capsys):
+        assert main(["simulate", "--scenario", str(workspace["scenario"]), "--seed", "-1",
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: --seed -1: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_train_flag(self, workspace, tmp_path, capsys):
+        assert main(["train", "--config", str(workspace["ini"]), "--seed", "-1",
+                     "--dataset", str(workspace["out"] / "dataset.csv"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: --seed -1: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_tft_section(self, workspace, tmp_path, capsys):
+        ini = tmp_path / "seed.ini"
+        ini.write_text(TINY_INI.replace("seed = 9", "seed = -1"))
+        assert main(["train", "--config", str(ini), "--dataset", str(workspace["out"] / "dataset.csv"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: [tft] seed: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d.update(seed=-1), "top level: seed must be >= 0, got -1"),
+        (lambda d: d["workloads"]["green"].update(seed=-1),
+         "workload 'green': seed must be >= 0, got -1"),
+    ], ids=["scenario", "workload"])
+    def test_scenario_file(self, tmp_path, capsys, edit, says):
+        doc = json.loads(json.dumps(TINY_SCENARIO))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: scenario {path}: bad scenario document: {says}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvaluate:
     def test_metrics_include_baseline(self, workspace, tmp_path):
@@ -655,11 +743,11 @@ class TestConfigFile:
         ("[DEFAULT]\nseed = 3\n[run]\n", "[DEFAULT]"),
         ("[tft]\nquantiles = 0.2, 0.8\n", "[tft] quantiles: quantiles must include the median"),
         ("[tft]\nlearning_rate = nan\n",
-         "[tft] learning_rate: learning rate must be finite and positive"),
+         "[tft] learning_rate: learning_rate must be finite and positive"),
         ("[tft]\nlearning_rate = 0\n",
-         "[tft] learning_rate: learning rate must be finite and positive"),
+         "[tft] learning_rate: learning_rate must be finite and positive"),
         ("[tft]\nearly_stopping_patience = -1\n",
-         "[tft] early_stopping_patience: early stopping patience must be >= 0"),
+         "[tft] early_stopping_patience: early_stopping_patience must be >= 0"),
         ("[run]\nsteady_window = 0\n", "[run] steady_window: steady_window must be positive"),
         ("[run]\nrestarts = 0\n", "[run] restarts: restarts must be positive"),
         ("[run]\nsla_factor = 0\n", "[run] sla_factor: sla_factor must be positive"),
@@ -726,7 +814,7 @@ class TestConfigFile:
          "--sla-ms inf: sla_ms must be finite, got inf"),
         (["e2e", "--scenario", "sla_demo", "--sla-factor", "nan"],
          "--sla-factor nan: sla_factor must be finite, got nan"),
-        (["train", "--epochs", "0"], "--epochs 0: all size and count settings must be positive"),
+        (["train", "--epochs", "0"], "--epochs 0: max_epochs must be positive, got 0"),
     ], ids=["restarts", "sla-factor", "sla-ms", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
             "epochs"])
     def test_flags_get_the_same_checks(self, tmp_path, capsys, args, named):
@@ -850,15 +938,17 @@ class TestArgparse:
         assert parser_flags(command) == {"--config", "--out", "--quiet", *flags}
 
     def test_flag_pairs(self):
-        assert sum(len(parser_flags(command)) for command in cli.COMMANDS) == 51
+        assert sum(len(parser_flags(command)) for command in cli.COMMANDS) == 48
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--trace"), ("simulate", "--resources"), ("simulate", "--sla-ms"),
         ("train", "--sla-ms"),
-        ("predict", "--seed"), ("predict", "--resources"), ("predict", "--sla-ms"),
-        ("interpret", "--seed"), ("interpret", "--resources"), ("interpret", "--sla-ms"),
-        ("evaluate", "--seed"), ("evaluate", "--resources"), ("evaluate", "--sla-ms"),
-        ("evaluate", "--window-start"),
+        ("predict", "--seed"), ("predict", "--trace"), ("predict", "--resources"),
+        ("predict", "--sla-ms"),
+        ("interpret", "--seed"), ("interpret", "--trace"), ("interpret", "--resources"),
+        ("interpret", "--sla-ms"),
+        ("evaluate", "--seed"), ("evaluate", "--trace"), ("evaluate", "--resources"),
+        ("evaluate", "--sla-ms"), ("evaluate", "--window-start"),
         ("plan", "--seed"), ("plan", "--resources"),
     ])
     def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -901,6 +902,23 @@ class TestParamStoreAndAdam:
         Linear(narrow_store, "lin", 2, 2)
         with pytest.raises(ValueError, match="shape"):
             other.load_dict(narrow_store.to_dict())
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d["params"]["lin.w"]["values"].__setitem__(2, float("inf")),
+         "parameter 'lin.w': its values must be finite numbers"),
+        (lambda d: d["params"]["lin.w"]["values"].__setitem__(2, "0.5"),
+         "parameter 'lin.w': its values must be finite numbers"),
+        (lambda d: d["params"]["lin.w"].pop("shape"), "params need a shape and values each"),
+        (lambda d: d.update(params=[]), "params need a shape and values each"),
+        (lambda d: d.update(format_version=True), "unsupported checkpoint format True"),
+    ], ids=["inf", "string", "no-shape", "not-an-object", "boolean-version"])
+    def test_load_dict_refuses_malformed_values(self, edit, says):
+        store = ParamStore(seed=22)
+        Linear(store, "lin", 3, 2)
+        doc = store.to_dict()
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(says)):
+            store.load_dict(doc)
 
     def test_adam_descends_quadratic(self):
         store = ParamStore(seed=21)

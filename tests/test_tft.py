@@ -971,7 +971,7 @@ class TestCheckpoint:
             "config": json.loads(json.dumps(asdict(model.config))),
             "encoder_features": list(model.encoder_features),
             "decoder_features": list(model.decoder_features),
-            "feature_scaling": model.feature_scaling.to_dict(),
+            "feature_scaling": model.feature_scaling.params,
             "params": json.loads(model.store.to_json()),
         }
         with open(tmp_path / "ref.json", "w") as fh:
