@@ -26,8 +26,8 @@ from . import krr, scaler, tft
 from .reader import type_hints
 from .simulator import Scenario, apply_plan, load_scenario, resource_bounds, scenario_to_dict
 from .trace_data import (
-    KINDS, RESOURCE_MODES, DataFormatError, WindowSpec, load_dataset, make_windows, p95,
-    save_dataset,
+    KINDS, RESOURCE_MODES, DataFormatError, DatasetTooShortError, WindowSpec, load_dataset,
+    make_windows, p95, save_dataset,
 )
 
 # A factor box for each kind a feature can be, by its column's prefix:
@@ -85,7 +85,7 @@ class RunConfig:
         for name in self.features or ():
             if reason := _not_a_feature(name):
                 raise ValueError(reason)
-        for name in ("steady_window", "restarts", "sla_factor", "sla_ms"):
+        for name in ("steady_window", "restarts", "sla_factor", "sla_ms", "duration"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -382,7 +382,8 @@ def _checkpoint_inputs(cfg: RunConfig):
     if missing:
         raise UsageError(f"checkpoint/feature mismatch: dataset lacks {', '.join(missing)}")
     windows = _dataset_windows(dataset, trace, model.decoder_features, model.config,
-                               f"checkpoint {cfg.checkpoint} config, dataset {cfg.dataset}")
+                               f"checkpoint {cfg.checkpoint}, dataset {cfg.dataset}",
+                               "config encoder_length and decoder_length")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return model, windows, out
@@ -405,9 +406,11 @@ def _has_series(dataset, name: str) -> bool:
         return False
 
 
-def _dataset_windows(dataset, trace: str, features, tft_config, where: str | None = None):
+def _dataset_windows(dataset, trace: str, features, tft_config, source: str, lengths: str):
+    """The windows; an error names ``source``, and a dataset too short for
+    them names ``lengths`` too, the settings of the window lengths."""
     spec = WindowSpec(tft_config.encoder_length, tft_config.decoder_length)
-    with _usage(where, Exception):
+    with _usage(source, Exception), _usage(lengths, DatasetTooShortError):
         return make_windows(dataset, spec, trace, features)
 
 
@@ -459,7 +462,7 @@ def _simulate(cfg: RunConfig, out: Path):
         raise UsageError("--scenario is required")
     scenario = resolve_scenario(cfg.scenario)
     if cfg.duration is not None:
-        with _usage(f"--duration {cfg.duration}"):
+        with _usage(f"scenario {cfg.scenario}"):  # a burst may end past a shorter duration
             scenario = replace(scenario, duration_steps=cfg.duration)
     if cfg.seed is not None:
         scenario.seed = cfg.seed
@@ -471,11 +474,13 @@ def _simulate(cfg: RunConfig, out: Path):
     return scenario, dataset
 
 
-def _train_model(cfg: RunConfig, dataset, out_dir: Path):
-    """Train with restarts; writes checkpoint.json and training_report.json."""
+def _train_model(cfg: RunConfig, dataset, source: str, out_dir: Path):
+    """Train with restarts on the dataset from ``source``; writes
+    checkpoint.json and training_report.json."""
     features = _select_features(cfg, dataset)
     tft_config = cfg.tft if cfg.seed is None else replace(cfg.tft, seed=cfg.seed)
-    windows = _dataset_windows(dataset, cfg.trace, features, tft_config)
+    windows = _dataset_windows(dataset, cfg.trace, features, tft_config, source,
+                               "[tft] encoder_length and decoder_length")
     epoch_log = None if cfg.quiet else (
         lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}", file=sys.stderr)
     )
@@ -577,7 +582,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _, report, _ = _train_model(cfg, _load_dataset_or_fail(cfg), Path(cfg.out))
+    _, report, _ = _train_model(cfg, _load_dataset_or_fail(cfg), f"dataset {cfg.dataset}", Path(cfg.out))
     _say(cfg, f"stopped at epoch {report.stopped_epoch}, best {report.best_epoch}")
     return 0
 
@@ -642,7 +647,8 @@ def cmd_e2e(cfg: RunConfig) -> int:
         sla_ms = cfg.sla_ms if cfg.sla_ms is not None else cfg.sla_factor * before_p95
     _say(cfg, f"steady-state p95 {before_p95:.1f} ms, SLA {sla_ms:.1f} ms")
 
-    model, train_report, windows = _train_model(cfg, dataset, out)
+    model, train_report, windows = _train_model(
+        cfg, dataset, f"scenario {cfg.scenario}, [run] duration", out)
     forecast = _forecast(cfg, model, windows, out)
     tft_metrics, _ = _held_out_metrics(model, windows)
     imp = _interpret(cfg, model, windows, out)

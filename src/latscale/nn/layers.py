@@ -8,8 +8,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-CHECKPOINT_FORMAT_VERSION = 1
-
 
 class ParamStore:
     """Registry of named trainable tensors with seeded initialization."""
@@ -61,33 +59,10 @@ class ParamStore:
                 raise ValueError(f"parameter {name!r}: shape {values.shape} != {t.values.shape}")
             t.values = values.copy()
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "params": {
-                name: {"shape": list(t.values.shape), "values": t.values.reshape(-1).tolist()}
-                for name, t in self._params.items()
-            },
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def load_dict(self, doc: dict):
-        """Load ``to_dict`` output; another version, name or shape, or a
-        value that is not a finite number, raises ValueError."""
-        version = doc.get("format_version")
-        if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {version!r}")
-        try:
-            state = {name: np.asarray(entry["values"]).reshape(entry["shape"])
-                     for name, entry in doc["params"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"params need a shape and values each: {exc!r}") from exc
-        for name, values in state.items():
-            if values.dtype.kind not in "if" or not np.isfinite(values).all():
-                raise ValueError(f"parameter {name!r}: its values must be finite numbers")
-        self.load_state_dict(state)
+        """Each parameter's shape and its values flattened in C order, by name."""
+        return json.dumps({name: {"shape": list(t.values.shape), "values": t.values.reshape(-1).tolist()}
+                           for name, t in self._params.items()})
 
 
 # Adam's published defaults (Kingma & Ba, 2015), and the global gradient

@@ -16,6 +16,7 @@ import ctypes.util
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -80,7 +81,6 @@ class QuantileForecast:
 
     quantiles: tuple[float, ...]
     values: np.ndarray  # (horizon, len(quantiles)), non-decreasing per row
-    window_start: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -165,7 +165,7 @@ class TemporalFusionTransformer:
         self.heads = [
             nn.Linear(store, f"head.q{i}", h, 1) for i in range(len(config.quantiles))
         ]
-        self.feature_scaling: "FeatureScaling | None" = None  # set by train()
+        self.feature_scaling: dict[str, tuple[float, float]] | None = None  # set by train()
         self._run: "_Run | None" = None  # the last training run's end state, set by train()
         # (digest, outputs) of the last one-window inference, set by _infer()
         self._last_inference: "tuple[bytes, dict[str, np.ndarray]] | None" = None
@@ -232,28 +232,12 @@ class TemporalFusionTransformer:
 # Window batching and normalization
 
 
-@dataclass
-class FeatureScaling:
-    """Dataset-level min-max parameters for the covariate columns.
-
-    The target is scaled per encoder window (so predictions invert
-    exactly), but covariates need one consistent scale across windows:
-    a series that happens to be flat inside one encoder window would
-    otherwise blow up its future values by 1/range_floor.
-    """
-
-    params: dict[str, tuple[float, float]]  # name -> (lo, range)
-
-    def transform(self, values: np.ndarray, names: Sequence[str]) -> np.ndarray:
-        lo = np.array([self.params[n][0] for n in names])
-        rng = np.array([self.params[n][1] for n in names])
-        return (values - lo) / rng + EPSILON
-
-
-def fit_feature_scaling(windows: Sequence[Window]) -> FeatureScaling:
-    """Per-feature min-max over all encoder and decoder values of the
-    given (training) windows, taken per window in place: the windows
-    are views, and min and max are exact, so no copy of them is needed."""
+def fit_feature_scaling(windows: Sequence[Window]) -> dict[str, tuple[float, float]]:
+    """name -> (lo, range) of each covariate over all encoder and decoder
+    values of the (training) windows, min and max taken per window in place.
+    The target is scaled per encoder window, so predictions invert exactly,
+    but covariates need one scale across windows: a series flat inside one
+    window would otherwise blow its future values up by 1/range_floor."""
     names = windows[0].decoder.feature_names
     width = len(names)
     lo = np.min([np.minimum(w.encoder.values[:, :width].min(axis=0), w.decoder.values.min(axis=0))
@@ -261,7 +245,7 @@ def fit_feature_scaling(windows: Sequence[Window]) -> FeatureScaling:
     hi = np.max([np.maximum(w.encoder.values[:, :width].max(axis=0), w.decoder.values.max(axis=0))
                  for w in windows], axis=0)
     rng = hi - lo + RANGE_FLOOR
-    return FeatureScaling(params={n: (float(l), float(r)) for n, l, r in zip(names, lo, rng)})
+    return {n: (float(l), float(r)) for n, l, r in zip(names, lo, rng)}
 
 
 @dataclass
@@ -271,14 +255,13 @@ class PreparedBatch:
     labels: np.ndarray  # normalized future target (B, tau)
     target_lo: np.ndarray  # (B,)
     target_range: np.ndarray  # (B,)
-    starts: list[int]
 
 
 def prepare_batch(windows: Sequence[Window], config: TftConfig,
-                  scaling: FeatureScaling) -> PreparedBatch:
+                  scaling: dict[str, tuple[float, float]]) -> PreparedBatch:
     """Stack windows into model inputs.
 
-    Covariates are scaled with the dataset-level parameters; the target
+    Covariates are scaled with the dataset-level ``scaling``; the target
     column and the labels are scaled per window by the encoder's
     statistics, which are kept for exact inversion of predictions.
     """
@@ -299,14 +282,13 @@ def prepare_batch(windows: Sequence[Window], config: TftConfig,
     target = (target_raw - target_lo[:, None]) / target_range[:, None] + EPSILON
     labels = (labels_raw - target_lo[:, None]) / target_range[:, None] + EPSILON
 
-    enc_features = scaling.transform(enc_raw[:, :, :-1], names)
-    dec = scaling.transform(dec_raw, names)
+    lo = np.array([scaling[n][0] for n in names])
+    span = np.array([scaling[n][1] for n in names])
+    enc_features = (enc_raw[:, :, :-1] - lo) / span + EPSILON
+    dec = (dec_raw - lo) / span + EPSILON
     enc = np.concatenate([enc_features, target[:, :, None]], axis=2)
-    return PreparedBatch(
-        enc=enc, dec=dec, labels=labels,
-        target_lo=target_lo, target_range=target_range,
-        starts=[w.start for w in windows],
-    )
+    return PreparedBatch(enc=enc, dec=dec, labels=labels,
+                         target_lo=target_lo, target_range=target_range)
 
 
 def denormalize_target(values: np.ndarray, lo: float | np.ndarray, rng: float | np.ndarray) -> np.ndarray:
@@ -672,10 +654,11 @@ def _slices(model: TemporalFusionTransformer, windows: Sequence[Window]):
     training batches are: the scaling is elementwise and per window, so a
     slice equals those rows of the whole set."""
     _check_features(model, windows)
-    scaling = _require_scaling(model)
+    if model.feature_scaling is None:
+        raise ValueError("model has no feature scaling; train it or load a checkpoint first")
     bs = model.config.batch_size
     for lo in range(0, len(windows), bs):
-        yield prepare_batch(windows[lo : lo + bs], model.config, scaling)
+        yield prepare_batch(windows[lo : lo + bs], model.config, model.feature_scaling)
 
 
 def evaluate_loss(model: TemporalFusionTransformer, windows: Sequence[Window]) -> float:
@@ -684,7 +667,7 @@ def evaluate_loss(model: TemporalFusionTransformer, windows: Sequence[Window]) -
     for batch in _slices(model, windows):
         out = model.forward(batch.enc, batch.dec, training=False)
         loss, _ = _batch_loss(model.config.quantiles, out["quantiles"].values, batch.labels)
-        total_loss += loss * len(batch.starts)
+        total_loss += loss * len(batch.enc)
         del batch, out
     return total_loss / len(windows)
 
@@ -703,16 +686,10 @@ def predict_many(model: TemporalFusionTransformer, windows: Sequence[Window]) ->
     forecasts = []
     for batch in _slices(model, windows):
         raw = np.sort(_infer(model, batch)["quantiles"], axis=2)  # quantile non-crossing
-        for values, lo, span, start in zip(raw, batch.target_lo, batch.target_range, batch.starts):
+        for values, lo, span in zip(raw, batch.target_lo, batch.target_range):
             ms = np.maximum(denormalize_target(values, lo, span), 0.0)
-            forecasts.append(QuantileForecast(model.config.quantiles, ms, window_start=start))
+            forecasts.append(QuantileForecast(model.config.quantiles, ms))
     return forecasts
-
-
-def _require_scaling(model: TemporalFusionTransformer) -> FeatureScaling:
-    if model.feature_scaling is None:
-        raise ValueError("model has no feature scaling; train it or load a checkpoint first")
-    return model.feature_scaling
 
 
 def _infer(model: TemporalFusionTransformer, batch: PreparedBatch) -> dict[str, np.ndarray]:
@@ -725,7 +702,7 @@ def _infer(model: TemporalFusionTransformer, batch: PreparedBatch) -> dict[str, 
     An equal key means an equal computation, hence equal bits; a weight
     write, another window or another feature scaling changes the key."""
     key = None
-    if len(batch.starts) == 1:
+    if len(batch.enc) == 1:
         arrays = (batch.enc, batch.dec, *(t.values for t in model.store.tensors().values()))
         key = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).digest()
         if model._last_inference is not None and model._last_inference[0] == key:
@@ -797,6 +774,21 @@ def band_coverage(forecasts: Sequence[QuantileForecast], windows: Sequence[Windo
 # Checkpoints
 
 
+FORMAT_VERSION = 2  # of the checkpoint document
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One weight array of a checkpoint, its values flattened in C order."""
+
+    shape: tuple[int, ...]
+    values: list[float]
+
+    def __post_init__(self):
+        if min(self.shape, default=0) < 0 or math.prod(self.shape) != len(self.values):
+            raise ValueError(f"shape {list(self.shape)} does not hold {len(self.values)} values")
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     """The document ``save_checkpoint`` writes and ``load_checkpoint``
@@ -807,11 +799,9 @@ class Checkpoint:
     encoder_features: tuple[str, ...]
     decoder_features: tuple[str, ...]
     feature_scaling: dict[str, tuple[float, float]] | None  # name -> (lo, range)
-    params: dict  # what ``nn.ParamStore.load_dict`` reads
+    params: dict[str, Parameter]
 
     def __post_init__(self):
-        if self.format_version != nn.layers.CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"format_version: unsupported checkpoint format {self.format_version}")
         scaling = self.feature_scaling
         if scaling is not None and set(scaling) != set(self.decoder_features):
             raise ValueError(f"feature_scaling covers {sorted(scaling)}, expected the "
@@ -821,26 +811,29 @@ class Checkpoint:
 
 
 def save_checkpoint(model: TemporalFusionTransformer, path) -> None:
-    scaling = model.feature_scaling.params if model.feature_scaling else None
-    saved = Checkpoint(nn.layers.CHECKPOINT_FORMAT_VERSION, model.config, model.encoder_features,
-                       model.decoder_features, scaling, model.store.to_dict())
-    Path(path).write_text(json.dumps({**vars(saved), "config": asdict(saved.config)}))
+    params = {name: Parameter(t.values.shape, t.values.reshape(-1).tolist())
+              for name, t in model.store.tensors().items()}
+    saved = Checkpoint(FORMAT_VERSION, model.config, model.encoder_features,
+                       model.decoder_features, model.feature_scaling, params)
+    Path(path).write_text(json.dumps({**vars(saved), "config": asdict(saved.config),
+                                      "params": {name: vars(p) for name, p in params.items()}}))
 
 
 def load_checkpoint(path) -> TemporalFusionTransformer:
-    """Rebuild a saved model from its ``Checkpoint``; a bad value, a missing
-    or unknown parameter or a weight that is not finite raises ValueError."""
+    """Rebuild a saved model from its ``Checkpoint``; another format, a bad value
+    or weight, or a missing or unknown parameter raises ValueError."""
     with open(path) as fh:
         doc = read(dict, json.load(fh))
-    # older checkpoints carry this removed setting; no model could be trained with it on
-    if read(dict, doc.get("config", {}), "config").pop("include_relative_time", False):
-        raise ValueError("config include_relative_time: not supported")
+    # the version says how the rest reads, so it is checked first
+    if "format_version" in doc and (
+            version := read(int, doc["format_version"], "format_version")) != FORMAT_VERSION:
+        raise ValueError(f"format_version: unsupported checkpoint format {version}")
     saved = read(Checkpoint, doc)
     model = TemporalFusionTransformer(saved.config, saved.encoder_features, saved.decoder_features)
     try:
-        model.store.load_dict(saved.params)
+        model.store.load_state_dict({name: np.reshape(p.values, p.shape)
+                                     for name, p in saved.params.items()})
     except ValueError as exc:
         raise ValueError(f"params: {exc}") from exc
-    if saved.feature_scaling is not None:
-        model.feature_scaling = FeatureScaling(saved.feature_scaling)
+    model.feature_scaling = saved.feature_scaling
     return model

@@ -88,6 +88,33 @@ class TestSimulate:
                    "--duration", "0", "--out", str(tmp_path), "--quiet"])
         assert rc == 2
 
+    @pytest.mark.parametrize("source, named", [
+        ("flag", "--duration 0: duration must be positive"),
+        ("config", "[run] duration: duration must be positive"),
+    ])
+    def test_zero_duration_names_its_source(self, workspace, tmp_path, capsys, source, named):
+        args = ["simulate", "--scenario", str(workspace["scenario"])]
+        if source == "flag":
+            args += ["--duration", "0"]
+        else:
+            (tmp_path / "run.ini").write_text("[run]\nduration = 0\n")
+            args += ["--config", str(tmp_path / "run.ini")]
+        assert main([*args, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_burst_past_a_shorter_duration_names_the_scenario(self, tmp_path, capsys):
+        doc = {**TINY_SCENARIO, "workloads": {**TINY_SCENARIO["workloads"], "green": {
+            **TINY_SCENARIO["workloads"]["green"], "bursts": [[100, 20, 2.0]]}}}
+        path = tmp_path / "burst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--duration", "110",
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario {path}: workload 'green': burst at step 100 ends at step 120, "
+            f"past duration_steps 110\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_scenario_has_all_five_traces(self, tmp_path):
         assert main(["simulate", "--scenario", "sla_demo", "--duration", "30",
                      "--out", str(tmp_path), "--quiet"]) == 0
@@ -148,6 +175,25 @@ class TestTrain:
                    "--dataset", str(tmp_path / "dataset.csv"), "--out", str(tmp_path), "--quiet"])
         assert rc == 2
 
+    def test_dataset_too_short_names_the_dataset_and_the_lengths(self, workspace, tmp_path, capsys):
+        assert main(["simulate", "--scenario", str(workspace["scenario"]),
+                     "--duration", "10", "--out", str(tmp_path), "--quiet"]) == 0
+        dataset = tmp_path / "dataset.csv"
+        assert main(["train", "--config", str(workspace["ini"]), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {dataset}: [tft] encoder_length and decoder_length: "
+            f"need at least 20 steps for encoder 16 + decoder 4, have 10\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_trace_names_the_dataset_only(self, workspace, tmp_path, capsys):
+        dataset = workspace["out"] / "dataset.csv"
+        assert main(["train", "--config", str(workspace["ini"]), "--dataset", str(dataset),
+                     "--trace", "orange", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {dataset}: \"no target series for trace 'orange'\"\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPredictInterpret:
     def test_forecast_shape_and_determinism(self, workspace, tmp_path):
@@ -201,7 +247,7 @@ class TestPredictInterpret:
         elif checkpoint == "format-99":
             doc["format_version"] = 99
         elif checkpoint == "extra-param":
-            doc["params"]["params"]["surplus.w"] = {"shape": [1], "values": [0.0]}
+            doc["params"]["surplus.w"] = {"shape": [1], "values": [0.0]}
         elif checkpoint == "scaling-gap":
             del doc["feature_scaling"]["pods.cart"]
         path = tmp_path / "ckpt.json"
@@ -214,8 +260,8 @@ class TestPredictInterpret:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, says", [
-        (lambda d: d["params"]["params"]["head.q0.w"]["values"].__setitem__(0, float("nan")),
-         "params: parameter 'head.q0.w': its values must be finite numbers"),
+        (lambda d: d["params"]["head.q0.w"]["values"].__setitem__(0, float("nan")),
+         "params 'head.q0.w' values 0: nan is not a finite number"),
         (lambda d: d.update(feature_scaling=None), "feature_scaling is null"),
         (lambda d: d.update(params=[1]), "params: expected an object, got [1]"),
         (lambda d: d["config"].update(hidden_size="8"),
@@ -646,6 +692,17 @@ class TestE2e:
             main(["simulate", "--scenario", str(workspace["scenario"]),
                   "--out", str(tmp_path), "--quiet"])
 
+    def test_duration_too_short_names_the_scenario_and_the_duration(self, workspace, tmp_path,
+                                                                     capsys):
+        path = tmp_path / "short.ini"
+        path.write_text(TINY_INI.replace("[run]", "[run]\nduration = 10"))
+        assert main(["e2e", "--scenario", str(workspace["scenario"]), "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario {workspace['scenario']}, [run] duration: "
+            f"[tft] encoder_length and decoder_length: "
+            f"need at least 20 steps for encoder 16 + decoder 4, have 10\n")
+
     def test_repeated_feature_is_rejected_before_simulating(self, workspace, tmp_path, capsys):
         ini = tmp_path / "repeated.ini"
         ini.write_text(TINY_INI.replace("features = cps.green,", "features = cps.green, cps.green,"))
@@ -752,6 +809,7 @@ class TestConfigFile:
         ("[run]\nrestarts = 0\n", "[run] restarts: restarts must be positive"),
         ("[run]\nsla_factor = 0\n", "[run] sla_factor: sla_factor must be positive"),
         ("[run]\nsla_ms = -5\n", "[run] sla_ms: sla_ms must be positive"),
+        ("[run]\nduration = -5\n", "[run] duration: duration must be positive"),
         ("[run]\nsla_ms = nan\n", "[run] sla_ms: sla_ms must be finite"),
         ("[run]\nsla_ms = inf\n", "[run] sla_ms: sla_ms must be finite"),
         ("[run]\nsla_factor = nan\n", "[run] sla_factor: sla_factor must be finite"),
@@ -770,7 +828,7 @@ class TestConfigFile:
     ], ids=["run-key", "tft-key", "grid-key", "boxes-key", "section", "int",
             "quantiles", "box-of-one", "box-of-three", "box-reversed", "default-section",
             "no-median", "learning-rate-nan", "learning-rate-zero", "patience", "steady-window",
-            "restarts", "sla-factor", "sla-ms", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
+            "restarts", "sla-factor", "sla-ms", "duration", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
             "sla-factor-inf", "alpha-nan", "beta-inf", "box-nan", "intercept-nan", "resources",
             "repeated-feature", "latency-feature"])
     def test_rejects_with_section_and_key(self, tmp_path, text, named):
@@ -815,8 +873,9 @@ class TestConfigFile:
         (["e2e", "--scenario", "sla_demo", "--sla-factor", "nan"],
          "--sla-factor nan: sla_factor must be finite, got nan"),
         (["train", "--epochs", "0"], "--epochs 0: max_epochs must be positive, got 0"),
+        (["simulate", "--duration", "-5"], "--duration -5: duration must be positive"),
     ], ids=["restarts", "sla-factor", "sla-ms", "sla-ms-nan", "sla-ms-inf", "sla-factor-nan",
-            "epochs"])
+            "epochs", "duration"])
     def test_flags_get_the_same_checks(self, tmp_path, capsys, args, named):
         assert main([*args, "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"

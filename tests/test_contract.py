@@ -5,7 +5,10 @@ Every one-leaf edit of a valid document, run through ``cli.main``, exits
 the key, and creates no output directory.  The scenario is the bundled
 ``sla_demo`` through ``simulate``; the checkpoint is a tiny model's
 (encoder 8, decoder 4, one epoch) through ``predict``, edited at every
-key of its top level, its ``config`` and its ``feature_scaling``.
+key of its top level, its ``config`` and its ``feature_scaling``, at one
+parameter's ``shape``, ``values`` and first value, and by dropping or
+adding a key of its top level or its ``config``.  A checkpoint in format
+1's layout exits 2 on its version.
 """
 import copy
 import json
@@ -42,12 +45,16 @@ def leaves(doc, path=()):
             yield path + (key,)
 
 
-def edited(doc, path, value):
+def edited(doc, path, value=None, drop=False):
+    """``doc`` with the value at ``path`` set to ``value``, or dropped."""
     doc = copy.deepcopy(doc)
     owner = doc
     for key in path[:-1]:
         owner = owner[key]
-    owner[path[-1]] = value
+    if drop:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
     return doc
 
 
@@ -60,7 +67,7 @@ def check_run(capsys, argv, document, path, out, written):
         assert (out / written).exists()
         return
     assert str(document) in err
-    for key in path:
+    for key in map(str, path):
         if key not in ("services", "workloads"):  # their entries are named singular
             assert key in err, f"{key!r} is not named in {err!r}"
     assert not out.exists()
@@ -87,25 +94,32 @@ def trained(tmp_path_factory):
     return root, json.loads((root / "checkpoint.json").read_text())
 
 
+TOP = ["format_version", "config", "encoder_features", "decoder_features", "feature_scaling",
+       "params"]
+CONFIG = ["hidden_size", "attention_heads", "dropout", "learning_rate", "batch_size", "max_epochs",
+          "encoder_length", "decoder_length", "quantiles", "early_stopping_patience",
+          "validation_fraction", "seed"]
+PARAMETER = "head.q0.w"  # the parameter whose entry is edited
+
+
 def checkpoint_paths():
-    top = ["format_version", "config", "encoder_features", "decoder_features",
-           "feature_scaling", "params"]
-    config = ["hidden_size", "attention_heads", "dropout", "learning_rate", "batch_size",
-              "max_epochs", "encoder_length", "decoder_length", "quantiles",
-              "early_stopping_patience", "validation_fraction", "seed"]
-    return ([(key,) for key in top] + [("config", key) for key in config]
-            + [("feature_scaling", name) for name in ("cps.green", "pods.cart")])
+    return ([(key,) for key in TOP] + [("config", key) for key in CONFIG]
+            + [("feature_scaling", name) for name in ("cps.green", "pods.cart")]
+            + [("params", PARAMETER, "shape"), ("params", PARAMETER, "values"),
+               ("params", PARAMETER, "values", 0)])
 
 
 def test_checkpoint_paths_are_every_key(trained):
     _, doc = trained
     assert sorted(checkpoint_paths()) == sorted(
         [(key,) for key in doc] + [("config", key) for key in doc["config"]]
-        + [("feature_scaling", key) for key in doc["feature_scaling"]])
+        + [("feature_scaling", key) for key in doc["feature_scaling"]]
+        + [("params", PARAMETER, key) for key in doc["params"][PARAMETER]]
+        + [("params", PARAMETER, "values", 0)])
 
 
 @pytest.mark.parametrize("value", MUTATIONS, ids=json.dumps)
-@pytest.mark.parametrize("path", checkpoint_paths(), ids=".".join)
+@pytest.mark.parametrize("path", checkpoint_paths(), ids=lambda path: ".".join(map(str, path)))
 def test_checkpoint_key(trained, tmp_path, capsys, path, value):
     root, doc = trained
     document = tmp_path / "checkpoint.json"
@@ -113,6 +127,39 @@ def test_checkpoint_key(trained, tmp_path, capsys, path, value):
     check_run(capsys, ["predict", "--dataset", str(root / "dataset.csv"),
                        "--checkpoint", str(document)],
               document, path, tmp_path / "out", "forecast.csv")
+
+
+def run_predict(capsys, trained, tmp_path, doc, path):
+    root, _ = trained
+    document = tmp_path / "checkpoint.json"
+    document.write_text(json.dumps(doc))
+    check_run(capsys, ["predict", "--dataset", str(root / "dataset.csv"),
+                       "--checkpoint", str(document)],
+              document, path, tmp_path / "out", "forecast.csv")
+
+
+@pytest.mark.parametrize("path", [(key,) for key in TOP] + [("config", key) for key in CONFIG],
+                         ids=".".join)
+def test_checkpoint_key_dropped(trained, tmp_path, capsys, path):
+    run_predict(capsys, trained, tmp_path, edited(trained[1], path, drop=True), path)
+
+
+@pytest.mark.parametrize("path", [("surplus",), ("config", "surplus")], ids=".".join)
+def test_checkpoint_key_added(trained, tmp_path, capsys, path):
+    run_predict(capsys, trained, tmp_path, edited(trained[1], path, 0), path)
+
+
+def test_format_1_checkpoint(trained, tmp_path, capsys):
+    """The layout format 1 wrote: the version again inside ``params``."""
+    root, doc = trained
+    document = tmp_path / "checkpoint.json"
+    document.write_text(json.dumps(
+        {**doc, "format_version": 1, "params": {"format_version": 1, "params": doc["params"]}}))
+    assert main(["predict", "--dataset", str(root / "dataset.csv"), "--checkpoint", str(document),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {document}: format_version: unsupported checkpoint format 1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unedited_documents_exit_0(trained, tmp_path, capsys):

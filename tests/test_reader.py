@@ -1,11 +1,15 @@
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
+import numpy as np
 import pytest
 
-from latscale.reader import read
+from latscale.reader import read, type_hints
 from latscale.scaler import PlanAction, ScalingPlan
+from latscale.simulator import Scenario
+from latscale.tft import Checkpoint
 
 
 @dataclass
@@ -81,3 +85,47 @@ def test_plan_round_trips_with_lists():
         doc = json.loads(plan.to_json())
         doc["actions"][0]["current"] = "2"
         ScalingPlan.from_json(json.dumps(doc))
+
+
+def annotations(hint, seen=None) -> list:
+    """``hint`` and every annotation reachable from it: a dataclass's
+    field annotations and the arguments of a generic, each once."""
+    seen = [] if seen is None else seen
+    if hint in seen or hint is Ellipsis or hint is type(None):
+        return seen
+    seen.append(hint)
+    for inner in (type_hints(hint).values() if is_dataclass(hint) else typing.get_args(hint)):
+        annotations(inner, seen)
+    return seen
+
+
+def unreadable(cls) -> list:
+    """The annotations reachable from ``cls`` that ``read`` has no rule for.
+    Any value shows it: an annotation without a rule raises TypeError
+    before the value is looked at."""
+    refused = []
+    for hint in annotations(cls):
+        try:
+            read(hint, None)
+        except ValueError:
+            pass
+        except TypeError:
+            refused.append(hint)
+    return refused
+
+
+@pytest.mark.parametrize("document", [Scenario, Checkpoint, ScalingPlan],
+                         ids=lambda cls: cls.__name__)
+def test_every_reachable_annotation_has_a_rule(document):
+    assert len(annotations(document)) > 5
+    assert unreadable(document) == []
+
+
+def test_an_annotation_without_a_rule_is_found_before_a_document_sets_it():
+    @dataclass
+    class Series:
+        name: str
+        values: np.ndarray | None = None
+
+    assert read(Series, {"name": "a"}) == Series("a")  # the field is never read
+    assert unreadable(Series) == [np.ndarray]

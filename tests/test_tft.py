@@ -712,7 +712,7 @@ def test_scaling_fit_per_window_equals_the_concatenation(pick):
         chosen = windows[40:170]
     else:
         chosen = [windows[i] for i in rng.permutation(len(windows))[:50]]
-    assert fit_feature_scaling(chosen).params == concatenated_scaling(chosen)
+    assert fit_feature_scaling(chosen) == concatenated_scaling(chosen)
 
 
 def test_batch_prepared_alone_equals_rows_of_the_whole_set():
@@ -723,7 +723,6 @@ def test_batch_prepared_alone_equals_rows_of_the_whole_set():
     part = prepare_batch([windows[i] for i in idx], SMALL, scaling)
     for name in ("enc", "dec", "labels", "target_lo", "target_range"):
         np.testing.assert_array_equal(getattr(part, name), getattr(whole, name)[idx])
-    assert part.starts == [whole.starts[i] for i in idx]
 
 
 class TestPredict:
@@ -872,8 +871,8 @@ class TestInferenceMemo:
 
         calls.clear()
         predict(model, window)
-        model.feature_scaling = replace(model.feature_scaling, params={
-            name: (lo - 1.0, span) for name, (lo, span) in model.feature_scaling.params.items()})
+        model.feature_scaling = {name: (lo - 1.0, span)
+                                 for name, (lo, span) in model.feature_scaling.items()}
         rescaled = interpret(model, window)
         assert calls == [1, 1]
         assert importance_bytes(rescaled) == self.cold(model, window)[1]
@@ -960,46 +959,86 @@ class TestCheckpoint:
         model, _, _ = trained_sine
         save_checkpoint(model, tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["format_version"] == 1
-
+        assert doc["format_version"] == tft.FORMAT_VERSION == 2
+        assert all(set(entry) == {"shape", "values"} for entry in doc["params"].values())
 
     def test_bytes_are_those_of_the_json_round_trip(self, trained_sine, tmp_path):
         model, _, _ = trained_sine
         save_checkpoint(model, tmp_path / "model.json")
         doc = {
-            "format_version": nn.layers.CHECKPOINT_FORMAT_VERSION,
+            "format_version": tft.FORMAT_VERSION,
             "config": json.loads(json.dumps(asdict(model.config))),
             "encoder_features": list(model.encoder_features),
             "decoder_features": list(model.decoder_features),
-            "feature_scaling": model.feature_scaling.params,
+            "feature_scaling": model.feature_scaling,
             "params": json.loads(model.store.to_json()),
         }
         with open(tmp_path / "ref.json", "w") as fh:
             json.dump(doc, fh)
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
-    def test_inner_format_version_checked(self, trained_sine, tmp_path):
-        model, _, _ = trained_sine
+    @staticmethod
+    def load_edited(model, tmp_path, edit):
         save_checkpoint(model, tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
-        doc["params"]["format_version"] = 99
-        (tmp_path / "inner.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsupported checkpoint format 99"):
-            load_checkpoint(tmp_path / "inner.json")
+        edit(doc)
+        (tmp_path / "edited.json").write_text(json.dumps(doc))
+        return load_checkpoint(tmp_path / "edited.json")
+
+    def test_inner_format_version_checked(self, trained_sine, tmp_path):
+        """A version inside ``params``, where format 1 kept its second copy,
+        is not a parameter."""
+        with pytest.raises(ValueError, match="^params 'format_version': expected an object, got 2$"):
+            self.load_edited(trained_sine[0], tmp_path,
+                             lambda d: d["params"].update(format_version=2))
+
+    def test_format_1_is_refused_by_its_version(self, trained_sine, tmp_path):
+        """A checkpoint in format 1's layout: the version is read first."""
+        def to_format_1(doc):
+            doc.update(format_version=1, params={"format_version": 1, "params": doc["params"]})
+            doc["config"]["include_relative_time"] = False
+
+        with pytest.raises(ValueError, match="^format_version: unsupported checkpoint format 1$"):
+            self.load_edited(trained_sine[0], tmp_path, to_format_1)
 
     def test_older_checkpoint_relative_time_key(self, trained_sine, tmp_path):
-        model, _, windows = trained_sine
-        save_checkpoint(model, tmp_path / "model.json")
-        doc = json.loads((tmp_path / "model.json").read_text())
-        doc["config"]["include_relative_time"] = False
-        (tmp_path / "old.json").write_text(json.dumps(doc))
-        restored = load_checkpoint(tmp_path / "old.json")
-        np.testing.assert_array_equal(predict(restored, windows[-1]).values,
-                                      predict(model, windows[-1]).values)
-        doc["config"]["include_relative_time"] = True
-        (tmp_path / "old.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="include_relative_time"):
-            load_checkpoint(tmp_path / "old.json")
+        """Format 1's removed ``include_relative_time`` setting is an unknown key."""
+        for value in (False, True):
+            with pytest.raises(ValueError, match="^config: unknown key.s. 'include_relative_time'$"):
+                self.load_edited(trained_sine[0], tmp_path,
+                                 lambda d: d["config"].update(include_relative_time=value))
+
+    def test_params_read_what_save_writes(self, trained_sine, tmp_path):
+        model, _, _ = trained_sine
+        restored = self.load_edited(model, tmp_path, lambda d: None)
+        for name, t in model.store.tensors().items():
+            assert restored.store.tensors()[name].values.tobytes() == t.values.tobytes()
+        assert restored.feature_scaling == model.feature_scaling
+        with pytest.raises(ValueError, match=re.escape("params: parameter 'head.q0.w': shape (4, 1)")):
+            self.load_edited(model, tmp_path, lambda d: d["params"].update(
+                {"head.q0.w": {"shape": [4, 1], "values": [0.0] * 4}}))
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda d: d["params"]["head.q0.w"]["values"].__setitem__(2, float("inf")),
+         "params 'head.q0.w' values 2: inf is not a finite number"),
+        (lambda d: d["params"]["head.q0.w"]["values"].__setitem__(2, "0.5"),
+         "params 'head.q0.w' values 2: expected a number, got \"0.5\""),
+        (lambda d: d["params"]["head.q0.w"]["values"].__setitem__(2, True),
+         "params 'head.q0.w' values 2: expected a number, got true"),
+        (lambda d: d["params"]["head.q0.w"].pop("shape"), "params 'head.q0.w': missing key(s) 'shape'"),
+        (lambda d: d["params"]["head.q0.w"]["values"].pop(),
+         "params 'head.q0.w': shape [8, 1] does not hold 7 values"),
+        (lambda d: d["params"]["head.q0.w"].update(shape=[-8, -1]),
+         "params 'head.q0.w': shape [-8, -1] does not hold 8 values"),
+        (lambda d: d.update(params=[]), "params: expected an object, got []"),
+        (lambda d: d.pop("params"), "missing key(s) 'params'"),
+        (lambda d: d["params"].pop("head.q0.w"), "params: missing parameters in state dict"),
+    ], ids=["inf", "string", "boolean", "no-shape", "short", "negative-shape", "not-an-object",
+            "no-params", "missing-parameter"])
+    def test_params_refuse_malformed_values(self, trained_sine, tmp_path, edit, says):
+        with pytest.raises(ValueError) as exc:
+            self.load_edited(trained_sine[0], tmp_path, edit)
+        assert str(exc.value).startswith(says)
 
 
 class TestDecoderUsage:
