@@ -1033,8 +1033,9 @@ class TestCheckpoint:
         (lambda d: d.update(params=[]), "params: expected an object, got []"),
         (lambda d: d.pop("params"), "missing key(s) 'params'"),
         (lambda d: d["params"].pop("head.q0.w"), "params: missing parameters in state dict"),
+        (lambda d: d.update(format_version=True), "format_version: expected an integer, got true"),
     ], ids=["inf", "string", "boolean", "no-shape", "short", "negative-shape", "not-an-object",
-            "no-params", "missing-parameter"])
+            "no-params", "missing-parameter", "boolean-version"])
     def test_params_refuse_malformed_values(self, trained_sine, tmp_path, edit, says):
         with pytest.raises(ValueError) as exc:
             self.load_edited(trained_sine[0], tmp_path, edit)
